@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from dpglab.dpg_solver import (SolverError, assemble_and_solve, assemble_global,
+from dpglab.dpg_solver import (SolverError, _factor_equilibrated, _solve_spd,
+                               assemble_and_solve, assemble_global,
                                condense_element, error_function)
 from dpglab.forms import ElementAssembler, ElementSystem, TestNorm
 from dpglab.harness import l2_error
@@ -151,3 +154,46 @@ def test_best_approximation_sandwich(initial):
                 best = l2_error(m, l2_project(m, 0, prob.u), prob.u)
                 assert best <= err_u + 1e-10
             m = refine_uniform(m)
+
+
+def test_uncertified_solve_raises_with_backward_error(initial):
+    # no backward error reaches 0: all three refinement steps run, then raise
+    with pytest.raises(SolverError, match=r"backward error .* > tolerance "
+                       r"0\.000e\+00 after 3 refinement steps"):
+        assemble_and_solve(initial, example(1), p=0, solver_tol=0.0)
+
+
+def test_singular_matrix_raises_instead_of_fallback():
+    # symmetric, positive diagonal, rank 2: the last pivot is exactly zero
+    A = sp.csc_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0],
+                                [1.0, 0.0, 1.0]]))
+    with pytest.raises(SolverError, match="3x3 condensed system failed: "
+                       "Factor is exactly singular"):
+        _solve_spd(A, np.ones(3), 1e-12)
+
+
+def test_solve_spd_certifies_badly_scaled_matrix():
+    # unit-diagonal SPD tridiagonal matrix, rescaled so that diag(A) spans
+    # 1e-8 ... 1e8; Jacobi equilibration must undo the scaling exactly
+    n = 200
+    M = sp.diags([np.full(n - 1, -0.45), np.ones(n), np.full(n - 1, -0.45)],
+                 [-1, 0, 1])
+    r = sp.diags(np.logspace(-4, 4, n))
+    A = (r @ M @ r).tocsc()
+    b = np.random.default_rng(2).standard_normal(n)
+    x, res = _solve_spd(A, b, 1e-12)
+    assert res <= 1e-12
+    ref = spla.spsolve(A, b)
+    assert np.linalg.norm(r @ (x - ref)) <= 1e-10 * np.linalg.norm(r @ ref)
+
+
+def test_factor_fill_stays_small(initial):
+    # minimum-degree ordering in symmetric mode gives L+U fill of 1.40 nnz(A)
+    # on ex1/simple p2 level 3; SuperLU's COLAMD default gives 5.75
+    mesh = refine_uniform(refine_uniform(initial))
+    prob = example(1)
+    dm = build_dofmap(mesh, 2)
+    asm = ElementAssembler(mesh, prob.coeffs, 2)
+    A, _ = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+    _, lu = _factor_equilibrated(A)
+    assert lu.L.nnz + lu.U.nnz <= 2.5 * A.nnz
