@@ -3,9 +3,9 @@ form on the unit square, with selectable test norms, an augmented-trial
 variant, local postprocessing and a manufactured-solution study harness."""
 
 from .dpg_solver import (EnergyError, Solution, SolverError, assemble_and_solve,
-                         condense_element, error_function)
-from .forms import (Coefficients, ElementAssembler, ElementSystem, TestNorm,
-                    element_b_matrix, element_gram, element_load)
+                         error_function)
+from .forms import (Coefficients, ElementAssembler, TestNorm, element_b_matrix,
+                    element_gram, element_load)
 from .harness import (ErrorRow, ErrorTable, StudyConfig, emit_table, l2_error,
                       parse_table_csv, rate, run_convergence_study)
 from .mesh import (AffineMap, Mesh, Skeleton, build_initial_mesh, build_skeleton,
@@ -21,11 +21,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "Coefficients", "CoefficientVector", "DofMap", "ElementAssembler",
-    "ElementSystem", "EnergyError", "ErrorRow", "ErrorTable", "LagrangeBasis",
+    "EnergyError", "ErrorRow", "ErrorTable", "LagrangeBasis",
     "Mesh", "ProblemSpec", "QuadratureRule", "RTBasis", "RTCoefficients",
     "ScalarBasis", "Skeleton", "Solution", "SolverError", "StudyConfig", "TestNorm",
     "assemble_and_solve", "broken_eval", "build_dofmap", "build_initial_mesh",
-    "build_skeleton", "condense_element", "derive_data", "edge_quadrature",
+    "build_skeleton", "derive_data", "edge_quadrature",
     "element_b_matrix", "element_geometry", "element_gram", "element_load",
     "emit_table", "error_function", "example", "l2_error", "l2_project",
     "parse_table_csv", "postprocess_u", "rate", "refine_uniform",

@@ -5,11 +5,14 @@ Per element the optimal-test-function problem reduces to the normal equations
     S_T = B_T^t G_T^{-1} B_T,    r_T = B_T^t G_T^{-1} F_T,
 
 with G_T the SPD Gram matrix of the chosen test inner product on the enriched
-broken test space.  Summing S_T, r_T over elements gives a sparse symmetric
-positive definite system for all trial DOFs (field DOFs couple to the traces
-of their own element; trace DOFs couple neighbours).  The homogeneous
-Dirichlet condition holds by construction: boundary trace DOFs of the scalar
-field never exist.
+broken test space.  One routine condenses a chunk of elements: it factors
+each G_T = L_T L_T^t by Cholesky (the factorization is also the SPD check)
+and returns the whitened blocks Y_T = L_T^{-1} B_T, y_T = L_T^{-1} F_T, so
+that S_T = Y_T^t Y_T and r_T = Y_T^t y_T.  Summing S_T, r_T over elements
+gives a sparse symmetric positive definite system for all trial DOFs (field
+DOFs couple to the traces of their own element; trace DOFs couple
+neighbours).  The homogeneous Dirichlet condition holds by construction:
+boundary trace DOFs of the scalar field never exist.
 
 The global system is solved one way only: Jacobi equilibration to unit
 diagonal, a SuperLU factorization in symmetric mode (minimum-degree ordering
@@ -18,8 +21,10 @@ backward error is below the solver tolerance.  A solve that fails to factor
 or to certify raises :class:`SolverError`; there is no fallback.
 
 The discrete Riesz representative of the residual ("error function") is
-recovered per element as eps_T = G_T^{-1} (F_T - B_T u_T); its test-norm is an
-energy error estimate and B_T^t eps_T summed over elements reproduces the
+eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: with the same whitened
+blocks and z_T = y_T - Y_T u_T, its test norm is |z_T| (the energy error
+estimator of Carstensen, Demkowicz and Gopalakrishnan, SIAM J. Numer. Anal.
+52, 2014), and B_T^t eps_T = Y_T^t z_T summed over elements reproduces the
 algebraic residual (Galerkin orthogonality).
 """
 
@@ -35,7 +40,9 @@ from .forms import ElementAssembler, TestNorm
 from .mesh import Mesh
 from .spaces import CoefficientVector, DofMap, build_dofmap
 
-DEFAULT_CHUNK = 16384
+# elements condensed per batch; bounds the test-row tables of
+# ElementAssembler (tens of MB at p = 2)
+_CHUNK = 512
 
 
 class SolverError(RuntimeError):
@@ -84,63 +91,58 @@ class Solution:
 
 @dataclass
 class EnergyError:
-    """Error function coefficients and norms, plus the assembled Galerkin
-    orthogonality residual sum_T B_T^t eps_T."""
+    """Element norms of the error function and their total, plus the
+    assembled Galerkin orthogonality residual sum_T B_T^t eps_T."""
 
-    eps: np.ndarray = field(repr=False)  # (nt, n_test)
     element_norms: np.ndarray  # (nt,)
     total: float
     orth_residual: np.ndarray = field(repr=False)
     rhs_norm: float
 
 
-def condense_element(system) -> tuple[np.ndarray, np.ndarray]:
-    """Schur data (S, r) of one element system; S is symmetrized exactly."""
-    G = np.asarray(system.G, dtype=float)
-    B = np.asarray(system.B, dtype=float)
-    F = np.asarray(system.F, dtype=float)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"element Gram matrix is not SPD: {exc}") from exc
-    X = np.linalg.solve(G, np.concatenate([B, F[:, None]], axis=1))
-    S = B.T @ X[:, :-1]
-    return 0.5 * (S + S.T), B.T @ X[:, -1]
-
-
-def _chunks(n: int, size: int):
-    for lo in range(0, n, size):
-        yield np.arange(lo, min(lo + size, n))
+def _chunks(n: int):
+    for lo in range(0, n, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, n))
 
 
 def _condense_batch(B, G, F, els):
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        for i in range(len(G)):
-            try:
-                np.linalg.cholesky(G[i])
-            except np.linalg.LinAlgError:
-                raise SolverError(
-                    f"Gram matrix of element {els[i]} is not SPD; "
-                    "check coefficients and quadrature") from None
-        raise
-    X = np.linalg.solve(G, np.concatenate([B, F[:, :, None]], axis=2))
-    S = np.einsum("eij,eik->ejk", B, X[:, :, :-1])
-    return 0.5 * (S + np.swapaxes(S, 1, 2)), np.einsum("eij,ei->ej", B, X[:, :, -1])
+    """Whitened element blocks (Y, y) = (L^{-1} B, L^{-1} F), G = L L^t.
+
+    The Cholesky factorization is the SPD check: an element whose Gram
+    matrix does not factor to finite values raises :class:`SolverError`
+    naming it.  The batched call does not say which element failed, and
+    OpenBLAS lets NaN pivots through without failing, hence the scan.
+    """
+    def factor(g):
+        try:
+            L = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return None
+        return L if np.isfinite(L).all() else None
+
+    L = factor(G)
+    if L is None:
+        t = next(t for g, t in zip(G, els) if factor(g) is None)
+        raise SolverError(f"Gram matrix of element {t} is not SPD; "
+                          "check coefficients and quadrature")
+    # numpy has no batched triangular solve; scipy's solve_triangular loops
+    # over the batch in Python, so the LU solve with the factor is faster
+    Y = np.linalg.solve(L, np.concatenate([B, F[:, :, None]], axis=2))
+    return Y[:, :, :-1], Y[:, :, -1]
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, f, fvec, chunk: int = DEFAULT_CHUNK):
+                    kind: TestNorm, f, fvec):
     """Assemble the condensed SPD system (CSC matrix, rhs)."""
     n = dofmap.total
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for els in _chunks(mesh.n_triangles, chunk):
-        B = asm.b_matrices(els)
-        G = asm.gram(kind, els)
-        F = asm.loads(f, fvec, els)
-        S, r = _condense_batch(B, G, F, els)
+    for els in _chunks(mesh.n_triangles):
+        Y, y = _condense_batch(asm.b_matrices(els), asm.gram(kind, els),
+                               asm.loads(f, fvec, els), els)
+        Yt = np.swapaxes(Y, 1, 2)
+        S = Yt @ Y  # exactly symmetric: numpy evaluates Y^t Y by syrk
+        r = (Yt @ y[:, :, None])[:, :, 0]
         g = dofmap.gather[els]
         keep = g >= 0
         np.add.at(rhs, g[keep], r[keep])
@@ -175,11 +177,15 @@ def _factor_equilibrated(A):
         raise SolverError("condensed matrix has non-positive diagonal entries "
                           "(rank deficiency)")
     # symmetric Jacobi equilibration: trace and field blocks carry different
-    # powers of h, and balancing them keeps the factorization accurate
+    # powers of h, and balancing them keeps the factorization accurate.  The
+    # entries are scaled one by one so the ordering sees the assembled
+    # pattern: a product D A D drops entries that cancel to exactly zero, and
+    # on ex1/simple p2 level 5 the thinned pattern factors 2x slower
     s = 1.0 / np.sqrt(d)
-    D = sp.diags(s)
+    scaled = A.tocsc(copy=True)
+    scaled.data *= s[scaled.indices] * np.repeat(s, np.diff(scaled.indptr))
     try:
-        lu = spla.splu((D @ A @ D).tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"SuperLU factorization of the {A.shape[0]}x{A.shape[1]} "
@@ -193,30 +199,35 @@ def _solve_spd(A, b, tol: float):
     One factorization of the equilibrated matrix (see
     :func:`_factor_equilibrated`), then at most three steps of iterative
     refinement.  The answer is returned only with its certificate: if the
-    factorization fails, or the backward error still exceeds ``tol`` after
-    the last step, :class:`SolverError` is raised.
+    system has a non-finite entry, the factorization fails, or the backward
+    error still exceeds ``tol`` (or is NaN) after the last step,
+    :class:`SolverError` is raised.
 
     The backward error |b - Ax| / (|A| |x| + |b|) is the certifiable notion
     of a relative residual here: the plain quotient |b - Ax| / |b| bottoms
     out at eps * |A| |x| / |b|, which exceeds 1e-12 on the finest meshes
     simply because evaluating the residual in double precision is that noisy.
     """
+    if not (np.isfinite(b).all() and np.isfinite(A.data).all()):
+        raise SolverError(f"condensed system has non-finite entries ({A.shape[0]} "
+                          "DOFs); check the problem data")
     bnorm = np.linalg.norm(b)
     anorm = np.abs(A).sum(axis=1).max()  # inf-norm; A is symmetric
 
     def backward_error(x):
         denom = anorm * np.linalg.norm(x) + bnorm
-        return float(np.linalg.norm(b - A @ x) / denom) if denom > 0 else 0.0
+        return float(np.linalg.norm(b - A @ x) / denom) if denom != 0 else 0.0
 
     s, lu = _factor_equilibrated(A)
     x = s * lu.solve(s * b)
     res = backward_error(x)
     steps = 0
-    while res > tol and steps < 3:  # iterative refinement
+    # "not <=" so that a NaN backward error is never certified
+    while not res <= tol and steps < 3:  # iterative refinement
         x = x + s * lu.solve(s * (b - A @ x))
         res = backward_error(x)
         steps += 1
-    if res > tol:
+    if not res <= tol:
         raise SolverError(f"global solve not certified: backward error {res:.3e} "
                           f"> tolerance {tol:.3e} after {steps} refinement steps "
                           f"({A.shape[0]} DOFs)")
@@ -227,49 +238,40 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
                        kind: TestNorm = TestNorm.QUASI_OPTIMAL,
                        variant: str = "standard", k1: int | None = None,
                        k2: int | None = None, solver_tol: float = 1e-12,
-                       chunk: int = DEFAULT_CHUNK,
                        volume_exactness: int | None = None,
                        edge_exactness: int | None = None) -> Solution:
     """Solve the practical DPG system for ``problem`` on ``mesh``."""
     dofmap = build_dofmap(mesh, p, variant)
     asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2,
                            volume_exactness, edge_exactness)
-    A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec, chunk)
+    A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec)
     x, res = _solve_spd(A, b, solver_tol)
     return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, variant=variant,
                     k1=asm.k1, k2=asm.k2, x=x, residual=res)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution,
-                   chunk: int = DEFAULT_CHUNK,
                    volume_exactness: int | None = None,
                    edge_exactness: int | None = None) -> EnergyError:
-    """Riesz representative of the residual in the discrete test space."""
+    """Test norms of the Riesz representative of the residual, per element."""
     asm = ElementAssembler(mesh, problem.coeffs, solution.p, solution.variant,
                            solution.k1, solution.k2,
                            volume_exactness, edge_exactness)
     dofmap = solution.dofmap
     u_loc_all = solution.local_trial()
-    nt = mesh.n_triangles
-    eps = np.empty((nt, asm.n_test))
-    norms2 = np.empty(nt)
+    norms2 = np.empty(mesh.n_triangles)
     orth = np.zeros(dofmap.total)
     rhs = np.zeros(dofmap.total)
-    for els in _chunks(nt, chunk):
-        B = asm.b_matrices(els)
-        G = asm.gram(solution.kind, els)
-        F = asm.loads(problem.f, problem.fvec, els)
-        resid = F - np.einsum("eij,ej->ei", B, u_loc_all[els])
-        e = np.linalg.solve(G, resid[:, :, None])[:, :, 0]
-        eps[els] = e
-        norms2[els] = np.einsum("ei,ei->e", e, resid)
-        bt_eps = np.einsum("eij,ei->ej", B, e)
+    for els in _chunks(mesh.n_triangles):
+        Y, y = _condense_batch(asm.b_matrices(els), asm.gram(solution.kind, els),
+                               asm.loads(problem.f, problem.fvec, els), els)
+        Yt = np.swapaxes(Y, 1, 2)
+        z = y - (Y @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
+        norms2[els] = np.einsum("ei,ei->e", z, z)
         g = dofmap.gather[els]
         keep = g >= 0
-        np.add.at(orth, g[keep], bt_eps[keep])
-        r = np.einsum("eij,ei->ej", B, np.linalg.solve(G, F[:, :, None])[:, :, 0])
-        np.add.at(rhs, g[keep], r[keep])
-    norms2 = np.clip(norms2, 0.0, None)
-    return EnergyError(eps=eps, element_norms=np.sqrt(norms2),
+        np.add.at(orth, g[keep], (Yt @ z[:, :, None])[:, :, 0][keep])
+        np.add.at(rhs, g[keep], (Yt @ y[:, :, None])[:, :, 0][keep])
+    return EnergyError(element_norms=np.sqrt(norms2),
                        total=float(np.sqrt(norms2.sum())),
                        orth_residual=orth, rhs_norm=float(np.linalg.norm(rhs)))

@@ -10,15 +10,22 @@ the broken (per-element) bilinear form is
               + <uhat, tau . n_T>_dT + <sighat, v>_dT
 
 with test pair v = (v, tau) in P^{k1}(T) x P^{k2}(T)^2 and load
-F(v) = (f, v) + (fvec, C tau).  Three test inner products are supported:
+F(v) = (f, v) + (fvec, C tau).  The volume part pairs (u, sigma) with the
+adjoint A*(v, tau) = (-div tau - beta . tau + gamma v, C tau - grad v).
+Three test inner products are supported:
 
 * quasi-optimal:  |(-div tau - beta.tau + gamma v)|^2
                   + |C^{1/2} tau - C^{-1/2} grad v|^2 + |C^{1/2} tau|^2 + |v|^2
 * standard:       |C^{-1/2} grad v|^2 + |v|^2 + |div tau|^2 + |C^{1/2} tau|^2
 * simple:         |grad v|^2 + |v|^2 + |div tau|^2 + |tau|^2
 
-The mixed C^{+-1/2} term is expanded, so no matrix square roots are needed.
-Only the quasi-optimal product sees the convection term.
+Each is a sum of squares of pointwise linear functionals ("rows") of the
+test pair, so every Gram matrix is G = P^t W P for the stacked rows P at the
+volume quadrature points with weights W.  The C^{+-1/2} terms are realised
+with the pointwise Cholesky factor C = L L^t: |C^{1/2} tau| = |L^t tau| and
+|C^{-1/2} a| = |L^{-1} a|.  The same adjoint rows give the volume part of B
+and of the consistency residual.  Only the quasi-optimal product sees the
+convection term.
 
 All bases are scaled by 1 / sqrt(det J) per element, which cancels the
 Jacobian factor in every volume pairing of two scaled functions.  Test rows
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,25 +86,33 @@ class Coefficients:
         )
 
 
-@dataclass
-class ElementSystem:
-    """Per-element trial-to-test matrix, test Gram matrix and load."""
+class _TestRows(NamedTuple):
+    """Test basis at the volume quadrature points of a chunk of elements.
 
-    B: np.ndarray
-    G: np.ndarray
-    F: np.ndarray
-    gather: np.ndarray | None = None
+    Every value carries the square root of the quadrature weight of its
+    point, so a sum over points of the product of two rows is a volume
+    integral.  ``adjoint`` spans all test columns [v | tau_x | tau_y]; the
+    basis tables cover one column block each.
+    """
+
+    adjoint: np.ndarray  # (e, 3, Q, n_test) rows of A*(v, tau)
+    v: np.ndarray  # (Q, n1) v basis
+    tau: np.ndarray  # (Q, n2) basis of each tau component
+    grad_v: np.ndarray  # (2, e, Q, n1)
+    grad_tau: np.ndarray  # (2, e, Q, n2) gradient of each tau component basis
+    C: np.ndarray  # (e, Q, 2, 2) coefficient values
+    points: np.ndarray  # (e, Q, 2) mapped quadrature points
 
 
-def _inv2x2(C: np.ndarray) -> np.ndarray:
-    det = C[..., 0, 0] * C[..., 1, 1] - C[..., 0, 1] * C[..., 1, 0]
-    inv = np.empty_like(C)
-    inv[..., 0, 0] = C[..., 1, 1]
-    inv[..., 0, 1] = -C[..., 0, 1]
-    inv[..., 1, 0] = -C[..., 1, 0]
-    inv[..., 1, 1] = C[..., 0, 0]
-    inv /= det[..., None, None]
-    return inv
+def _cholesky2x2(C: np.ndarray):
+    """Pointwise factor C = L L^t of 2x2 matrices as (l11, l21, l22), each
+    with a trailing axis for broadcasting over test columns.  Entries are
+    NaN where C is not SPD; the Gram factorization then rejects the element."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l11 = np.sqrt(C[..., 0, 0])
+        l21 = C[..., 1, 0] / l11
+        l22 = np.sqrt(C[..., 1, 1] - l21 * l21)
+    return l11[..., None], l21[..., None], l22[..., None]
 
 
 class ElementAssembler:
@@ -150,6 +165,8 @@ class ElementAssembler:
         self.n1 = self.V1.shape[1]
         self.n2 = self.V2.shape[1]
         self.n_test = self.n1 + 2 * self.n2
+        n1, n2 = self.n1, self.n2
+        self._col_blocks = [slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + 2 * n2)]
 
         # reference tables on the three local edges
         s = self.erule.points
@@ -184,14 +201,6 @@ class ElementAssembler:
         X += m.shifts[els][:, None, :]
         return m.dets[els], m.inv_ts[els], X
 
-    def _coeff_values(self, X: np.ndarray):
-        flat = X.reshape(-1, 2)
-        shape = X.shape[:2]
-        gam = np.asarray(self.coeffs.reaction(flat)).reshape(shape)
-        beta = np.asarray(self.coeffs.advection(flat)).reshape(shape + (2,))
-        C = np.asarray(self.coeffs.matrix(flat)).reshape(shape + (2, 2))
-        return gam, beta, C
-
     def _edge_data(self, els: np.ndarray, j: int):
         m = self.mesh
         return (m.tri_edge_lengths[els, j], m.tri_edge_normals[els, j],
@@ -202,35 +211,77 @@ class ElementAssembler:
             return np.arange(self.mesh.n_triangles)
         return np.asarray(elements)
 
+    def _rows(self, els: np.ndarray) -> _TestRows:
+        """Test rows at the volume quadrature points of the elements ``els``:
+        the rows of the adjoint
+        A*(v, tau) = (-div tau - beta . tau + gamma v, C tau - grad v)
+        and the basis tables the test norms are made of."""
+        _, inv_t, X = self._geom(els)
+        flat = X.reshape(-1, 2)
+        gam = np.asarray(self.coeffs.reaction(flat)).reshape(X.shape[:2] + (1,))
+        beta = np.asarray(self.coeffs.advection(flat)).reshape(X.shape[:2] + (2, 1))
+        C = np.asarray(self.coeffs.matrix(flat)).reshape(X.shape[:2] + (2, 2))
+        sw = np.sqrt(self.rule.weights)[:, None]
+        V1, V2 = sw * self.V1, sw * self.V2
+        grad_v = np.einsum("ecd,qid->ceqi", inv_t, sw[..., None] * self.dV1)
+        grad_tau = np.einsum("ecd,qid->ceqi", inv_t, sw[..., None] * self.dV2)
+
+        cv, ct = self._col_blocks[0], self._col_blocks[1:]
+        adjoint = np.zeros((len(els), 3, len(sw), self.n_test))
+        adjoint[:, 0, :, cv] = gam * V1
+        for c in range(2):
+            adjoint[:, 0, :, ct[c]] = -grad_tau[c] - beta[..., c, :] * V2
+            adjoint[:, 1 + c, :, cv] = -grad_v[c]
+            for d in range(2):
+                adjoint[:, 1 + c, :, ct[d]] = C[..., c, d, None] * V2
+        return _TestRows(adjoint, V1, V2, grad_v, grad_tau, C, X)
+
+    def _norm_rows(self, kind: TestNorm, els: np.ndarray) -> list[np.ndarray]:
+        """Rows whose squares, summed over rows and points, give the test norm."""
+        r = self._rows(els)
+
+        def row(*blocks):  # full-width row from (column block, values) pairs
+            out = np.zeros(r.adjoint[:, 0].shape)
+            for c, values in blocks:
+                out[..., self._col_blocks[c]] = values
+            return out
+
+        v = row((0, r.v))
+        grad_v = [row((0, g)) for g in r.grad_v]
+        tau = [row((1, r.tau)), row((2, r.tau))]
+        div_tau = row((1, r.grad_tau[0]), (2, r.grad_tau[1]))
+        if kind is TestNorm.SIMPLE:
+            return [*grad_v, v, div_tau, *tau]
+        l11, l21, l22 = _cholesky2x2(r.C)
+        lt_tau = [l11 * tau[0] + l21 * tau[1], l22 * tau[1]]  # L^t tau
+
+        def l_inv(a):  # L^{-1} a for a pair of rows
+            b0 = a[0] / l11
+            return [b0, (a[1] - l21 * b0) / l22]
+
+        if kind is TestNorm.STANDARD:
+            return [*l_inv(grad_v), v, div_tau, *lt_tau]
+        if kind is TestNorm.QUASI_OPTIMAL:
+            return [r.adjoint[:, 0], *l_inv([r.adjoint[:, 1], r.adjoint[:, 2]]),
+                    *lt_tau, v]
+        raise ValueError(f"unknown test norm kind {kind!r}")
+
     # -- B -----------------------------------------------------------------
     def b_matrices(self, elements=None) -> np.ndarray:
         els = self._all(elements)
         lay = self.layout
-        det, inv_t, X = self._geom(els)
-        gam, beta, C = self._coeff_values(X)
-        w = self.rule.weights
-        sdet = np.sqrt(det)
-
-        Gv = np.einsum("ecd,qid->eqic", inv_t, self.dV1)
-        Gt = Gv if self.dV2 is self.dV1 else np.einsum("ecd,qid->eqic", inv_t, self.dV2)
+        sdet = np.sqrt(self.mesh.dets[els])
 
         B = np.zeros((len(els), self.n_test, lay.total))
-        rv = slice(0, self.n1)
-        rt = [slice(self.n1, self.n1 + self.n2),
-              slice(self.n1 + self.n2, self.n1 + 2 * self.n2)]
-        cu = slice(lay.u0, lay.u0 + lay.nu)
-        cs = [slice(lay.sx0, lay.sx0 + lay.ns), slice(lay.sy0, lay.sy0 + lay.ns)]
+        # volume part: adjoint rows against the trial tables of u, sigma_x,
+        # sigma_y; the rows carry sqrt(w), the tables the other sqrt(w)
+        adj = np.swapaxes(self._rows(els).adjoint, 2, 3)
+        sw = np.sqrt(self.rule.weights)[:, None]
+        B[:, :, lay.u0:lay.u0 + lay.nu] = adj[:, 0] @ (sw * self.U)
+        B[:, :, lay.sx0:lay.sx0 + lay.ns] = adj[:, 1] @ (sw * self.S)
+        B[:, :, lay.sy0:lay.sy0 + lay.ns] = adj[:, 2] @ (sw * self.S)
 
-        B[:, rv, cu] = np.einsum("q,eq,qi,qj->eij", w, gam, self.V1, self.U)
-        for c in range(2):
-            adj = -Gt[:, :, :, c] - beta[:, :, c, None] * self.V2[None]
-            B[:, rt[c], cu] = np.einsum("q,eqi,qj->eij", w, adj, self.U)
-        for d in range(2):
-            B[:, rv, cs[d]] = -np.einsum("q,eqi,qj->eij", w, Gv[:, :, :, d], self.S)
-            for c in range(2):
-                B[:, rt[c], cs[d]] = np.einsum("q,eq,qi,qj->eij", w, C[:, :, c, d],
-                                               self.V2, self.S)
-
+        rv, rt = self._col_blocks[0], self._col_blocks[1:]
         we = self.erule.weights
         for j in range(3):
             length, nrm, sgn, flip = self._edge_data(els, j)
@@ -253,63 +304,10 @@ class ElementAssembler:
 
     # -- G -----------------------------------------------------------------
     def gram(self, kind: TestNorm, elements=None) -> np.ndarray:
+        """Gram matrices P^t W P of the test norm ``kind`` (see module doc);
+        the rows carry sqrt(W), so G = sum_r P_r^t P_r over the norm's rows."""
         els = self._all(elements)
-        det, inv_t, X = self._geom(els)
-        gam, beta, C = self._coeff_values(X)
-        w = self.rule.weights
-
-        Gv = np.einsum("ecd,qid->eqic", inv_t, self.dV1)
-        Gt = Gv if self.dV2 is self.dV1 else np.einsum("ecd,qid->eqic", inv_t, self.dV2)
-
-        G = np.zeros((len(els), self.n_test, self.n_test))
-        rv = slice(0, self.n1)
-        rt = [slice(self.n1, self.n1 + self.n2),
-              slice(self.n1 + self.n2, self.n1 + 2 * self.n2)]
-
-        if kind is TestNorm.SIMPLE:
-            G[:, rv, rv] = (np.einsum("q,eqic,eqjc->eij", w, Gv, Gv)
-                            + np.einsum("q,qi,qj->ij", w, self.V1, self.V1)[None])
-            mass2 = np.einsum("q,qi,qj->ij", w, self.V2, self.V2)
-            for c in range(2):
-                for d in range(2):
-                    blk = np.einsum("q,eqi,eqj->eij", w, Gt[:, :, :, c], Gt[:, :, :, d])
-                    if c == d:
-                        blk = blk + mass2[None]
-                    G[:, rt[c], rt[d]] = blk
-            return G
-
-        Cinv = _inv2x2(C)
-        if kind is TestNorm.STANDARD:
-            CiGv = np.einsum("eqdc,eqic->eqid", Cinv, Gv)
-            G[:, rv, rv] = (np.einsum("q,eqic,eqjc->eij", w, CiGv, Gv)
-                            + np.einsum("q,qi,qj->ij", w, self.V1, self.V1)[None])
-            for c in range(2):
-                for d in range(2):
-                    G[:, rt[c], rt[d]] = (
-                        np.einsum("q,eqi,eqj->eij", w, Gt[:, :, :, c], Gt[:, :, :, d])
-                        + np.einsum("q,eq,qi,qj->eij", w, C[:, :, c, d], self.V2, self.V2))
-            return G
-
-        if kind is not TestNorm.QUASI_OPTIMAL:
-            raise ValueError(f"unknown test norm kind {kind!r}")
-        # adjoint part: A(v,tau) = -div tau - beta . tau + gamma v
-        CiGv = np.einsum("eqdc,eqic->eqid", Cinv, Gv)
-        G[:, rv, rv] = (np.einsum("q,eq,qi,qj->eij", w, gam * gam, self.V1, self.V1)
-                        + np.einsum("q,qi,qj->ij", w, self.V1, self.V1)[None]
-                        + np.einsum("q,eqic,eqjc->eij", w, CiGv, Gv))
-        adj = [-Gt[:, :, :, c] - beta[:, :, c, None] * self.V2[None] for c in range(2)]
-        for c in range(2):
-            blk = (np.einsum("q,eq,qi,eqj->eij", w, gam, self.V1, adj[c])
-                   - np.einsum("q,eqi,qj->eij", w, Gv[:, :, :, c], self.V2))
-            G[:, rv, rt[c]] = blk
-            G[:, rt[c], rv] = np.swapaxes(blk, 1, 2)
-        for c in range(2):
-            for d in range(2):
-                G[:, rt[c], rt[d]] = (
-                    np.einsum("q,eqi,eqj->eij", w, adj[c], adj[d])
-                    + 2.0 * np.einsum("q,eq,qi,qj->eij", w, C[:, :, c, d],
-                                      self.V2, self.V2))
-        return G
+        return sum(np.swapaxes(r, 1, 2) @ r for r in self._norm_rows(kind, els))
 
     # -- F -----------------------------------------------------------------
     def loads(self, f, fvec, elements=None) -> np.ndarray:
@@ -327,8 +325,8 @@ class ElementAssembler:
             gv = np.asarray(fvec(flat)).reshape(X.shape[:2] + (2,))
             Cg = np.einsum("eqcd,eqd->eqc", C, gv)
             for c in range(2):
-                sl = slice(self.n1 + c * self.n2, self.n1 + (c + 1) * self.n2)
-                F[:, sl] = sdet[:, None] * np.einsum("q,eq,qi->ei", w, Cg[:, :, c], self.V2)
+                F[:, self._col_blocks[1 + c]] = sdet[:, None] * np.einsum(
+                    "q,eq,qi->ei", w, Cg[:, :, c], self.V2)
         return F
 
     # -- consistency residual ----------------------------------------------
@@ -337,28 +335,15 @@ class ElementAssembler:
         for exact callables; vanishes to quadrature accuracy when (u, sigma)
         solves the system with data (f, fvec)."""
         els = self._all(elements)
-        det, inv_t, X = self._geom(els)
-        gam, beta, C = self._coeff_values(X)
-        w = self.rule.weights
-        sdet = np.sqrt(det)
-        Gv = np.einsum("ecd,qid->eqic", inv_t, self.dV1)
-        Gt = Gv if self.dV2 is self.dV1 else np.einsum("ecd,qid->eqic", inv_t, self.dV2)
-
-        flat = X.reshape(-1, 2)
-        uv = np.asarray(u(flat)).reshape(X.shape[:2])
-        sv = np.asarray(sigma(flat)).reshape(X.shape[:2] + (2,))
-
-        R = np.zeros((len(els), self.n_test))
-        R[:, :self.n1] = sdet[:, None] * (
-            np.einsum("q,eq,qi->ei", w, gam * uv, self.V1)
-            - np.einsum("q,eqc,eqic->ei", w, sv, Gv))
-        Cs = np.einsum("eqcd,eqd->eqc", C, sv)
-        for c in range(2):
-            sl = slice(self.n1 + c * self.n2, self.n1 + (c + 1) * self.n2)
-            R[:, sl] = sdet[:, None] * (
-                -np.einsum("q,eq,eqi->ei", w, uv, Gt[:, :, :, c])
-                - np.einsum("q,eq,qi->ei", w, uv * beta[:, :, c], self.V2)
-                + np.einsum("q,eq,qi->ei", w, Cs[:, :, c], self.V2))
+        sdet = np.sqrt(self.mesh.dets[els])
+        rows = self._rows(els)
+        flat = rows.points.reshape(-1, 2)
+        shape = rows.points.shape[:2]
+        fields = np.concatenate([np.asarray(u(flat)).reshape(shape + (1,)),
+                                 np.asarray(sigma(flat)).reshape(shape + (2,))], axis=2)
+        # volume part: (u, sigma) against the adjoint rows, which carry sqrt(w)
+        R = sdet[:, None] * np.einsum("q,eqk,ekqi->ei", np.sqrt(self.rule.weights),
+                                      fields, rows.adjoint)
 
         s = self.erule.points
         we = self.erule.weights
@@ -373,8 +358,7 @@ class ElementAssembler:
             R[:, :self.n1] += (length / sdet)[:, None] * \
                 np.einsum("k,ek,ki->ei", we, sn, self.V1E[j])
             for c in range(2):
-                sl = slice(self.n1 + c * self.n2, self.n1 + (c + 1) * self.n2)
-                R[:, sl] += (length * nrm[:, c] / sdet)[:, None] * \
+                R[:, self._col_blocks[1 + c]] += (length * nrm[:, c] / sdet)[:, None] * \
                     np.einsum("k,ek,ki->ei", we, ue, self.V2E[j])
         return R - self.loads(f, fvec, els)
 

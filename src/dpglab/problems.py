@@ -180,9 +180,3 @@ def seam_clearance(problem: ProblemSpec, mesh: Mesh, rule: QuadratureRule) -> fl
     X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
     return float(problem.seam_distance(X.reshape(-1, 2)).min())
 
-
-def coefficient_assumption_value(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    """Pointwise value of (1/2) div(C^{-1} beta) + gamma, which must be
-    nonnegative for well-posedness; shipped problems have piecewise-constant
-    C^{-1} beta, so the divergence term vanishes."""
-    return np.asarray(problem.coeffs.reaction(points))

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dpglab.dpg_solver import SolverError, assemble_global
 from dpglab.forms import (Coefficients, ElementAssembler, TestNorm,
                           element_b_matrix, element_gram, element_load)
-from dpglab.mesh import build_initial_mesh, refine_uniform
+from dpglab.mesh import LOCAL_EDGES, build_initial_mesh, refine_uniform
 from dpglab.problems import example
-from dpglab.refelem import scalar_basis, triangle_quadrature
-from dpglab.spaces import trial_layout
+from dpglab.refelem import REF_VERTICES, scalar_basis, triangle_quadrature
+from dpglab.spaces import build_dofmap, trial_layout
+
+# anisotropic SPD diffusion matrix with convection and reaction
+ANISO = dict(C=[[2.0, 0.6], [0.6, 0.5]], beta=(1.0, -0.5), gamma=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,140 @@ def test_standard_equals_simple_identity_matrix(initial):
         Gstd = asm.gram(TestNorm.STANDARD)
         Gsim = asm.gram(TestNorm.SIMPLE)
         assert np.abs(Gstd - Gsim).max() <= 1e-13 * np.abs(Gsim).max()
+
+
+def _matrix_power(C, power):
+    w, Q = np.linalg.eigh(C)
+    return (Q * w ** power) @ Q.T
+
+
+def _sq(a):
+    """Pointwise squared magnitude of scalar (Q,) or vector (Q, 2) values."""
+    return (a ** 2).sum(axis=-1) if a.ndim == 2 else a ** 2
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_norms_with_anisotropic_matrix(initial, p):
+    """c^t G c equals each norm's integral for random test coefficients c,
+    with C^{+-1/2} taken from an eigendecomposition of C != I."""
+    C, beta, gam = np.array(ANISO["C"]), np.array(ANISO["beta"]), ANISO["gamma"]
+    Ch, Cmh = _matrix_power(C, 0.5), _matrix_power(C, -0.5)
+    asm = ElementAssembler(initial, Coefficients.constant(**ANISO), p)
+    k = asm.k1
+    rule = triangle_quadrature(2 * k + 2)  # integrands have degree <= 2k
+    V, dV = scalar_basis(k).tables(rule.points)
+    n = V.shape[1]
+    els = np.array([0, 5, 11])
+    grams = {kind: asm.gram(kind, els) for kind in TestNorm}
+    rng = np.random.default_rng(11)
+    for e, t in enumerate(els):
+        inv_t = initial.inv_ts[t]
+        c = rng.standard_normal(3 * n)
+        # scaled basis: the 1/sqrt(det) factors cancel the volume Jacobian
+        v = V @ c[:n]
+        grad_v = np.einsum("qid,i->qd", dV, c[:n]) @ inv_t.T
+        tau = np.column_stack([V @ c[n:2 * n], V @ c[2 * n:]])
+        div_tau = sum((np.einsum("qid,i->qd", dV, c[n + m * n:2 * n + m * n])
+                       @ inv_t.T)[:, m] for m in range(2))
+        adj = -div_tau - tau @ beta + gam * v
+        want = {
+            TestNorm.QUASI_OPTIMAL: _sq(adj) + _sq(tau @ Ch - grad_v @ Cmh)
+            + _sq(tau @ Ch) + _sq(v),
+            TestNorm.STANDARD: _sq(grad_v @ Cmh) + _sq(v) + _sq(div_tau) + _sq(tau @ Ch),
+            TestNorm.SIMPLE: _sq(grad_v) + _sq(v) + _sq(div_tau) + _sq(tau),
+        }
+        for kind in TestNorm:
+            got = c @ grams[kind][e] @ c
+            assert got == pytest.approx(rule.weights @ want[kind], rel=1e-12)
+    diff = np.abs(grams[TestNorm.STANDARD] - grams[TestNorm.SIMPLE]).max()
+    assert diff > 0.1 * np.abs(grams[TestNorm.SIMPLE]).max()
+
+
+@pytest.mark.parametrize("kind", [TestNorm.STANDARD, TestNorm.QUASI_OPTIMAL])
+def test_indefinite_matrix_raises_naming_element(initial, kind):
+    coeffs = Coefficients.constant(C=[[1.0, 2.0], [2.0, 1.0]], beta=ANISO["beta"],
+                                   gamma=ANISO["gamma"])
+    asm = ElementAssembler(initial, coeffs, 0)
+    with pytest.raises(SolverError, match="Gram matrix of element 0 is not SPD"):
+        assemble_global(initial, build_dofmap(initial, 0), asm, kind,
+                        lambda x: np.zeros(len(x)), None)
+
+
+def _anisotropic_solution():
+    """Polynomial (u, sigma) and the data f = div sigma + gamma u,
+    fvec = sigma + C^{-1}(grad u - beta u) for the ANISO coefficients."""
+    Cinv = np.linalg.inv(ANISO["C"])
+    beta, gam = np.array(ANISO["beta"]), ANISO["gamma"]
+
+    def u(x):
+        return x[:, 0] ** 2 * x[:, 1] + 0.5 * x[:, 0] - x[:, 1] ** 2
+
+    def grad_u(x):
+        return np.column_stack([2 * x[:, 0] * x[:, 1] + 0.5,
+                                x[:, 0] ** 2 - 2 * x[:, 1]])
+
+    def sigma(x):
+        return np.column_stack([x[:, 0] * x[:, 1], x[:, 0] ** 2 - x[:, 1]])
+
+    def f(x):
+        return x[:, 1] - 1.0 + gam * u(x)
+
+    def fvec(x):
+        return sigma(x) + (grad_u(x) - u(x)[:, None] * beta) @ Cinv.T
+
+    return u, sigma, f, fvec
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_consistency_with_anisotropic_matrix(initial, p):
+    u, sigma, f, fvec = _anisotropic_solution()
+    asm = ElementAssembler(initial, Coefficients.constant(**ANISO), p)
+    R = asm.residual_of_fields(u, sigma, f, fvec)
+    F = asm.loads(f, fvec)
+    assert np.abs(R).max() <= 1e-12 * np.abs(F).max()
+
+
+def test_b_maps_exact_trial_vector_to_load_anisotropic(initial):
+    """B x = F on every element when x holds the exact fields and traces:
+    the augmented p = 2 trial space represents u (degree 3), sigma
+    (degree 2), their traces and normal traces exactly."""
+    u, sigma, f, fvec = _anisotropic_solution()
+    p = 2
+    asm = ElementAssembler(initial, Coefficients.constant(**ANISO), p,
+                           variant="augmented")
+    lay, w = asm.layout, asm.rule.weights
+    B = asm.b_matrices()
+    F = asm.loads(f, fvec)
+    for t in range(initial.n_triangles):
+        def to_phys(ref):
+            return ref @ initial.jacobians[t].T + initial.shifts[t]
+
+        # fields: coefficients in the orthonormal basis scaled by 1/sqrt(det)
+        X = to_phys(asm.rule.points)
+        sdet = np.sqrt(initial.dets[t])
+        x = np.zeros(lay.total)
+        x[lay.u0:lay.u0 + lay.nu] = sdet * (w * u(X)) @ asm.U
+        x[lay.sx0:lay.sx0 + lay.ns] = sdet * (w * sigma(X)[:, 0]) @ asm.S
+        x[lay.sy0:lay.sy0 + lay.ns] = sdet * (w * sigma(X)[:, 1]) @ asm.S
+        # uhat: vertex values, then p interior nodes per edge in global order
+        x[lay.uh0:lay.uh0 + 3] = u(to_phys(REF_VERTICES))
+        for j, (a, b) in enumerate(LOCAL_EDGES):
+            flip = initial.tri_edge_flip[t, j]
+            s = np.arange(1, p + 1) / (p + 1)
+            s = 1.0 - s if flip else s
+            nodes = (1 - s)[:, None] * REF_VERTICES[a] + s[:, None] * REF_VERTICES[b]
+            x[lay.uh0 + 3 + j * p:lay.uh0 + 3 + (j + 1) * p] = u(to_phys(nodes))
+            # sighat: orthonormal Legendre coefficients of sqrt(|e|) sigma . n
+            # against the global edge normal
+            se = asm.erule.points
+            pts = to_phys((1 - se)[:, None] * REF_VERTICES[a]
+                          + se[:, None] * REF_VERTICES[b])
+            sn = initial.tri_edge_signs[t, j] * sigma(pts) @ initial.tri_edge_normals[t, j]
+            leg = asm.leg_rev if flip else asm.leg_fwd
+            c0 = lay.sh0 + j * (p + 1)
+            x[c0:c0 + p + 1] = (np.sqrt(initial.tri_edge_lengths[t, j])
+                                * (asm.erule.weights * sn) @ leg)
+        assert np.abs(B[t] @ x - F[t]).max() <= 1e-12 * np.abs(F).max()
 
 
 def test_qopt_scalar_block_equals_simple_when_unreactive(initial):

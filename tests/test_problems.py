@@ -4,8 +4,7 @@ import pytest
 from dpglab.forms import Coefficients
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
-from dpglab.problems import (coefficient_assumption_value, derive_data, example,
-                             seam_clearance, zero_data_problem)
+from dpglab.problems import derive_data, example, seam_clearance, zero_data_problem
 from dpglab.refelem import triangle_quadrature
 from dpglab.spaces import CoefficientVector
 
@@ -49,8 +48,17 @@ def test_solution_vanishes_on_boundary(problem):
 
 
 def test_wellposedness_assumption(problem):
-    x = _random_points(200, seed=2)
-    assert coefficient_assumption_value(problem, x).min() >= 0.0
+    # (1/2) div(C^{-1} beta) + gamma >= 0 holds because gamma >= 0 and
+    # C^{-1} beta is constant on every element, so its divergence vanishes
+    mesh = refine_uniform(build_initial_mesh())
+    rule = triangle_quadrature(6)
+    X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+    x = X.reshape(-1, 2)
+    assert problem.coeffs.reaction(x).min() >= 0.0
+    Cinv_beta = np.linalg.solve(problem.coeffs.matrix(x),
+                                problem.coeffs.advection(x)[:, :, None])
+    per_element = Cinv_beta.reshape(X.shape)
+    assert np.abs(per_element - per_element[:, :1]).max() <= 1e-14
 
 
 def test_example1_pointwise_data():

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dpglab.dpg_solver import (SolverError, _factor_equilibrated, _solve_spd,
-                               assemble_and_solve, assemble_global,
-                               condense_element, error_function)
-from dpglab.forms import ElementAssembler, ElementSystem, TestNorm
+from dpglab import dpg_solver
+from dpglab.dpg_solver import (SolverError, _condense_batch, _factor_equilibrated,
+                               _solve_spd, assemble_and_solve, assemble_global,
+                               error_function)
+from dpglab.forms import ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example, zero_data_problem
@@ -18,18 +21,23 @@ def initial():
     return build_initial_mesh()
 
 
+def _condense_one(B, G, F):
+    """Schur data (S, r) of one element through the batched routine."""
+    Y, y = _condense_batch(B[None], G[None], F[None], np.array([0]))
+    return Y[0].T @ Y[0], Y[0].T @ y[0]
+
+
 def test_condense_zero_load():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((18, 9))
-    G = np.eye(18)
-    S, r = condense_element(ElementSystem(B=B, G=G, F=np.zeros(18)))
+    S, r = _condense_one(B, np.eye(18), np.zeros(18))
     assert np.abs(r).max() == 0.0
     assert np.allclose(S, B.T @ B, atol=1e-13)
 
 
 def test_condense_orthonormal_columns():
     B = np.eye(18)[:, :9]
-    S, r = condense_element(ElementSystem(B=B, G=np.eye(18), F=np.ones(18)))
+    S, r = _condense_one(B, np.eye(18), np.ones(18))
     assert np.allclose(S, np.eye(9), atol=1e-14)
     assert np.allclose(r, B.T @ np.ones(18))
 
@@ -40,18 +48,26 @@ def test_condense_against_dense_inverse():
     Q, _ = np.linalg.qr(rng.standard_normal((18, 18)))
     G = Q @ np.diag(rng.uniform(0.5, 2.0, 18)) @ Q.T
     F = rng.standard_normal(18)
-    S, r = condense_element(ElementSystem(B=B, G=G, F=F))
+    S, r = _condense_one(B, G, F)
     Ginv = np.linalg.inv(G)
     assert np.abs(S - B.T @ Ginv @ B).max() < 1e-10
     assert np.abs(r - B.T @ Ginv @ F).max() < 1e-10
-    assert np.abs(S - S.T).max() == 0.0  # symmetrized exactly
+    # the batched product assemble_global uses is symmetric exactly
+    Y, _ = _condense_batch(B[None], G[None], F[None], np.array([0]))
+    S = np.swapaxes(Y, 1, 2) @ Y
+    assert np.abs(S - np.swapaxes(S, 1, 2)).max() == 0.0
 
 
 def test_condense_rejects_indefinite_gram():
     B = np.eye(4)[:, :2]
     G = np.diag([1.0, -1.0, 1.0, 1.0])
-    with pytest.raises(SolverError):
-        condense_element(ElementSystem(B=B, G=G, F=np.zeros(4)))
+    with pytest.raises(SolverError, match="element 0 is not SPD"):
+        _condense_one(B, G, np.zeros(4))
+    # a NaN Gram entry factors without a LinAlgError; the element is named
+    Gs = np.stack([np.eye(4), np.eye(4)])
+    Gs[1, 2, 2] = np.nan
+    with pytest.raises(SolverError, match="element 7 is not SPD"):
+        _condense_batch(np.stack([B, B]), Gs, np.zeros((2, 4)), np.array([3, 7]))
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
@@ -188,7 +204,7 @@ def test_solve_spd_certifies_badly_scaled_matrix():
 
 
 def test_factor_fill_stays_small(initial):
-    # minimum-degree ordering in symmetric mode gives L+U fill of 1.40 nnz(A)
+    # minimum-degree ordering in symmetric mode gives L+U fill of 1.36 nnz(A)
     # on ex1/simple p2 level 3; SuperLU's COLAMD default gives 5.75
     mesh = refine_uniform(refine_uniform(initial))
     prob = example(1)
@@ -197,3 +213,59 @@ def test_factor_fill_stays_small(initial):
     A, _ = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
     _, lu = _factor_equilibrated(A)
     assert lu.L.nnz + lu.U.nnz <= 2.5 * A.nnz
+
+
+def test_solve_spd_rejects_non_finite_system():
+    A = sp.identity(3, format="csc")
+    with pytest.raises(SolverError, match="non-finite"):
+        _solve_spd(A, np.array([1.0, np.nan, 1.0]), 1e-12)
+    A = sp.csc_matrix(np.diag([1.0, np.inf, 1.0]))
+    with pytest.raises(SolverError, match="non-finite"):
+        _solve_spd(A, np.ones(3), 1e-12)
+
+
+def test_nan_in_data_is_not_certified(initial):
+    # NaN data must raise, never pass the backward-error certificate
+    prob = example(2)
+
+    def f(x):
+        out = prob.f(x)
+        out[0] = np.nan
+        return out
+
+    with pytest.raises(SolverError, match="non-finite"):
+        assemble_and_solve(initial, dataclasses.replace(prob, f=f), p=1,
+                           kind=TestNorm.QUASI_OPTIMAL)
+
+
+def test_error_function_against_dense_oracle(initial):
+    # element norms are sqrt(r^t G^{-1} r) with r = F - B u, per element
+    mesh = refine_uniform(initial)
+    prob = example(2)
+    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
+    ee = error_function(mesh, prob, sol)
+    asm = ElementAssembler(mesh, prob.coeffs, 1)
+    B = asm.b_matrices()
+    G = asm.gram(TestNorm.QUASI_OPTIMAL)
+    r = asm.loads(prob.f, prob.fvec) - np.einsum("eij,ej->ei", B, sol.local_trial())
+    want = np.sqrt(np.einsum("ei,ei->e", r, np.linalg.solve(G, r[:, :, None])[:, :, 0]))
+    assert np.abs(ee.element_norms - want).max() <= 1e-10 * want.max()
+
+
+def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
+    mesh = refine_uniform(refine_uniform(initial))  # 256 elements, one chunk
+    prob = example(1)
+    dm = build_dofmap(mesh, 1)
+    asm = ElementAssembler(mesh, prob.coeffs, 1)
+    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
+
+    def run():
+        A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, prob.f, prob.fvec)
+        return A, b, error_function(mesh, prob, sol).element_norms
+
+    A1, b1, e1 = run()
+    monkeypatch.setattr(dpg_solver, "_CHUNK", 7)
+    A7, b7, e7 = run()
+    assert abs(A7 - A1).max() <= 1e-14 * abs(A1).max()
+    assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
+    assert np.abs(e7 - e1).max() <= 1e-14 * e1.max()
