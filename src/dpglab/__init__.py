@@ -8,8 +8,7 @@ from .forms import (Coefficients, ElementAssembler, TestNorm, element_b_matrix,
                     element_gram, element_load)
 from .harness import (ErrorRow, ErrorTable, StudyConfig, emit_table, l2_error,
                       parse_table_csv, rate, run_convergence_study)
-from .mesh import (AffineMap, Mesh, Skeleton, build_initial_mesh, build_skeleton,
-                   element_geometry, refine_uniform, write_mesh_txt)
+from .mesh import Mesh, build_initial_mesh, refine_uniform
 from .postprocess import postprocess_u
 from .problems import ProblemSpec, derive_data, example, zero_data_problem
 from .refelem import (LagrangeBasis, QuadratureRule, RTBasis, ScalarBasis,
@@ -20,15 +19,15 @@ from .spaces import (CoefficientVector, DofMap, RTCoefficients, broken_eval,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "Coefficients", "CoefficientVector", "DofMap", "ElementAssembler",
+    "Coefficients", "CoefficientVector", "DofMap", "ElementAssembler",
     "EnergyError", "ErrorRow", "ErrorTable", "LagrangeBasis",
     "Mesh", "ProblemSpec", "QuadratureRule", "RTBasis", "RTCoefficients",
-    "ScalarBasis", "Skeleton", "Solution", "SolverError", "StudyConfig", "TestNorm",
+    "ScalarBasis", "Solution", "SolverError", "StudyConfig", "TestNorm",
     "assemble_and_solve", "broken_eval", "build_dofmap", "build_initial_mesh",
-    "build_skeleton", "derive_data", "edge_quadrature",
-    "element_b_matrix", "element_geometry", "element_gram", "element_load",
+    "derive_data", "edge_quadrature",
+    "element_b_matrix", "element_gram", "element_load",
     "emit_table", "error_function", "example", "l2_error", "l2_project",
     "parse_table_csv", "postprocess_u", "rate", "refine_uniform",
     "rt_basis", "rt_interpolate", "run_convergence_study", "scalar_basis",
-    "triangle_quadrature", "trial_layout", "write_mesh_txt", "zero_data_problem",
+    "triangle_quadrature", "trial_layout", "zero_data_problem",
 ]

@@ -8,7 +8,10 @@ with G_T the SPD Gram matrix of the chosen test inner product on the enriched
 broken test space.  One routine condenses a chunk of elements: it factors
 each G_T = L_T L_T^t by Cholesky (the factorization is also the SPD check)
 and returns the whitened blocks Y_T = L_T^{-1} B_T, y_T = L_T^{-1} F_T, so
-that S_T = Y_T^t Y_T and r_T = Y_T^t y_T.  Summing S_T, r_T over elements
+that S_T = Y_T^t Y_T and r_T = Y_T^t y_T.  Elements are condensed in
+batches taken in the order of their element classes (see
+:class:`dpglab.forms.ElementAssembler`), so a batch holds few classes and B
+and G are evaluated once per class in it.  Summing S_T, r_T over elements
 gives a sparse symmetric positive definite system for all trial DOFs (field
 DOFs couple to the traces of their own element; trace DOFs couple
 neighbours).  The homogeneous Dirichlet condition holds by construction:
@@ -40,8 +43,8 @@ from .forms import ElementAssembler, TestNorm
 from .mesh import Mesh
 from .spaces import CoefficientVector, DofMap, build_dofmap
 
-# elements condensed per batch; bounds the test-row tables of
-# ElementAssembler (tens of MB at p = 2)
+# elements condensed per batch; bounds the per-element B, G and whitened
+# blocks of a batch, and the test-row tables of the classes in it
 _CHUNK = 512
 
 
@@ -100,9 +103,12 @@ class EnergyError:
     rhs_norm: float
 
 
-def _chunks(n: int):
-    for lo in range(0, n, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, n))
+def _chunks(asm: ElementAssembler):
+    """Batches of elements in class order (stable), so that each batch
+    holds few element classes and B and G are evaluated few times."""
+    order = np.argsort(asm.classes, kind="stable")
+    for lo in range(0, len(order), _CHUNK):
+        yield order[lo:lo + _CHUNK]
 
 
 def _condense_batch(B, G, F, els):
@@ -137,7 +143,7 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     n = dofmap.total
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for els in _chunks(mesh.n_triangles):
+    for els in _chunks(asm):
         Y, y = _condense_batch(asm.b_matrices(els), asm.gram(kind, els),
                                asm.loads(f, fvec, els), els)
         Yt = np.swapaxes(Y, 1, 2)
@@ -262,7 +268,7 @@ def error_function(mesh: Mesh, problem, solution: Solution,
     norms2 = np.empty(mesh.n_triangles)
     orth = np.zeros(dofmap.total)
     rhs = np.zeros(dofmap.total)
-    for els in _chunks(mesh.n_triangles):
+    for els in _chunks(asm):
         Y, y = _condense_batch(asm.b_matrices(els), asm.gram(solution.kind, els),
                                asm.loads(problem.f, problem.fvec, els), els)
         Yt = np.swapaxes(Y, 1, 2)

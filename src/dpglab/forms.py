@@ -27,6 +27,13 @@ with the pointwise Cholesky factor C = L L^t: |C^{1/2} tau| = |L^t tau| and
 and of the consistency residual.  Only the quasi-optimal product sees the
 convection term.
 
+B and G of an element depend only on its geometry, its edge orientation and
+the coefficient values at its volume quadrature points.  The assembler sorts
+the elements into classes on which all of these are bitwise equal and
+evaluates B and G once per class; on the uniformly refined criss-cross
+meshes with elementwise-constant coefficients a few dozen classes cover the
+mesh, and variable coefficients give one class per element.
+
 All bases are scaled by 1 / sqrt(det J) per element, which cancels the
 Jacobian factor in every volume pairing of two scaled functions.  Test rows
 are ordered [v block | tau_x block | tau_y block]; trial columns follow
@@ -118,9 +125,14 @@ def _cholesky2x2(C: np.ndarray):
 class ElementAssembler:
     """Batched assembly of B, G and F over (a subset of) the elements.
 
-    Reference basis/quadrature tables are computed once; geometry and
-    coefficient values are evaluated per call for the requested elements,
-    which keeps peak memory proportional to the chunk size.
+    Reference basis/quadrature tables are computed once.  Construction sorts
+    the elements into classes (:attr:`classes`) on which every input of B
+    and G is bitwise equal; :meth:`b_matrices` and :meth:`gram` evaluate
+    their kernels once per class among the requested elements and return
+    one matrix per requested element.  Building the class key touches the
+    whole mesh once; afterwards the assembler keeps one class id per element
+    and one representative per class, and the memory of a call grows with
+    the number of requested elements.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients, p: int,
@@ -193,6 +205,36 @@ class ElementAssembler:
             if p > 0:
                 cols[:, j, 1:q] = lay.uh0 + 3 + j * p + np.arange(p)
         self._uhat_cols = cols
+        self.classes, self._firsts = self._element_classes()
+
+    def _element_classes(self):
+        """Class id of every element and the first element of each class.
+
+        The key row of an element holds every per-element value B and G
+        read; rows are compared as bytes, so unequal bits (even -0.0 against
+        0.0) only split classes.  Classes are numbered in the order of their
+        first element."""
+        m = self.mesh
+        nt = m.n_triangles
+        _, inv_t, X = self._geom(np.arange(nt))
+        flat = X.reshape(-1, 2)
+        key = np.concatenate([
+            inv_t.reshape(nt, -1), m.dets[:, None], m.tri_edge_lengths,
+            m.tri_edge_normals.reshape(nt, -1), m.tri_edge_signs, m.tri_edge_flip,
+            np.asarray(self.coeffs.matrix(flat)).reshape(nt, -1),
+            np.asarray(self.coeffs.advection(flat)).reshape(nt, -1),
+            np.asarray(self.coeffs.reaction(flat)).reshape(nt, -1),
+        ], axis=1)
+        ids = {}
+        classes = np.fromiter((ids.setdefault(row.tobytes(), len(ids)) for row in key),
+                              dtype=np.int64, count=nt)
+        return classes, np.unique(classes, return_index=True)[1]
+
+    def _representatives(self, els: np.ndarray):
+        """First elements of the classes among ``els``, and for each element
+        of ``els`` the position of its class among them."""
+        cls, inverse = np.unique(self.classes[els], return_inverse=True)
+        return self._firsts[cls], inverse
 
     # -- helpers -----------------------------------------------------------
     def _geom(self, els: np.ndarray):
@@ -268,7 +310,8 @@ class ElementAssembler:
 
     # -- B -----------------------------------------------------------------
     def b_matrices(self, elements=None) -> np.ndarray:
-        els = self._all(elements)
+        """B of each requested element, evaluated once per element class."""
+        els, inverse = self._representatives(self._all(elements))
         lay = self.layout
         sdet = np.sqrt(self.mesh.dets[els])
 
@@ -300,14 +343,16 @@ class ElementAssembler:
             contrib = np.einsum("k,e,ekm,ki->eim", we, fac, leg, self.V1E[j])
             c0 = lay.sh0 + j * (self.p + 1)
             B[:, rv, c0:c0 + self.p + 1] += contrib
-        return B
+        return B[inverse]
 
     # -- G -----------------------------------------------------------------
     def gram(self, kind: TestNorm, elements=None) -> np.ndarray:
         """Gram matrices P^t W P of the test norm ``kind`` (see module doc);
-        the rows carry sqrt(W), so G = sum_r P_r^t P_r over the norm's rows."""
-        els = self._all(elements)
-        return sum(np.swapaxes(r, 1, 2) @ r for r in self._norm_rows(kind, els))
+        the rows carry sqrt(W), so G = sum_r P_r^t P_r over the norm's rows.
+        Evaluated once per element class among the requested elements."""
+        els, inverse = self._representatives(self._all(elements))
+        G = sum(np.swapaxes(r, 1, 2) @ r for r in self._norm_rows(kind, els))
+        return G[inverse]
 
     # -- F -----------------------------------------------------------------
     def loads(self, f, fvec, elements=None) -> np.ndarray:

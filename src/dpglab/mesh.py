@@ -15,34 +15,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map from the reference triangle conv{(0,0),(1,0),(0,1)}."""
-
-    jacobian: np.ndarray  # (2, 2)
-    det: float
-    inv_t: np.ndarray  # (2, 2), inverse transpose of the Jacobian
-    shift: np.ndarray  # (2,)
-
-    def apply(self, ref_points: np.ndarray) -> np.ndarray:
-        return ref_points @ self.jacobian.T + self.shift
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Edge connectivity view of a mesh."""
-
-    edges: np.ndarray  # (ne, 2) vertex pairs, lo < hi
-    normals: np.ndarray  # (ne, 2) fixed global normal per edge
-    tri_signs: np.ndarray  # (nt, 3) orientation sign per triangle edge
-    boundary_edge: np.ndarray  # (ne,) bool
 
 
 class Mesh:
@@ -228,25 +203,3 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     ], axis=1).reshape(-1, 3)
     parent = np.repeat(np.arange(mesh.n_triangles), 4)
     return Mesh(vertices, children, level=mesh.level + 1, parent=parent)
-
-
-def build_skeleton(mesh: Mesh) -> Skeleton:
-    return Skeleton(edges=mesh.edges, normals=mesh.edge_normals,
-                    tri_signs=mesh.tri_edge_signs, boundary_edge=mesh.boundary_edge)
-
-
-def element_geometry(mesh: Mesh, t: int) -> AffineMap:
-    if not 0 <= t < mesh.n_triangles:
-        raise IndexError(f"element index {t} out of range")
-    return AffineMap(jacobian=mesh.jacobians[t], det=float(mesh.dets[t]),
-                     inv_t=mesh.inv_ts[t], shift=mesh.shifts[t])
-
-
-def write_mesh_txt(mesh: Mesh, path) -> None:
-    """Plain-text dump: one vertex per line "x y", then one triangle per line
-    "i j k" with 0-based indices."""
-    with open(path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dpglab.mesh import (Mesh, build_initial_mesh, build_skeleton,
-                         element_geometry, refine_uniform, write_mesh_txt)
+from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +38,9 @@ def test_ccw_enforced():
 def test_boundary_edges(initial):
     assert int(initial.boundary_edge.sum()) == 8
     # bottom boundary edges carry the outward normal (0, -1) and sign +1
-    skel = build_skeleton(initial)
     on_bottom = np.all(initial.vertices[initial.edges][:, :, 1] == 0.0, axis=1)
     assert on_bottom.sum() == 2
-    assert np.allclose(skel.normals[on_bottom], [0.0, -1.0])
+    assert np.allclose(initial.edge_normals[on_bottom], [0.0, -1.0])
     for e in np.flatnonzero(on_bottom):
         (t0, t1) = initial.edge_tris[e]
         assert t1 == -1
@@ -105,35 +103,20 @@ def test_refinement_is_conforming_and_aligned(initial):
 def test_element_geometry(initial):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     ref = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
-    amap = element_geometry(ref, 0)
-    assert np.allclose(amap.jacobian, np.eye(2))
-    assert abs(amap.det - 1.0) < 1e-14
+    assert np.allclose(ref.jacobians[0], np.eye(2))
+    assert abs(ref.dets[0] - 1.0) < 1e-14
 
     tiny = Mesh(np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.25]]), np.array([[0, 1, 2]]))
-    assert abs(element_geometry(tiny, 0).det - 0.125) < 1e-14
+    assert abs(tiny.dets[0] - 0.125) < 1e-14
 
+    # the affine map x = J xhat + shift takes the reference vertices to the
+    # element's vertices
+    ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for t in (0, 5, 11):
-        amap = element_geometry(initial, t)
-        ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(amap.apply(ref_verts),
-                           initial.vertices[initial.triangles[t]], atol=1e-14)
-    with pytest.raises(IndexError):
-        element_geometry(initial, 16)
+        mapped = ref_verts @ initial.jacobians[t].T + initial.shifts[t]
+        assert np.allclose(mapped, initial.vertices[initial.triangles[t]], atol=1e-14)
 
 
 def test_inverse_transpose(initial):
     ident = np.einsum("eij,ekj->eik", initial.jacobians, initial.inv_ts)
     assert np.allclose(ident, np.eye(2)[None], atol=1e-13)
-
-
-def test_mesh_dump_roundtrip(tmp_path, initial):
-    path = tmp_path / "mesh.txt"
-    write_mesh_txt(initial, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == initial.n_vertices + initial.n_triangles
-    verts = np.array([[float(v) for v in ln.split()]
-                      for ln in lines[:initial.n_vertices]])
-    tris = np.array([[int(v) for v in ln.split()]
-                     for ln in lines[initial.n_vertices:]])
-    assert np.array_equal(verts, initial.vertices)
-    assert np.array_equal(tris, initial.triangles)

@@ -9,7 +9,7 @@ from dpglab import dpg_solver
 from dpglab.dpg_solver import (SolverError, _condense_batch, _factor_equilibrated,
                                _solve_spd, assemble_and_solve, assemble_global,
                                error_function)
-from dpglab.forms import ElementAssembler, TestNorm
+from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example, zero_data_problem
@@ -269,3 +269,58 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
     assert abs(A7 - A1).max() <= 1e-14 * abs(A1).max()
     assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
     assert np.abs(e7 - e1).max() <= 1e-14 * e1.max()
+
+
+@pytest.mark.parametrize("chunk", [512, 7])
+def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
+    # C is indefinite only on {x >= 1/2}; the lowest-numbered element there
+    # is named, whatever order and chunks the elements are condensed in
+    mesh = refine_uniform(initial)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+    def matrix(x):
+        return np.where((x[:, 0] >= 0.5)[:, None, None], indefinite, np.eye(2))
+
+    base = Coefficients.constant(beta=(1.0, -0.5), gamma=0.3)
+    coeffs = Coefficients(matrix=matrix, advection=base.advection,
+                          reaction=base.reaction)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    assert np.flatnonzero(centroids[:, 0] > 0.5)[0] == 16
+    monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
+    for kind in (TestNorm.STANDARD, TestNorm.QUASI_OPTIMAL):
+        asm = ElementAssembler(mesh, coeffs, 0)
+        with pytest.raises(SolverError, match="Gram matrix of element 16 is not SPD"):
+            assemble_global(mesh, build_dofmap(mesh, 0), asm, kind,
+                            lambda x: np.zeros(len(x)), None)
+
+
+def test_variable_coefficients_against_dense_oracle(initial):
+    # x-dependent SPD C(x) and beta(x): every element is a class of its own,
+    # and the condensed system is sum_T B^t G^{-1} [B | F] scattered densely
+    def matrix(x):
+        C = np.empty((len(x), 2, 2))
+        C[:, 0, 0] = 2.0 + x[:, 0]
+        C[:, 0, 1] = C[:, 1, 0] = 0.3 * np.sin(np.pi * x[:, 1])
+        C[:, 1, 1] = 1.0 + x[:, 1] ** 2
+        return C
+
+    coeffs = Coefficients(matrix=matrix,
+                          advection=lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
+                          reaction=lambda x: np.full(len(x), 0.5))
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    dm = build_dofmap(mesh, 1)
+    asm = ElementAssembler(mesh, coeffs, 1)
+    assert np.array_equal(asm.classes, np.arange(mesh.n_triangles))
+    for kind in TestNorm:
+        A, b = assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec)
+        B = asm.b_matrices()
+        BF = np.concatenate([B, asm.loads(prob.f, prob.fvec)[:, :, None]], axis=2)
+        SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(kind), BF)
+        A_want, b_want = np.zeros((dm.total, dm.total)), np.zeros(dm.total)
+        for g, sr in zip(dm.gather, SR):
+            keep = np.flatnonzero(g >= 0)
+            A_want[np.ix_(g[keep], g[keep])] += sr[np.ix_(keep, keep)]
+            b_want[g[keep]] += sr[keep, -1]
+        assert np.abs(A.toarray() - A_want).max() <= 1e-12 * np.abs(A_want).max()
+        assert np.abs(b - b_want).max() <= 1e-12 * np.abs(b_want).max()
