@@ -5,15 +5,15 @@ Per element the optimal-test-function problem reduces to the normal equations
     S_T = B_T^t G_T^{-1} B_T,    r_T = B_T^t G_T^{-1} F_T,
 
 with G_T the SPD Gram matrix of the chosen test inner product on the enriched
-broken test space.  One routine condenses a chunk of elements: it factors
-each G_T = L_T L_T^t by Cholesky (the factorization is also the SPD check)
-and returns the whitened blocks Y_T = L_T^{-1} B_T, y_T = L_T^{-1} F_T, so
-that S_T = Y_T^t Y_T and r_T = Y_T^t y_T.  Elements are condensed in
-batches taken in the order of their element classes (see
-:class:`dpglab.forms.ElementAssembler`), so a batch holds few classes and B
-and G are evaluated once per class in it.  Summing S_T, r_T over elements
-gives a sparse symmetric positive definite system for all trial DOFs (field
-DOFs couple to the traces of their own element; trace DOFs couple
+broken test space.  B_T and G_T are equal on every element of a class (see
+:class:`dpglab.forms.ElementAssembler`), so one routine condenses a batch of
+elements class by class: it factors each class's G_c = L_c L_c^t by Cholesky
+(the factorization is also the SPD check), forms W_c = L_c^{-1} and the
+whitened class block Y_c = W_c B_c, and whitens the loads per element,
+y_T = W_c F_T.  Then S_T = Y_c^t Y_c and r_T = Y_c^t y_T.  Batches are taken
+in class order, so a batch holds few classes.  Summing S_T, r_T over
+elements gives a sparse symmetric positive definite system for all trial
+DOFs (field DOFs couple to the traces of their own element; trace DOFs couple
 neighbours).  The homogeneous Dirichlet condition holds by construction:
 boundary trace DOFs of the scalar field never exist.
 
@@ -24,11 +24,12 @@ backward error is below the solver tolerance.  A solve that fails to factor
 or to certify raises :class:`SolverError`; there is no fallback.
 
 The discrete Riesz representative of the residual ("error function") is
-eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: with the same whitened
-blocks and z_T = y_T - Y_T u_T, its test norm is |z_T| (the energy error
-estimator of Carstensen, Demkowicz and Gopalakrishnan, SIAM J. Numer. Anal.
-52, 2014), and B_T^t eps_T = Y_T^t z_T summed over elements reproduces the
-algebraic residual (Galerkin orthogonality).
+eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
+condenses with the assembler of the solve, so it sees the same test space
+and quadrature, and with z_T = y_T - Y_c u_T its test norm is |z_T| (the
+energy error estimator of Carstensen, Demkowicz and Gopalakrishnan, SIAM J.
+Numer. Anal. 52, 2014), and B_T^t eps_T = Y_c^t z_T summed over elements
+reproduces the algebraic residual (Galerkin orthogonality).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .forms import ElementAssembler, TestNorm
 from .mesh import Mesh
 from .spaces import CoefficientVector, DofMap, build_dofmap
 
-# elements condensed per batch; bounds the per-element B, G and whitened
-# blocks of a batch, and the test-row tables of the classes in it
+# elements condensed per batch; bounds the per-element B, G, F and loads of
+# a batch, and the test rows and class factors of the classes in it
 _CHUNK = 512
 
 
@@ -61,8 +62,7 @@ class Solution:
     p: int
     kind: TestNorm
     variant: str
-    k1: int
-    k2: int
+    assembler: ElementAssembler = field(repr=False)  # the solve's test space
     x: np.ndarray = field(repr=False)  # full trial coefficient vector
     residual: float = 0.0
 
@@ -103,22 +103,23 @@ class EnergyError:
     rhs_norm: float
 
 
-def _chunks(asm: ElementAssembler):
-    """Batches of elements in class order (stable), so that each batch
-    holds few element classes and B and G are evaluated few times."""
-    order = np.argsort(asm.classes, kind="stable")
-    for lo in range(0, len(order), _CHUNK):
-        yield order[lo:lo + _CHUNK]
+def _condense_batch(B, G, F, els, classes):
+    """Whitened class blocks Y_c = L_c^{-1} B_c and loads y_T = L_c^{-1} F_T.
 
+    ``B``, ``G`` and ``F`` hold one entry per element of ``els``, and
+    ``classes`` the class of each element; B and G are read only at the first
+    element of each class.  Returns ``(Y, y, inv)``: one block Y_c per class
+    in the batch, one y_T per element, and the position in ``Y`` of each
+    element's class.
 
-def _condense_batch(B, G, F, els):
-    """Whitened element blocks (Y, y) = (L^{-1} B, L^{-1} F), G = L L^t.
-
-    The Cholesky factorization is the SPD check: an element whose Gram
-    matrix does not factor to finite values raises :class:`SolverError`
-    naming it.  The batched call does not say which element failed, and
-    OpenBLAS lets NaN pivots through without failing, hence the scan.
+    The Cholesky factorization G_c = L_c L_c^t is the SPD check: a class whose
+    Gram matrix does not factor to finite values raises :class:`SolverError`
+    naming the lowest-numbered element of that class in the batch.  The
+    batched call does not say which class failed, and OpenBLAS lets NaN
+    pivots through without failing, hence the scan over the classes.
     """
+    _, first, inv = np.unique(classes, return_index=True, return_inverse=True)
+
     def factor(g):
         try:
             L = np.linalg.cholesky(g)
@@ -126,15 +127,28 @@ def _condense_batch(B, G, F, els):
             return None
         return L if np.isfinite(L).all() else None
 
-    L = factor(G)
+    Gc = G[first]
+    L = factor(Gc)
     if L is None:
-        t = next(t for g, t in zip(G, els) if factor(g) is None)
+        bad = [c for c, g in enumerate(Gc) if factor(g) is None]
+        t = els[np.isin(inv, bad)].min()
         raise SolverError(f"Gram matrix of element {t} is not SPD; "
                           "check coefficients and quadrature")
     # numpy has no batched triangular solve; scipy's solve_triangular loops
-    # over the batch in Python, so the LU solve with the factor is faster
-    Y = np.linalg.solve(L, np.concatenate([B, F[:, :, None]], axis=2))
-    return Y[:, :, :-1], Y[:, :, -1]
+    # over the batch in Python, so W = L^{-1} comes from an LU solve
+    W = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
+    return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
+
+
+def _condensed(asm: ElementAssembler, kind: TestNorm, f, fvec):
+    """Condense all elements in batches taken in class order (stable), so
+    that each batch holds few classes; yields ``(els, Y, y, inv)`` with the
+    results of :func:`_condense_batch` for the elements ``els``."""
+    order = np.argsort(asm.classes, kind="stable")
+    for lo in range(0, len(order), _CHUNK):
+        els = order[lo:lo + _CHUNK]
+        yield els, *_condense_batch(asm.b_matrices(els), asm.gram(kind, els),
+                                    asm.loads(f, fvec, els), els, asm.classes[els])
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
@@ -143,12 +157,10 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     n = dofmap.total
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for els in _chunks(asm):
-        Y, y = _condense_batch(asm.b_matrices(els), asm.gram(kind, els),
-                               asm.loads(f, fvec, els), els)
+    for els, Y, y, inv in _condensed(asm, kind, f, fvec):
         Yt = np.swapaxes(Y, 1, 2)
-        S = Yt @ Y  # exactly symmetric: numpy evaluates Y^t Y by syrk
-        r = (Yt @ y[:, :, None])[:, :, 0]
+        S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
+        r = (Yt[inv] @ y[:, :, None])[:, :, 0]
         g = dofmap.gather[els]
         keep = g >= 0
         np.add.at(rhs, g[keep], r[keep])
@@ -253,27 +265,28 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec)
     x, res = _solve_spd(A, b, solver_tol)
     return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, variant=variant,
-                    k1=asm.k1, k2=asm.k2, x=x, residual=res)
+                    assembler=asm, x=x, residual=res)
 
 
-def error_function(mesh: Mesh, problem, solution: Solution,
-                   volume_exactness: int | None = None,
-                   edge_exactness: int | None = None) -> EnergyError:
-    """Test norms of the Riesz representative of the residual, per element."""
-    asm = ElementAssembler(mesh, problem.coeffs, solution.p, solution.variant,
-                           solution.k1, solution.k2,
-                           volume_exactness, edge_exactness)
+def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
+    """Test norms of the Riesz representative of the residual, per element.
+
+    Condenses with the assembler of ``solution``, so the test space, the
+    quadrature and the coefficients are those of the solve; the load is
+    that of ``problem``.
+    """
+    if mesh is not solution.mesh:
+        raise ValueError("error_function needs the mesh the solution was computed on")
     dofmap = solution.dofmap
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
     orth = np.zeros(dofmap.total)
     rhs = np.zeros(dofmap.total)
-    for els in _chunks(asm):
-        Y, y = _condense_batch(asm.b_matrices(els), asm.gram(solution.kind, els),
-                               asm.loads(problem.f, problem.fvec, els), els)
-        Yt = np.swapaxes(Y, 1, 2)
-        z = y - (Y @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
+    for els, Y, y, inv in _condensed(solution.assembler, solution.kind,
+                                     problem.f, problem.fvec):
+        z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
+        Yt = np.swapaxes(Y, 1, 2)[inv]
         g = dofmap.gather[els]
         keep = g >= 0
         np.add.at(orth, g[keep], (Yt @ z[:, :, None])[:, :, 0][keep])

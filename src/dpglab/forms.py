@@ -239,9 +239,7 @@ class ElementAssembler:
     # -- helpers -----------------------------------------------------------
     def _geom(self, els: np.ndarray):
         m = self.mesh
-        X = np.einsum("ecd,qd->eqc", m.jacobians[els], self.rule.points)
-        X += m.shifts[els][:, None, :]
-        return m.dets[els], m.inv_ts[els], X
+        return m.dets[els], m.inv_ts[els], m.map_points(self.rule.points, els)
 
     def _edge_data(self, els: np.ndarray, j: int):
         m = self.mesh
@@ -394,8 +392,7 @@ class ElementAssembler:
         we = self.erule.weights
         for j, (va, vb) in enumerate(LOCAL_EDGES):
             pts = (1 - s)[:, None] * REF_VERTICES[va] + s[:, None] * REF_VERTICES[vb]
-            XE = np.einsum("ecd,qd->eqc", self.mesh.jacobians[els], pts)
-            XE += self.mesh.shifts[els][:, None, :]
+            XE = self.mesh.map_points(pts, els)
             length, nrm, _, _ = self._edge_data(els, j)
             ue = np.asarray(u(XE.reshape(-1, 2))).reshape(XE.shape[:2])
             se = np.asarray(sigma(XE.reshape(-1, 2))).reshape(XE.shape[:2] + (2,))

@@ -47,7 +47,7 @@ def l2_error(mesh: Mesh, approx: CoefficientVector, exact,
     deg = approx.degree
     rule = triangle_quadrature(2 * deg + 6 if exactness is None else exactness)
     psi = scalar_basis(deg).eval(rule.points)
-    X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+    X = mesh.map_points(rule.points)
     vals = np.asarray(exact(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1)
     diff = vals - (approx.by_element() @ psi.T) / np.sqrt(mesh.dets)[:, None]
     err2 = np.einsum("q,eq,e->", rule.weights, diff * diff, mesh.dets)

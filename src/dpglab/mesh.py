@@ -135,6 +135,12 @@ class Mesh:
         diam = self.tri_edge_lengths.max(axis=1)
         return float((diam ** 2 / self.areas).max())
 
+    def map_points(self, points: np.ndarray, elements=None) -> np.ndarray:
+        """Images (e, q, 2) of the reference points (q, 2) under the affine
+        maps of ``elements`` (all triangles by default)."""
+        els = slice(None) if elements is None else elements
+        return points @ np.swapaxes(self.jacobians[els], 1, 2) + self.shifts[els][:, None]
+
     def interior_vertex_ids(self) -> np.ndarray:
         """Compact ids for interior vertices, -1 on the boundary."""
         ids = np.full(self.n_vertices, -1, dtype=np.int64)

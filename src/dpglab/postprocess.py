@@ -53,7 +53,7 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution,
     cs = solution.sigma
     sh = np.einsum("ecj,qj->eqc", cs, Sv) / sdet[:, None, None]
 
-    X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+    X = mesh.map_points(rule.points)
     flat = X.reshape(-1, 2)
     C = np.asarray(problem.coeffs.matrix(flat)).reshape(nt, -1, 2, 2)
     beta = np.asarray(problem.coeffs.advection(flat)).reshape(nt, -1, 2)

@@ -177,6 +177,6 @@ def seam_clearance(problem: ProblemSpec, mesh: Mesh, rule: QuadratureRule) -> fl
     coefficient jump line; +inf for problems without jumps."""
     if problem.seam_distance is None:
         return np.inf
-    X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+    X = mesh.map_points(rule.points)
     return float(problem.seam_distance(X.reshape(-1, 2)).min())
 

@@ -183,7 +183,7 @@ def l2_project(mesh: Mesh, p: int, f, exactness: int | None = None):
     """
     rule = triangle_quadrature(2 * p + 6 if exactness is None else exactness)
     psi = scalar_basis(p).eval(rule.points)
-    X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+    X = mesh.map_points(rule.points)
     vals = np.asarray(f(X.reshape(-1, 2)))
     sdet = np.sqrt(mesh.dets)
     if vals.ndim == 1:
@@ -298,7 +298,7 @@ def rt_interpolate(mesh: Mesh, p: int, tau, exactness: int | None = None) -> RTC
     if p >= 1:
         rule = triangle_quadrature(2 * p + 10 if exactness is None else exactness)
         psi = scalar_basis(p - 1).eval(rule.points)
-        X = np.einsum("ecd,qd->eqc", mesh.jacobians, rule.points) + mesh.shifts[:, None, :]
+        X = mesh.map_points(rule.points)
         fv = np.asarray(tau(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1, 2)
         w = rule.weights[None, :] * mesh.dets[:, None]
         interior = np.einsum("eq,qm,eqc->emc",

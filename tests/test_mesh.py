@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
+from dpglab.refelem import triangle_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,18 @@ def test_element_geometry(initial):
     for t in (0, 5, 11):
         mapped = ref_verts @ initial.jacobians[t].T + initial.shifts[t]
         assert np.allclose(mapped, initial.vertices[initial.triangles[t]], atol=1e-14)
+    assert np.allclose(initial.map_points(ref_verts),
+                       initial.vertices[initial.triangles], atol=1e-14)
+    # map_points equals the sum over the two reference coordinates bitwise,
+    # so mapped quadrature points (and the element classes keyed on the
+    # coefficient values there) do not depend on how the product is formed
+    points = triangle_quadrature(10).points
+    mesh = initial
+    for _ in range(3):
+        want = np.einsum("ecd,qd->eqc", mesh.jacobians, points) + mesh.shifts[:, None, :]
+        assert np.array_equal(mesh.map_points(points), want)
+        assert np.array_equal(mesh.map_points(points, np.array([3, 1])), want[[3, 1]])
+        mesh = refine_uniform(mesh)
 
 
 def test_inverse_transpose(initial):

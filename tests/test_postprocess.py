@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpglab.dpg_solver import Solution, assemble_and_solve
-from dpglab.forms import Coefficients, TestNorm
+from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
@@ -20,8 +20,9 @@ def _manual_solution(mesh, p, u_coeffs, sigma_coeffs):
     x = np.zeros(dm.total)
     x[dm.field_slice("u")] = u_coeffs.ravel()
     x[dm.field_slice("sigma")] = sigma_coeffs.reshape(mesh.n_triangles, -1).ravel()
+    asm = ElementAssembler(mesh, Coefficients.constant(), p)
     return Solution(mesh=mesh, dofmap=dm, p=p, kind=TestNorm.QUASI_OPTIMAL,
-                    variant="standard", k1=p + 2, k2=p + 2, x=x)
+                    variant="standard", assembler=asm, x=x)
 
 
 def _plain_problem(u, grad_u, laplace_u):

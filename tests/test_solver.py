@@ -23,7 +23,9 @@ def initial():
 
 def _condense_one(B, G, F):
     """Schur data (S, r) of one element through the batched routine."""
-    Y, y = _condense_batch(B[None], G[None], F[None], np.array([0]))
+    Y, y, inv = _condense_batch(B[None], G[None], F[None], np.array([0]),
+                                np.array([0]))
+    assert inv.tolist() == [0]
     return Y[0].T @ Y[0], Y[0].T @ y[0]
 
 
@@ -53,7 +55,7 @@ def test_condense_against_dense_inverse():
     assert np.abs(S - B.T @ Ginv @ B).max() < 1e-10
     assert np.abs(r - B.T @ Ginv @ F).max() < 1e-10
     # the batched product assemble_global uses is symmetric exactly
-    Y, _ = _condense_batch(B[None], G[None], F[None], np.array([0]))
+    Y, _, _ = _condense_batch(B[None], G[None], F[None], np.array([0]), np.array([0]))
     S = np.swapaxes(Y, 1, 2) @ Y
     assert np.abs(S - np.swapaxes(S, 1, 2)).max() == 0.0
 
@@ -63,11 +65,13 @@ def test_condense_rejects_indefinite_gram():
     G = np.diag([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(SolverError, match="element 0 is not SPD"):
         _condense_one(B, G, np.zeros(4))
-    # a NaN Gram entry factors without a LinAlgError; the element is named
-    Gs = np.stack([np.eye(4), np.eye(4)])
-    Gs[1, 2, 2] = np.nan
+    # a NaN Gram entry factors without a LinAlgError; the lowest element of
+    # the failing class is named, not an element of a class that factors
+    Gs = np.stack([np.eye(4), np.eye(4), np.eye(4), np.eye(4)])
+    Gs[[1, 3], 2, 2] = np.nan
     with pytest.raises(SolverError, match="element 7 is not SPD"):
-        _condense_batch(np.stack([B, B]), Gs, np.zeros((2, 4)), np.array([3, 7]))
+        _condense_batch(np.stack([B] * 4), Gs, np.zeros((4, 4)),
+                        np.array([9, 8, 3, 7]), np.array([5, 2, 5, 2]))
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
@@ -295,8 +299,9 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
 
 
 def test_variable_coefficients_against_dense_oracle(initial):
-    # x-dependent SPD C(x) and beta(x): every element is a class of its own,
-    # and the condensed system is sum_T B^t G^{-1} [B | F] scattered densely
+    # the condensed system is sum_T B^t G^{-1} [B | F] scattered densely, both
+    # for x-dependent SPD C(x) and beta(x), where every element is a class of
+    # its own, and for example 1's coefficients, where classes are shared
     def matrix(x):
         C = np.empty((len(x), 2, 2))
         C[:, 0, 0] = 2.0 + x[:, 0]
@@ -304,23 +309,36 @@ def test_variable_coefficients_against_dense_oracle(initial):
         C[:, 1, 1] = 1.0 + x[:, 1] ** 2
         return C
 
-    coeffs = Coefficients(matrix=matrix,
-                          advection=lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
-                          reaction=lambda x: np.full(len(x), 0.5))
+    variable = Coefficients(matrix=matrix,
+                            advection=lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
+                            reaction=lambda x: np.full(len(x), 0.5))
     mesh = refine_uniform(initial)
     prob = example(1)
     dm = build_dofmap(mesh, 1)
-    asm = ElementAssembler(mesh, coeffs, 1)
-    assert np.array_equal(asm.classes, np.arange(mesh.n_triangles))
-    for kind in TestNorm:
-        A, b = assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec)
-        B = asm.b_matrices()
-        BF = np.concatenate([B, asm.loads(prob.f, prob.fvec)[:, :, None]], axis=2)
-        SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(kind), BF)
-        A_want, b_want = np.zeros((dm.total, dm.total)), np.zeros(dm.total)
-        for g, sr in zip(dm.gather, SR):
-            keep = np.flatnonzero(g >= 0)
-            A_want[np.ix_(g[keep], g[keep])] += sr[np.ix_(keep, keep)]
-            b_want[g[keep]] += sr[keep, -1]
-        assert np.abs(A.toarray() - A_want).max() <= 1e-12 * np.abs(A_want).max()
-        assert np.abs(b - b_want).max() <= 1e-12 * np.abs(b_want).max()
+    for coeffs, n_classes in ((variable, mesh.n_triangles), (prob.coeffs, 40)):
+        asm = ElementAssembler(mesh, coeffs, 1)
+        assert asm.classes.max() + 1 == n_classes
+        for kind in TestNorm:
+            A, b = assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec)
+            B = asm.b_matrices()
+            BF = np.concatenate([B, asm.loads(prob.f, prob.fvec)[:, :, None]], axis=2)
+            SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(kind), BF)
+            A_want, b_want = np.zeros((dm.total, dm.total)), np.zeros(dm.total)
+            for g, sr in zip(dm.gather, SR):
+                keep = np.flatnonzero(g >= 0)
+                A_want[np.ix_(g[keep], g[keep])] += sr[np.ix_(keep, keep)]
+                b_want[g[keep]] += sr[keep, -1]
+            assert np.abs(A.toarray() - A_want).max() <= 1e-12 * np.abs(A_want).max()
+            assert np.abs(b - b_want).max() <= 1e-12 * np.abs(b_want).max()
+
+
+def test_error_function_uses_the_solve_quadrature(initial):
+    # a solve with a lower volume quadrature than the default: the error
+    # function must condense in the same test space, or Galerkin
+    # orthogonality fails (7.8e-8 relative with the default quadrature)
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
+                             volume_exactness=6)
+    ee = error_function(mesh, prob, sol)
+    assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
