@@ -46,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_study(args) -> int:
     cfg = StudyConfig(example=args.example, norm=TestNorm.from_name(args.norm),
                       p=args.degree, levels=args.levels, variant=args.variant,
-                      k1=args.k1, k2=args.k2, solver_tol=args.solver_tol,
-                      fmt=args.fmt)
+                      k1=args.k1, k2=args.k2, solver_tol=args.solver_tol)
     progress = None if args.quiet else lambda m: print(m, file=sys.stderr)
     table = run_convergence_study(cfg, progress=progress)
     text = emit_table(table, args.fmt)

@@ -68,9 +68,8 @@ class Solution:
 
     @property
     def u(self) -> CoefficientVector:
-        pu = self.p + 1 if self.variant == "augmented" else self.p
         return CoefficientVector(np.array(self.x[self.dofmap.field_slice("u")]),
-                                 self.mesh, pu)
+                                 self.mesh, self.dofmap.layout.pu)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -103,6 +102,17 @@ class EnergyError:
     rhs_norm: float
 
 
+def gram_cholesky(G):
+    """Cholesky factor(s) L of the (stacked) Gram matrix ``G = L L^t``, or None
+    when ``G`` does not factor to finite values.  OpenBLAS lets NaN pivots
+    through without raising, so a finite factor is part of the SPD test."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.isfinite(L).all() else None
+
+
 def _condense_batch(B, G, F, els, classes):
     """Whitened class blocks Y_c = L_c^{-1} B_c and loads y_T = L_c^{-1} F_T.
 
@@ -115,22 +125,14 @@ def _condense_batch(B, G, F, els, classes):
     The Cholesky factorization G_c = L_c L_c^t is the SPD check: a class whose
     Gram matrix does not factor to finite values raises :class:`SolverError`
     naming the lowest-numbered element of that class in the batch.  The
-    batched call does not say which class failed, and OpenBLAS lets NaN
-    pivots through without failing, hence the scan over the classes.
+    batched call does not say which class failed, hence the scan over the
+    classes.
     """
     _, first, inv = np.unique(classes, return_index=True, return_inverse=True)
-
-    def factor(g):
-        try:
-            L = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            return None
-        return L if np.isfinite(L).all() else None
-
     Gc = G[first]
-    L = factor(Gc)
+    L = gram_cholesky(Gc)
     if L is None:
-        bad = [c for c, g in enumerate(Gc) if factor(g) is None]
+        bad = [c for c, g in enumerate(Gc) if gram_cholesky(g) is None]
         t = els[np.isin(inv, bad)].min()
         raise SolverError(f"Gram matrix of element {t} is not SPD; "
                           "check coefficients and quadrature")
@@ -255,13 +257,11 @@ def _solve_spd(A, b, tol: float):
 def assemble_and_solve(mesh: Mesh, problem, p: int,
                        kind: TestNorm = TestNorm.QUASI_OPTIMAL,
                        variant: str = "standard", k1: int | None = None,
-                       k2: int | None = None, solver_tol: float = 1e-12,
-                       volume_exactness: int | None = None,
-                       edge_exactness: int | None = None) -> Solution:
+                       k2: int | None = None,
+                       solver_tol: float = 1e-12) -> Solution:
     """Solve the practical DPG system for ``problem`` on ``mesh``."""
     dofmap = build_dofmap(mesh, p, variant)
-    asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2,
-                           volume_exactness, edge_exactness)
+    asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2)
     A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec)
     x, res = _solve_spd(A, b, solver_tol)
     return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, variant=variant,

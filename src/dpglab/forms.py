@@ -48,9 +48,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, Mesh
-from .refelem import (REF_VERTICES, edge_quadrature, lagrange_1d,
-                      legendre_orthonormal_1d, scalar_basis, triangle_quadrature)
+from .mesh import Mesh
+from .refelem import (LOCAL_EDGES, edge_quadrature, lagrange_1d,
+                      legendre_orthonormal_1d, ref_edge_points, scalar_basis,
+                      triangle_quadrature)
 from .spaces import TrialLayout, trial_layout
 
 
@@ -151,7 +152,7 @@ class ElementAssembler:
             raise ValueError("test degrees must be >= 1")
         self.layout: TrialLayout = trial_layout(p, variant)
         kmax = max(self.k1, self.k2)
-        pu = p + 1 if variant == "augmented" else p
+        pu = self.layout.pu
 
         vol_ex = 2 * kmax + 4 if volume_exactness is None else volume_exactness
         edge_ex = 2 * kmax + 2 if edge_exactness is None else edge_exactness
@@ -183,8 +184,8 @@ class ElementAssembler:
         # reference tables on the three local edges
         s = self.erule.points
         self.V1E, self.V2E = [], []
-        for j, (va, vb) in enumerate(LOCAL_EDGES):
-            pts = (1 - s)[:, None] * REF_VERTICES[va] + s[:, None] * REF_VERTICES[vb]
+        for j in range(3):
+            pts = ref_edge_points(s, j)
             self.V1E.append(scalar_basis(self.k1).eval(pts))
             self.V2E.append(scalar_basis(self.k2).eval(pts)
                             if self.k2 != self.k1 else self.V1E[-1])
@@ -390,9 +391,8 @@ class ElementAssembler:
 
         s = self.erule.points
         we = self.erule.weights
-        for j, (va, vb) in enumerate(LOCAL_EDGES):
-            pts = (1 - s)[:, None] * REF_VERTICES[va] + s[:, None] * REF_VERTICES[vb]
-            XE = self.mesh.map_points(pts, els)
+        for j in range(3):
+            XE = self.mesh.map_points(ref_edge_points(s, j), els)
             length, nrm, _, _ = self._edge_data(els, j)
             ue = np.asarray(u(XE.reshape(-1, 2))).reshape(XE.shape[:2])
             se = np.asarray(sigma(XE.reshape(-1, 2))).reshape(XE.shape[:2] + (2,))
@@ -404,21 +404,3 @@ class ElementAssembler:
                     np.einsum("k,ek,ki->ei", we, ue, self.V2E[j])
         return R - self.loads(f, fvec, els)
 
-
-def element_b_matrix(mesh: Mesh, t: int, p: int, coeffs: Coefficients,
-                     variant: str = "standard", k1: int | None = None,
-                     k2: int | None = None, **kw) -> np.ndarray:
-    asm = ElementAssembler(mesh, coeffs, p, variant, k1, k2, **kw)
-    return asm.b_matrices(np.array([t]))[0]
-
-
-def element_gram(mesh: Mesh, t: int, k: int, kind: TestNorm,
-                 coeffs: Coefficients, **kw) -> np.ndarray:
-    asm = ElementAssembler(mesh, coeffs, p=max(k - 2, 0), k1=k, k2=k, **kw)
-    return asm.gram(kind, np.array([t]))[0]
-
-
-def element_load(mesh: Mesh, t: int, k: int, f, fvec,
-                 coeffs: Coefficients, **kw) -> np.ndarray:
-    asm = ElementAssembler(mesh, coeffs, p=max(k - 2, 0), k1=k, k2=k, **kw)
-    return asm.loads(f, fvec, np.array([t]))[0]

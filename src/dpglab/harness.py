@@ -41,11 +41,10 @@ def fmt_rate(v: Optional[float]) -> str:
     return "---" if v is None else f"{v:.2f}"
 
 
-def l2_error(mesh: Mesh, approx: CoefficientVector, exact,
-             exactness: int | None = None) -> float:
+def l2_error(mesh: Mesh, approx: CoefficientVector, exact) -> float:
     """L2 distance between a broken polynomial field and a callable."""
     deg = approx.degree
-    rule = triangle_quadrature(2 * deg + 6 if exactness is None else exactness)
+    rule = triangle_quadrature(2 * deg + 6)
     psi = scalar_basis(deg).eval(rule.points)
     X = mesh.map_points(rule.points)
     vals = np.asarray(exact(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1)
@@ -70,9 +69,7 @@ class StudyConfig:
     variant: str = "both"  # standard | augmented | both
     k1: int | None = None
     k2: int | None = None
-    quad_exactness: int | None = None
     solver_tol: float = 1e-12
-    fmt: str = "csv"
     track_energy: bool = False
 
     def __post_init__(self):
@@ -80,8 +77,6 @@ class StudyConfig:
             raise ValueError("a study needs at least 2 levels")
         if self.variant not in ("standard", "augmented", "both"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.fmt not in ("csv", "markdown"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if isinstance(self.norm, str):
             object.__setattr__(self, "norm", TestNorm.from_name(self.norm))
 
@@ -106,13 +101,8 @@ class ErrorTable:
     p: int
     rows: list[ErrorRow] = field(default_factory=list)
     config: StudyConfig | None = None
-    # parsed tables keep their printed rates instead of recomputing them
-    # from print-rounded errors
-    rates_override: list[tuple[Optional[float], ...]] | None = None
 
     def rates(self) -> list[tuple[Optional[float], ...]]:
-        if self.rates_override is not None:
-            return self.rates_override
         out = []
         prev = None
         for row in self.rows:
@@ -142,8 +132,7 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
     do_aug = config.variant in ("augmented", "both")
     p = config.p
     table = ErrorTable(p=p, config=config)
-    solve_kw = dict(k1=config.k1, k2=config.k2, solver_tol=config.solver_tol,
-                    volume_exactness=config.quad_exactness)
+    solve_kw = dict(k1=config.k1, k2=config.k2, solver_tol=config.solver_tol)
 
     for level in range(1, config.levels + 1):
         if progress:
@@ -216,24 +205,3 @@ def _emit_markdown(table: ErrorTable) -> str:
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
-
-def parse_table_csv(text: str) -> ErrorTable:
-    """Inverse of the CSV emitter at printed precision."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not a study CSV: bad header")
-    table = ErrorTable(p=0, rates_override=[])
-    for k, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != 10:
-            raise ValueError(f"bad CSV row: {line!r}")
-        table.p = int(cells[0])
-
-        def num(s):
-            return None if s == "---" else float(s)
-
-        table.rows.append(ErrorRow(
-            level=k + 1, n_triangles=int(cells[1]), err_u=num(cells[2]),
-            err_proj=num(cells[4]), err_aug=num(cells[6]), err_post=num(cells[8])))
-        table.rates_override.append(tuple(num(cells[c]) for c in (3, 5, 7, 9)))
-    return table

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
 
 class Mesh:
     """Conforming triangle mesh with precomputed geometry and skeleton data.

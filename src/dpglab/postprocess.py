@@ -24,15 +24,14 @@ from .spaces import CoefficientVector
 _SQRT2 = np.sqrt(2.0)
 
 
-def postprocess_u(mesh: Mesh, problem, solution: Solution,
-                  exactness: int | None = None) -> CoefficientVector:
+def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     """Local Neumann postprocessing; returns broken degree p+1 coefficients.
 
     The element mean of the result equals the element mean of ``solution.u``
     up to the local solver roundoff.
     """
     p = solution.p
-    rule = triangle_quadrature(2 * (p + 1) + 6 if exactness is None else exactness)
+    rule = triangle_quadrature(2 * (p + 1) + 6)
     w = rule.weights
     nt = mesh.n_triangles
 
@@ -45,10 +44,10 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution,
     Gp = np.einsum("ecd,qid->eqic", inv_t, Pg)  # physical gradients / sqrt(det)
 
     # field values of u_h and sigma_h at the quadrature points
-    pu = p + 1 if solution.variant == "augmented" else p
-    Uv = scalar_basis(pu).eval(rule.points)
-    Sv = Uv if pu == p else scalar_basis(p).eval(rule.points)
-    cu = solution.u.by_element()
+    u = solution.u
+    Uv = scalar_basis(u.degree).eval(rule.points)
+    Sv = Uv if u.degree == p else scalar_basis(p).eval(rule.points)
+    cu = u.by_element()
     uh = (cu @ Uv.T) / sdet[:, None]
     cs = solution.sigma
     sh = np.einsum("ecj,qj->eqc", cs, Sv) / sdet[:, None, None]

@@ -19,9 +19,18 @@ from scipy.special import eval_jacobi, eval_legendre
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # reference edge j runs from vertex j to vertex j+1 mod 3
+LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 _S2 = 1.0 / np.sqrt(2.0)
 REF_EDGE_NORMALS = np.array([[0.0, -1.0], [_S2, _S2], [-1.0, 0.0]])
 REF_EDGE_LENGTHS = np.array([1.0, np.sqrt(2.0), 1.0])
+
+
+def ref_edge_points(s: np.ndarray, j: int) -> np.ndarray:
+    """Points of reference edge ``j`` at the parameters ``s`` in [0, 1],
+    running from vertex ``LOCAL_EDGES[j][0]`` to ``LOCAL_EDGES[j][1]``;
+    shape (len(s), 2)."""
+    a, b = LOCAL_EDGES[j]
+    return (1 - s)[:, None] * REF_VERTICES[a] + s[:, None] * REF_VERTICES[b]
 
 
 def scalar_dim(p: int) -> int:
@@ -140,41 +149,6 @@ def scalar_basis(p: int) -> ScalarBasis:
     return ScalarBasis(p)
 
 
-def lagrange_nodes(q: int) -> np.ndarray:
-    """Uniform lattice nodes of degree q: vertices, then q-1 nodes per edge
-    (in edge direction), then the interior grid."""
-    nodes = [tuple(v) for v in REF_VERTICES]
-    for (va, vb) in ((0, 1), (1, 2), (2, 0)):
-        for k in range(1, q):
-            s = k / q
-            nodes.append(tuple((1 - s) * REF_VERTICES[va] + s * REF_VERTICES[vb]))
-    for i in range(1, q):
-        for j in range(1, q - i):
-            nodes.append((i / q, j / q))
-    return np.array(nodes)
-
-
-class LagrangeBasis:
-    """Nodal basis of P^q on the uniform lattice (Kronecker at the nodes)."""
-
-    def __init__(self, q: int):
-        if q < 1:
-            raise ValueError("Lagrange degree must be >= 1")
-        self.degree = q
-        self.nodes = lagrange_nodes(q)
-        self.dim = len(self.nodes)
-        modal = scalar_basis(q)
-        V = modal.eval(self.nodes)
-        self._coeffs = np.linalg.inv(V)  # columns: modal coefficients per nodal fn
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return scalar_basis(self.degree).eval(points) @ self._coeffs
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        g = scalar_basis(self.degree).grad(points)
-        return np.einsum("qmc,mj->qjc", g, self._coeffs)
-
-
 def lagrange_1d(q: int, t: np.ndarray) -> np.ndarray:
     """Values of the q+1 nodal polynomials on uniform nodes k/q, k=0..q.
 
@@ -187,13 +161,16 @@ def lagrange_1d(q: int, t: np.ndarray) -> np.ndarray:
     return P @ np.linalg.inv(V)
 
 
+def legendre_1d(p: int, t: np.ndarray) -> np.ndarray:
+    """Legendre polynomials P_k(2t-1), k = 0..p, on [0,1]; shape (len(t), p+1).
+    The leading one is the constant 1 (the RT edge-moment normalization)."""
+    t = np.atleast_1d(t)
+    return np.column_stack([eval_legendre(k, 2.0 * t - 1.0) for k in range(p + 1)])
+
+
 def legendre_orthonormal_1d(p: int, t: np.ndarray) -> np.ndarray:
     """Orthonormal Legendre basis on [0,1]; shape (len(t), p+1)."""
-    t = np.atleast_1d(t)
-    out = np.empty((len(t), p + 1))
-    for m in range(p + 1):
-        out[:, m] = np.sqrt(2 * m + 1) * eval_legendre(m, 2.0 * t - 1.0)
-    return out
+    return np.sqrt(2 * np.arange(p + 1) + 1) * legendre_1d(p, t)
 
 
 class RTBasis:
@@ -253,18 +230,12 @@ class RTBasis:
             out[:, 2 * ns + a] = (p + 2) * x ** (p - a) * y ** a
         return out
 
-    def _edge_points(self, s: np.ndarray, j: int) -> np.ndarray:
-        va, vb = ((0, 1), (1, 2), (2, 0))[j]
-        return (1 - s)[:, None] * REF_VERTICES[va] + s[:, None] * REF_VERTICES[vb]
-
     def _edge_moments_of_span(self, erule) -> np.ndarray:
         p = self.degree
         rows = np.empty((self.n_edge_dofs, self.dim))
-        leg = np.empty((len(erule.points), p + 1))
-        for m in range(p + 1):
-            leg[:, m] = eval_legendre(m, 2.0 * erule.points - 1.0)
+        leg = legendre_1d(p, erule.points)
         for j in range(3):
-            vals = self._span_eval(self._edge_points(erule.points, j))
+            vals = self._span_eval(ref_edge_points(erule.points, j))
             tn = vals @ REF_EDGE_NORMALS[j]
             block = np.einsum("k,km,ki->mi", erule.weights * REF_EDGE_LENGTHS[j], leg, tn)
             rows[j * (p + 1):(j + 1) * (p + 1)] = block
@@ -293,11 +264,9 @@ class RTBasis:
         p = self.degree
         erule = edge_quadrature(2 * p + 2 + 10)
         out = np.empty(self.dim)
-        leg = np.empty((len(erule.points), p + 1))
-        for m in range(p + 1):
-            leg[:, m] = eval_legendre(m, 2.0 * erule.points - 1.0)
+        leg = legendre_1d(p, erule.points)
         for j in range(3):
-            vals = np.atleast_2d(func(self._edge_points(erule.points, j)))
+            vals = np.atleast_2d(func(ref_edge_points(erule.points, j)))
             tn = vals @ REF_EDGE_NORMALS[j]
             out[j * (p + 1):(j + 1) * (p + 1)] = np.einsum(
                 "k,km,k->m", erule.weights * REF_EDGE_LENGTHS[j], leg, tn)
@@ -308,7 +277,3 @@ class RTBasis:
             out[self.n_edge_dofs + 0::2] = np.einsum("k,km,k->m", rule.weights, psi, vals[:, 0])
             out[self.n_edge_dofs + 1::2] = np.einsum("k,km,k->m", rule.weights, psi, vals[:, 1])
         return out
-
-
-def rt_basis(p: int) -> RTBasis:
-    return RTBasis(p)

@@ -22,18 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .mesh import Mesh
-from .refelem import (REF_VERTICES, edge_quadrature, rt_basis, scalar_basis,
-                      scalar_dim, triangle_quadrature)
-
-
-def _plain_legendre(p: int, t: np.ndarray) -> np.ndarray:
-    """P_k(2t-1) for k = 0..p, shape (len(t), p+1); matches the RT edge-moment
-    normalization (leading moment against the constant 1)."""
-    t = np.atleast_1d(t)
-    return np.column_stack([eval_legendre(k, 2.0 * t - 1.0) for k in range(p + 1)])
+from .refelem import (RTBasis, edge_quadrature, legendre_1d, ref_edge_points,
+                      scalar_basis, scalar_dim, triangle_quadrature)
 
 
 @dataclass(frozen=True)
@@ -42,6 +34,7 @@ class TrialLayout:
 
     p: int
     variant: str
+    pu: int  # degree of u: p + 1 for the augmented variant, else p
     nu: int
     ns: int
     n_uhat: int  # 3 * (1 + p)
@@ -76,8 +69,8 @@ def trial_layout(p: int, variant: str = "standard") -> TrialLayout:
     if variant not in ("standard", "augmented"):
         raise ValueError(f"unknown variant {variant!r}")
     pu = p + 1 if variant == "augmented" else p
-    return TrialLayout(p=p, variant=variant, nu=scalar_dim(pu), ns=scalar_dim(p),
-                       n_uhat=3 * (1 + p), n_sighat=3 * (p + 1))
+    return TrialLayout(p=p, variant=variant, pu=pu, nu=scalar_dim(pu),
+                       ns=scalar_dim(p), n_uhat=3 * (1 + p), n_sighat=3 * (p + 1))
 
 
 @dataclass(frozen=True)
@@ -230,12 +223,12 @@ class RTCoefficients:
 
     def div(self, ref_points: np.ndarray) -> np.ndarray:
         """Divergence values at reference points per element, (nt, nq)."""
-        dref = rt_basis(self.degree).div(ref_points)  # (nq, dim)
+        dref = RTBasis(self.degree).div(ref_points)  # (nq, dim)
         return (self.local_coeffs() @ dref.T) / self.mesh.dets[:, None]
 
     def eval(self, ref_points: np.ndarray) -> np.ndarray:
         """Field values at reference points per element, (nt, nq, 2)."""
-        vref = rt_basis(self.degree).eval(ref_points)  # (nq, dim, 2)
+        vref = RTBasis(self.degree).eval(ref_points)  # (nq, dim, 2)
         piola = np.einsum("ecd,qid->eqic", self.mesh.jacobians, vref)
         piola /= self.mesh.dets[:, None, None, None]
         return np.einsum("ei,eqic->eqc", self.local_coeffs(), piola)
@@ -244,18 +237,15 @@ class RTCoefficients:
 def _rt_local_moment_systems(mesh: Mesh, p: int):
     """Moment matrices of the Piola-mapped RT basis w.r.t. the *global* edge
     and interior functionals, batched over elements: (nt, dim, dim)."""
-    basis = rt_basis(p)
+    basis = RTBasis(p)
     dim = basis.dim
     nt = mesh.n_triangles
     erule = edge_quadrature(2 * p + 4)
-    leg_fwd = _plain_legendre(p, erule.points)
-    leg_rev = _plain_legendre(p, 1.0 - erule.points)
+    leg_fwd = legendre_1d(p, erule.points)
+    leg_rev = legendre_1d(p, 1.0 - erule.points)
     M = np.empty((nt, dim, dim))
     for j in range(3):
-        va, vb = ((0, 1), (1, 2), (2, 0))[j]
-        ref_pts = ((1 - erule.points)[:, None] * REF_VERTICES[va]
-                   + erule.points[:, None] * REF_VERTICES[vb])
-        vref = basis.eval(ref_pts)  # (nq, dim, 2)
+        vref = basis.eval(ref_edge_points(erule.points, j))  # (nq, dim, 2)
         piola = np.einsum("ecd,qid->eqic", mesh.jacobians, vref) / mesh.dets[:, None, None, None]
         n_e = mesh.edge_normals[mesh.tri_edges[:, j]]  # (nt, 2) global normal
         tn = np.einsum("eqic,ec->eqi", piola, n_e)
@@ -291,7 +281,7 @@ def rt_interpolate(mesh: Mesh, p: int, tau, exactness: int | None = None) -> RTC
     pts = lo[:, None, :] + erule.points[None, :, None] * (hi - lo)[:, None, :]
     vals = np.asarray(tau(pts.reshape(-1, 2))).reshape(mesh.n_edges, -1, 2)
     tn = np.einsum("eqc,ec->eq", vals, mesh.edge_normals)
-    leg = _plain_legendre(p, erule.points)
+    leg = legendre_1d(p, erule.points)
     wlen = erule.weights[None, :] * mesh.edge_lengths[:, None]
     edge_moments = np.einsum("eq,qm->em", wlen * tn, leg)
 

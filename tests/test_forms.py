@@ -3,12 +3,12 @@ import pytest
 import scipy.linalg as sla
 
 from dpglab.dpg_solver import SolverError, assemble_global
-from dpglab.forms import (Coefficients, ElementAssembler, TestNorm,
-                          element_b_matrix, element_gram, element_load)
-from dpglab.mesh import LOCAL_EDGES, build_initial_mesh, refine_uniform
+from dpglab.forms import Coefficients, ElementAssembler, TestNorm
+from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example
-from dpglab.refelem import REF_VERTICES, scalar_basis, triangle_quadrature
-from dpglab.spaces import build_dofmap, trial_layout
+from dpglab.refelem import (LOCAL_EDGES, REF_VERTICES, scalar_basis,
+                            triangle_quadrature)
+from dpglab.spaces import build_dofmap
 
 # anisotropic SPD diffusion matrix with convection and reaction
 ANISO = dict(C=[[2.0, 0.6], [0.6, 0.5]], beta=(1.0, -0.5), gamma=0.3)
@@ -40,7 +40,7 @@ def test_testnorm_parsing():
 
 def test_b_zero_action(initial):
     prob = example(1)
-    B = element_b_matrix(initial, 0, p=1, coeffs=prob.coeffs)
+    B = ElementAssembler(initial, prob.coeffs, 1).b_matrices(np.array([0]))[0]
     assert np.abs(B @ np.zeros(B.shape[1])).max() == 0.0
 
 
@@ -79,7 +79,7 @@ def test_b_constant_test_function_row(initial):
 @pytest.mark.parametrize("ex", [1, 2])
 def test_exact_solution_consistency(initial, ex):
     prob = example(ex)
-    for p in (0, 1):
+    for p in (0, 1, 4):
         asm = ElementAssembler(initial, prob.coeffs, p,
                                volume_exactness=2 * p + 24,
                                edge_exactness=2 * p + 24)
@@ -91,7 +91,7 @@ def test_exact_solution_consistency(initial, ex):
 def test_gram_spd_and_symmetric(initial):
     rng = np.random.default_rng(5)
     prob = example(2)
-    for p in (0, 2):
+    for p in (0, 2, 4):
         asm = ElementAssembler(initial, prob.coeffs, p)
         for kind in TestNorm:
             G = asm.gram(kind)
@@ -328,10 +328,10 @@ def test_norm_equivalence_interval():
 
 
 def test_element_load_oracle(initial):
-    coeffs = Coefficients.constant()
     t = 7
-    k = 2
-    F = element_load(initial, t, k, lambda x: np.ones(len(x)), None, coeffs)
+    asm = ElementAssembler(initial, Coefficients.constant(), 0)
+    k = asm.k1
+    F = asm.loads(lambda x: np.ones(len(x)), None, np.array([t]))[0]
     det = initial.dets[t]
     rule = triangle_quadrature(2 * k + 4)
     V = scalar_basis(k).eval(rule.points)
@@ -340,7 +340,7 @@ def test_element_load_oracle(initial):
     assert np.allclose(F[:n1], want, atol=1e-14)
     assert np.abs(F[n1:]).max() == 0.0
 
-    Fz = element_load(initial, t, k, None, None, coeffs)
+    Fz = asm.loads(None, None, np.array([t]))[0]
     assert np.abs(Fz).max() == 0.0
 
 
@@ -348,13 +348,14 @@ def test_element_load_piecewise_vector_field(initial):
     prob = example(1)
     # element fully right of x = 1/2: constant load (1, -1) against C tau
     centroids = initial.vertices[initial.triangles].mean(axis=1)
-    t = int(np.flatnonzero(centroids[:, 0] > 0.75)[0])
-    k = 2
-    F = element_load(initial, t, k, None, prob.fvec, prob.coeffs)
-    want = element_load(initial, t, k, None,
-                        lambda x: np.column_stack([np.ones(len(x)), -np.ones(len(x))]),
-                        prob.coeffs)
-    assert np.allclose(F, want, atol=1e-14)
+    t = np.flatnonzero(centroids[:, 0] > 0.75)[:1]
+
+    def const(x):
+        return np.column_stack([np.ones(len(x)), -np.ones(len(x))])
+
+    asm = ElementAssembler(initial, prob.coeffs, 0)
+    F = asm.loads(None, prob.fvec, t)
+    assert np.allclose(F, asm.loads(None, const, t), atol=1e-14)
 
 
 def test_quadrature_insufficiency_raises(initial):
@@ -366,13 +367,3 @@ def test_quadrature_insufficiency_raises(initial):
     with pytest.raises(ValueError):
         ElementAssembler(initial, prob.coeffs, 1, k1=0)
 
-
-def test_single_element_wrappers_consistent(initial):
-    prob = example(2)
-    asm = ElementAssembler(initial, prob.coeffs, 1)
-    B = asm.b_matrices(np.array([4]))[0]
-    G = asm.gram(TestNorm.STANDARD, np.array([4]))[0]
-    assert np.allclose(B, element_b_matrix(initial, 4, 1, prob.coeffs))
-    assert np.allclose(G, element_gram(initial, 4, 3, TestNorm.STANDARD, prob.coeffs))
-    lay = trial_layout(1)
-    assert B.shape == (asm.n_test, lay.total)

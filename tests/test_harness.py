@@ -5,7 +5,7 @@ from dpglab.cli import main
 from dpglab.forms import TestNorm
 from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
                             check_problem_alignment, emit_table, l2_error,
-                            parse_table_csv, rate, run_convergence_study)
+                            rate, run_convergence_study)
 from dpglab.mesh import build_initial_mesh
 from dpglab.problems import example
 from dpglab.spaces import CoefficientVector, l2_project
@@ -64,14 +64,6 @@ def test_emit_empty_and_single_row():
     lines = emit_table(table, "csv").strip().splitlines()
     assert len(lines) == 2
     assert lines[1] == "1,16,1.94e-01,---,7.41e-02,---,8.37e-02,---,1.23e-01,---"
-
-
-def test_csv_roundtrip(cheap_table):
-    text = emit_table(cheap_table, "csv")
-    parsed = parse_table_csv(text)
-    assert emit_table(parsed, "csv") == text
-    with pytest.raises(ValueError):
-        parse_table_csv("garbage\n1,2,3\n")
 
 
 def test_markdown_emission(cheap_table):
@@ -135,10 +127,13 @@ def test_config_validation():
         StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=1)
     with pytest.raises(ValueError):
         StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=2, variant="x")
-    with pytest.raises(ValueError):
-        StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=2, fmt="pdf")
     cfg = StudyConfig(example=1, norm="qopt", p=0, levels=2)
     assert cfg.norm is TestNorm.QUASI_OPTIMAL
+
+
+def test_emit_rejects_unknown_format(cheap_table):
+    with pytest.raises(ValueError, match="unknown output format 'pdf'"):
+        emit_table(cheap_table, "pdf")
 
 
 def test_problem_alignment_guard(initial):

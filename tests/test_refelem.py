@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpglab.refelem import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS, REF_VERTICES,
-                            LagrangeBasis, edge_quadrature, lagrange_1d,
-                            legendre_orthonormal_1d, rt_basis, scalar_basis,
+                            RTBasis, edge_quadrature, lagrange_1d,
+                            legendre_orthonormal_1d, scalar_basis,
                             triangle_quadrature)
 
 
@@ -70,17 +70,6 @@ def test_scalar_basis_gradient_matches_finite_differences():
         assert np.max(np.abs(fd - g[:, :, c]) / scale) < 1e-6
 
 
-@pytest.mark.parametrize("q", [1, 2, 4])
-def test_lagrange_basis(q):
-    basis = LagrangeBasis(q)
-    assert basis.dim == (q + 1) * (q + 2) // 2
-    vals = basis.eval(basis.nodes)
-    assert np.abs(vals - np.eye(basis.dim)).max() < 1e-11
-    rng = np.random.default_rng(0)
-    pts = rng.random((30, 2)) * 0.45
-    assert np.abs(basis.eval(pts).sum(axis=1) - 1.0).max() < 1e-12
-
-
 def test_lagrange_1d_kronecker_and_partition():
     q = 3
     nodes = np.linspace(0, 1, q + 1)
@@ -99,7 +88,7 @@ def test_legendre_orthonormal_1d():
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_rt_basis_dof_identity(p):
-    basis = rt_basis(p)
+    basis = RTBasis(p)
     assert basis.dim == (p + 1) * (p + 3)
     ident = np.column_stack([
         basis.apply_dofs(lambda x, j=j: basis.eval(x)[:, j, :])
@@ -108,7 +97,7 @@ def test_rt_basis_dof_identity(p):
 
 
 def test_rt0_normal_traces_and_divergence():
-    basis = rt_basis(0)
+    basis = RTBasis(0)
     assert basis.dim == 3
     rule = edge_quadrature(4)
     for j in range(3):
@@ -126,7 +115,7 @@ def test_rt0_normal_traces_and_divergence():
 
 
 def test_rt1_dimension():
-    assert rt_basis(1).dim == 8
+    assert RTBasis(1).dim == 8
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -138,7 +127,7 @@ def test_piola_preserves_edge_normal_moments(p):
     from dpglab.mesh import build_initial_mesh
 
     mesh = build_initial_mesh()
-    basis = rt_basis(p)
+    basis = RTBasis(p)
     rng = np.random.default_rng(11)
     coef = rng.standard_normal(basis.dim)
     rule = edge_quadrature(2 * p + 6)

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpglab import dpg_solver
-from dpglab.dpg_solver import (SolverError, _condense_batch, _factor_equilibrated,
-                               _solve_spd, assemble_and_solve, assemble_global,
-                               error_function)
+from dpglab.dpg_solver import (Solution, SolverError, _condense_batch,
+                               _factor_equilibrated, _solve_spd, assemble_and_solve,
+                               assemble_global, error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
@@ -338,7 +338,11 @@ def test_error_function_uses_the_solve_quadrature(initial):
     # orthogonality fails (7.8e-8 relative with the default quadrature)
     mesh = refine_uniform(initial)
     prob = example(1)
-    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
-                             volume_exactness=6)
+    kind = TestNorm.QUASI_OPTIMAL
+    dm = build_dofmap(mesh, 1)
+    asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
+    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec), 1e-12)
+    sol = Solution(mesh=mesh, dofmap=dm, p=1, kind=kind, variant="standard",
+                   assembler=asm, x=x, residual=res)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm

@@ -188,8 +188,8 @@ def test_rt_interpolant_normal_trace_single_valued(initial):
 
     interp = rt_interpolate(initial, 1, tau)
     coeffs = interp.local_coeffs()
-    from dpglab.refelem import rt_basis, REF_VERTICES, edge_quadrature
-    basis = rt_basis(1)
+    from dpglab.refelem import RTBasis, REF_VERTICES, edge_quadrature
+    basis = RTBasis(1)
     erule = edge_quadrature(6)
     mesh = initial
     for e in np.flatnonzero(~mesh.boundary_edge):
