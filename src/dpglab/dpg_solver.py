@@ -61,7 +61,6 @@ class Solution:
     dofmap: DofMap = field(repr=False)
     p: int
     kind: TestNorm
-    variant: str
     assembler: ElementAssembler = field(repr=False)  # the solve's test space
     x: np.ndarray = field(repr=False)  # full trial coefficient vector
     residual: float = 0.0
@@ -155,28 +154,45 @@ def _condensed(asm: ElementAssembler, kind: TestNorm, f, fvec):
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
                     kind: TestNorm, f, fvec):
-    """Assemble the condensed SPD system (CSC matrix, rhs)."""
+    """Assemble the condensed SPD system (CSC matrix, rhs).
+
+    The entries of each element between its kept (non-boundary) DOFs are
+    written, batch after batch, into triplet arrays preallocated from
+    ``dofmap.gather``, with int32 indices.  The CSC conversion sums the
+    duplicates of A, and one ``bincount`` those of the rhs, in that order.
+    """
     n = dofmap.total
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
+    if n >= 2**31:
+        raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
+    kept = (dofmap.gather >= 0).sum(axis=1)
+    nnz = int((kept * kept).sum())
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    ridx = np.empty(kept.sum(), dtype=np.int64)
+    rvals = np.empty(len(ridx))
+    pos = rpos = 0
     for els, Y, y, inv in _condensed(asm, kind, f, fvec):
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
         g = dofmap.gather[els]
         keep = g >= 0
-        np.add.at(rhs, g[keep], r[keep])
+        k = np.count_nonzero(keep)
+        ridx[rpos:rpos + k] = g[keep]
+        rvals[rpos:rpos + k] = r[keep]
+        rpos += k
         m, nl = g.shape
         ri = np.broadcast_to(g[:, :, None], (m, nl, nl))
         ci = np.broadcast_to(g[:, None, :], (m, nl, nl))
-        ok = (ri >= 0) & (ci >= 0)
-        rows.append(ri[ok])
-        cols.append(ci[ok])
-        vals.append(S[ok])
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsc()
-    return A, rhs
+        ok = keep[:, :, None] & keep[:, None, :]
+        k = np.count_nonzero(ok)
+        rows[pos:pos + k] = ri[ok]
+        cols[pos:pos + k] = ci[ok]
+        vals[pos:pos + k] = S[ok]
+        pos += k
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return A, np.bincount(ridx, rvals, minlength=n)
 
 
 def _factor_equilibrated(A):
@@ -264,8 +280,8 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2)
     A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec)
     x, res = _solve_spd(A, b, solver_tol)
-    return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, variant=variant,
-                    assembler=asm, x=x, residual=res)
+    return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, assembler=asm,
+                    x=x, residual=res)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
@@ -280,8 +296,11 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     dofmap = solution.dofmap
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
-    orth = np.zeros(dofmap.total)
-    rhs = np.zeros(dofmap.total)
+    # kept DOF, orthogonality and rhs entries of every element, in batch
+    # order; one bincount per vector sums them as np.add.at would
+    idx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
+    orth, rhs = np.empty(len(idx)), np.empty(len(idx))
+    pos = 0
     for els, Y, y, inv in _condensed(solution.assembler, solution.kind,
                                      problem.f, problem.fvec):
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
@@ -289,8 +308,13 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
         Yt = np.swapaxes(Y, 1, 2)[inv]
         g = dofmap.gather[els]
         keep = g >= 0
-        np.add.at(orth, g[keep], (Yt @ z[:, :, None])[:, :, 0][keep])
-        np.add.at(rhs, g[keep], (Yt @ y[:, :, None])[:, :, 0][keep])
+        k = np.count_nonzero(keep)
+        idx[pos:pos + k] = g[keep]
+        orth[pos:pos + k] = (Yt @ z[:, :, None])[:, :, 0][keep]
+        rhs[pos:pos + k] = (Yt @ y[:, :, None])[:, :, 0][keep]
+        pos += k
+    n = dofmap.total
     return EnergyError(element_norms=np.sqrt(norms2),
                        total=float(np.sqrt(norms2.sum())),
-                       orth_residual=orth, rhs_norm=float(np.linalg.norm(rhs)))
+                       orth_residual=np.bincount(idx, orth, minlength=n),
+                       rhs_norm=float(np.linalg.norm(np.bincount(idx, rhs, minlength=n))))

@@ -145,7 +145,6 @@ class ElementAssembler:
         self.mesh = mesh
         self.coeffs = coeffs
         self.p = p
-        self.variant = variant
         self.k1 = p + 2 if k1 is None else int(k1)
         self.k2 = p + 2 if k2 is None else int(k2)
         if self.k1 < 1 or self.k2 < 1:

@@ -100,7 +100,6 @@ class ErrorRow:
 class ErrorTable:
     p: int
     rows: list[ErrorRow] = field(default_factory=list)
-    config: StudyConfig | None = None
 
     def rates(self) -> list[tuple[Optional[float], ...]]:
         out = []
@@ -131,7 +130,7 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
     do_std = config.variant in ("standard", "both")
     do_aug = config.variant in ("augmented", "both")
     p = config.p
-    table = ErrorTable(p=p, config=config)
+    table = ErrorTable(p=p)
     solve_kw = dict(k1=config.k1, k2=config.k2, solver_tol=config.solver_tol)
 
     for level in range(1, config.levels + 1):

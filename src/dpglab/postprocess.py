@@ -10,6 +10,16 @@ for all v in P^{p+1}(T).  The mean constraint removes the constant kernel of
 the local stiffness; it is enforced by a one-row bordered (Lagrange
 multiplier) system, which stays trivially well conditioned at the element
 sizes involved (dim P^{p+1} <= 15 for p <= 3).
+
+The bordered matrix depends only on the element geometry, which is bitwise
+equal on every element of a class of the solve's assembler (see
+:class:`dpglab.forms.ElementAssembler`).  It is therefore formed and
+inverted once per class: the gradient table is one matmul of the reference
+gradients with the class's inverse transposed Jacobian, as in
+:meth:`dpglab.mesh.Mesh.map_points`.  The right-hand side pulls the drive
+back to the reference element, so all elements share one GEMM against the
+reference gradients, and each element's coefficients are its class's
+inverse applied to its right-hand side.
 """
 
 from __future__ import annotations
@@ -28,57 +38,60 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     """Local Neumann postprocessing; returns broken degree p+1 coefficients.
 
     The element mean of the result equals the element mean of ``solution.u``
-    up to the local solver roundoff.
+    up to the local solver roundoff.  Raises :class:`SolverError` naming the
+    lowest element whose drive or bordered factor is not finite.
     """
     p = solution.p
     rule = triangle_quadrature(2 * (p + 1) + 6)
     w = rule.weights
     nt = mesh.n_triangles
 
-    post = scalar_basis(p + 1)
-    Pv, Pg = post.tables(rule.points)
-    n = post.dim
-    inv_t = mesh.inv_ts
-    det = mesh.dets
-    sdet = np.sqrt(det)
-    Gp = np.einsum("ecd,qid->eqic", inv_t, Pg)  # physical gradients / sqrt(det)
+    _, Pg = scalar_basis(p + 1).tables(rule.points)  # (Q, n, 2)
+    nq, n = Pg.shape[:2]
+    sdet = np.sqrt(mesh.dets)
 
-    # field values of u_h and sigma_h at the quadrature points
+    # u_h, sigma_h and the drive at the quadrature points, one component
+    # plane (e, 2, Q) per vector field
     u = solution.u
     Uv = scalar_basis(u.degree).eval(rule.points)
     Sv = Uv if u.degree == p else scalar_basis(p).eval(rule.points)
     cu = u.by_element()
     uh = (cu @ Uv.T) / sdet[:, None]
-    cs = solution.sigma
-    sh = np.einsum("ecj,qj->eqc", cs, Sv) / sdet[:, None, None]
+    sh = (solution.sigma @ Sv.T) / sdet[:, None, None]
 
     X = mesh.map_points(rule.points)
     flat = X.reshape(-1, 2)
-    C = np.asarray(problem.coeffs.matrix(flat)).reshape(nt, -1, 2, 2)
-    beta = np.asarray(problem.coeffs.advection(flat)).reshape(nt, -1, 2)
+    C = np.asarray(problem.coeffs.matrix(flat)).reshape(nt, nq, 2, 2).transpose(0, 2, 3, 1)
+    beta = np.asarray(problem.coeffs.advection(flat)).reshape(nt, nq, 2).transpose(0, 2, 1)
+    g = -sh
     if problem.fvec is not None:
-        fv = np.asarray(problem.fvec(flat)).reshape(nt, -1, 2)
-    else:
-        fv = np.zeros((nt, len(w), 2))
-    drive = np.einsum("eqcd,eqd->eqc", C, fv - sh) + beta * uh[:, :, None]
+        g += np.asarray(problem.fvec(flat)).reshape(nt, nq, 2).transpose(0, 2, 1)
+    drive = C[:, :, 0] * g[:, None, 0] + C[:, :, 1] * g[:, None, 1] + beta * uh[:, None]
 
-    K = np.einsum("q,eqic,eqjc->eij", w, Gp, Gp)
-    rhs = sdet[:, None] * np.einsum("q,eqc,eqic->ei", w, drive, Gp)
+    # bordered matrix [[K, c], [c^t, 0]] per class, c_i = int_T phi_i
+    classes = solution.assembler.classes
+    firsts = np.unique(classes, return_index=True)[1]
+    Gp = Pg[None] @ np.swapaxes(mesh.inv_ts[firsts], 1, 2)[:, None]  # (c, Q, n, 2)
+    Gw = (np.sqrt(w)[:, None, None] * Gp).swapaxes(2, 3).reshape(len(firsts), -1, n)
+    M = np.zeros((len(firsts), n + 1, n + 1))
+    M[:, :n, :n] = np.swapaxes(Gw, 1, 2) @ Gw
+    M[:, n, 0] = M[:, 0, n] = sdet[firsts] / _SQRT2
+    ok = np.isfinite(M).all(axis=(1, 2))
+    M[~ok] = np.eye(n + 1)  # flagged already; LAPACK gets finite input only
+    Minv = np.linalg.inv(M)
+    ok &= np.isfinite(Minv).all(axis=(1, 2))
 
-    # bordered system: [[K, c], [c^t, 0]] with c_i = int_T phi_i
-    A = np.zeros((nt, n + 1, n + 1))
-    A[:, :n, :n] = K
-    A[:, n, 0] = A[:, 0, n] = sdet / _SQRT2
-    b = np.zeros((nt, n + 1))
-    b[:, :n] = rhs
+    # right-hand side: the drive pulled back by inv_t^t, one GEMM over all
+    # elements against the weighted reference gradients; then the mean of u_h
+    ref = np.swapaxes(mesh.inv_ts, 1, 2) @ drive  # (e, 2, Q)
+    b = np.empty((nt, n + 1))
+    b[:, :n] = ref.reshape(nt, -1) @ (w[:, None, None] * Pg).transpose(2, 0, 1).reshape(-1, n)
+    b[:, :n] *= sdet[:, None]
     b[:, n] = cu[:, 0] * sdet / _SQRT2  # element mean of u_h (orthonormal basis)
-    try:
-        sol = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        for e in range(nt):
-            try:
-                np.linalg.solve(A[e], b[e])
-            except np.linalg.LinAlgError:
-                raise SolverError(f"postprocessing system singular on element {e}") from None
-        raise SolverError(f"postprocessing solve failed: {exc}") from exc
-    return CoefficientVector(sol[:, :n].ravel(), mesh, p + 1)
+    bad = ~(ok[classes] & np.isfinite(b).all(axis=1))
+    if bad.any():
+        raise SolverError(f"postprocessing of element {np.flatnonzero(bad)[0]}: "
+                          "non-finite drive or bordered factor; check the problem "
+                          "data and the solution")
+    sol = np.einsum("eij,ej->ei", Minv[classes, :n], b)
+    return CoefficientVector(sol.ravel(), mesh, p + 1)

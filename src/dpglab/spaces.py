@@ -33,7 +33,6 @@ class TrialLayout:
     """Element-local trial column layout for degree p."""
 
     p: int
-    variant: str
     pu: int  # degree of u: p + 1 for the augmented variant, else p
     nu: int
     ns: int
@@ -69,7 +68,7 @@ def trial_layout(p: int, variant: str = "standard") -> TrialLayout:
     if variant not in ("standard", "augmented"):
         raise ValueError(f"unknown variant {variant!r}")
     pu = p + 1 if variant == "augmented" else p
-    return TrialLayout(p=p, variant=variant, pu=pu, nu=scalar_dim(pu),
+    return TrialLayout(p=p, pu=pu, nu=scalar_dim(pu),
                        ns=scalar_dim(p), n_uhat=3 * (1 + p), n_sighat=3 * (p + 1))
 
 
@@ -106,7 +105,6 @@ class DofMap:
             raise ValueError("degree must be >= 0")
         self.mesh = mesh
         self.p = p
-        self.variant = variant
         self.layout = trial_layout(p, variant)
         lay = self.layout
         nt, ne = mesh.n_triangles, mesh.n_edges

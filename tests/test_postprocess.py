@@ -1,12 +1,16 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from dpglab.dpg_solver import Solution, assemble_and_solve
+from dpglab.dpg_solver import Solution, SolverError, assemble_and_solve
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
-from dpglab.mesh import build_initial_mesh, refine_uniform
+from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
 from dpglab.problems import ProblemSpec, derive_data, example
+from dpglab.refelem import scalar_basis, triangle_quadrature
 from dpglab.spaces import build_dofmap, l2_project
 
 
@@ -15,14 +19,14 @@ def initial():
     return build_initial_mesh()
 
 
-def _manual_solution(mesh, p, u_coeffs, sigma_coeffs):
+def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, coeffs=None):
     dm = build_dofmap(mesh, p)
     x = np.zeros(dm.total)
     x[dm.field_slice("u")] = u_coeffs.ravel()
     x[dm.field_slice("sigma")] = sigma_coeffs.reshape(mesh.n_triangles, -1).ravel()
-    asm = ElementAssembler(mesh, Coefficients.constant(), p)
+    asm = ElementAssembler(mesh, coeffs or Coefficients.constant(), p)
     return Solution(mesh=mesh, dofmap=dm, p=p, kind=TestNorm.QUASI_OPTIMAL,
-                    variant="standard", assembler=asm, x=x)
+                    assembler=asm, x=x)
 
 
 def _plain_problem(u, grad_u, laplace_u):
@@ -96,3 +100,105 @@ def test_spot_value_example1_qopt_p0(initial):
     sol = assemble_and_solve(initial, prob, p=0, kind=TestNorm.QUASI_OPTIMAL)
     post = postprocess_u(initial, prob, sol)
     assert l2_error(initial, post, prob.u) == pytest.approx(1.23e-01, rel=0.05)
+
+
+def _dense_oracle(mesh, problem, sol):
+    """Postprocessed coefficients from one dense bordered solve per element,
+    with the physical fields evaluated element by element."""
+    p = sol.p
+    rule = triangle_quadrature(2 * (p + 1) + 6)
+    w = rule.weights
+    _, Pg = scalar_basis(p + 1).tables(rule.points)
+    n = Pg.shape[1]
+    Uv = scalar_basis(sol.u.degree).eval(rule.points)
+    Sv = scalar_basis(p).eval(rule.points)
+    out = np.empty((mesh.n_triangles, n))
+    for e, (X, cu, cs) in enumerate(zip(mesh.map_points(rule.points),
+                                        sol.u.by_element(), sol.sigma)):
+        sd = np.sqrt(mesh.dets[e])
+        grad = Pg @ mesh.inv_ts[e].T  # (Q, n, 2) physical gradients times sd
+        uh = Uv @ cu / sd
+        sh = Sv @ cs.T / sd
+        fv = problem.fvec(X) if problem.fvec is not None else np.zeros((len(X), 2))
+        drive = (np.einsum("qcd,qd->qc", problem.coeffs.matrix(X), fv - sh)
+                 + problem.coeffs.advection(X) * uh[:, None])
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = np.einsum("q,qic,qjc->ij", w, grad, grad)
+        M[n, 0] = M[0, n] = sd / np.sqrt(2.0)
+        b = np.append(sd * np.einsum("q,qc,qic->i", w, drive, grad), cu[0] * sd / np.sqrt(2.0))
+        out[e] = np.linalg.solve(M, b)[:n]
+    return out
+
+
+def _assert_matches_oracle(mesh, problem, sol):
+    got = postprocess_u(mesh, problem, sol).by_element()
+    want = _dense_oracle(mesh, problem, sol)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_variable_coefficients_against_dense_oracle(initial):
+    # x-dependent C(x) and beta(x): every element is a class of its own
+    def matrix(x):
+        C = np.empty((len(x), 2, 2))
+        C[:, 0, 0] = 2.0 + x[:, 0]
+        C[:, 0, 1] = C[:, 1, 0] = 0.3 * np.sin(np.pi * x[:, 1])
+        C[:, 1, 1] = 1.0 + x[:, 1] ** 2
+        return C
+
+    coeffs = Coefficients(matrix=matrix,
+                          advection=lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
+                          reaction=lambda x: np.full(len(x), 0.5))
+    prob = dataclasses.replace(example(2), coeffs=coeffs,
+                               fvec=lambda x: np.column_stack([x[:, 1], np.cos(x[:, 0])]))
+    mesh = refine_uniform(initial)
+    rng = np.random.default_rng(5)
+    p = 2
+    sol = _manual_solution(mesh, p, rng.standard_normal((mesh.n_triangles, 6)),
+                           rng.standard_normal((mesh.n_triangles, 2, 6)), coeffs)
+    assert sol.assembler.classes.max() + 1 == mesh.n_triangles
+    _assert_matches_oracle(mesh, prob, sol)
+
+
+def test_shared_classes_against_dense_oracle(initial):
+    # example 1 on level 3: 256 elements in 106 classes
+    mesh = refine_uniform(refine_uniform(initial))
+    prob = example(1)
+    sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL, variant="augmented")
+    assert sol.assembler.classes.max() + 1 == 106
+    _assert_matches_oracle(mesh, prob, sol)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_example2_against_dense_oracle(initial, p):
+    mesh = refine_uniform(initial)
+    prob = example(2)
+    sol = assemble_and_solve(mesh, prob, p, TestNorm.QUASI_OPTIMAL)
+    _assert_matches_oracle(mesh, prob, sol)
+
+
+def test_non_finite_drive_raises(initial):
+    # fvec is NaN on {x > 0.9}: the lowest element reaching there is named
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL)
+
+    def fvec(x):
+        return np.where((x[:, 0] > 0.9)[:, None], np.nan, prob.fvec(x))
+
+    lowest = np.flatnonzero(mesh.vertices[mesh.triangles][:, :, 0].max(axis=1) > 0.9)[0]
+    with pytest.raises(SolverError, match=rf"postprocessing of element {lowest}\b"):
+        postprocess_u(mesh, dataclasses.replace(prob, fvec=fvec), sol)
+
+
+def test_non_finite_bordered_factor_raises():
+    # element 1 is so small (det 1e-320) that its stiffness overflows
+    t = 1e-160
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-t, -t], [0.0, -t], [-t, 0.0]],
+                [[0, 1, 2], [3, 4, 5]])
+    rng = np.random.default_rng(7)
+    sol = _manual_solution(mesh, 1, rng.standard_normal((2, 3)), np.zeros((2, 2, 3)))
+    prob = _plain_problem(lambda x: np.zeros(len(x)), lambda x: np.zeros((len(x), 2)),
+                          lambda x: np.zeros(len(x)))
+    with pytest.raises(SolverError, match=re.escape("postprocessing of element 1:")), \
+            np.errstate(over="ignore", invalid="ignore"):
+        postprocess_u(mesh, prob, sol)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpglab import dpg_solver
-from dpglab.dpg_solver import (Solution, SolverError, _condense_batch,
+from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
                                _factor_equilibrated, _solve_spd, assemble_and_solve,
                                assemble_global, error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
@@ -342,7 +343,77 @@ def test_error_function_uses_the_solve_quadrature(initial):
     dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
     x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec), 1e-12)
-    sol = Solution(mesh=mesh, dofmap=dm, p=1, kind=kind, variant="standard",
-                   assembler=asm, x=x, residual=res)
+    sol = Solution(mesh=mesh, dofmap=dm, p=1, kind=kind, assembler=asm,
+                   x=x, residual=res)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
+
+
+def _reference_scatter(dofmap, asm, kind, f, fvec):
+    """The condensed system scattered from growing lists of triplets into a
+    COO matrix, and the rhs by np.add.at, batch by batch."""
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dofmap.total)
+    for els, Y, y, inv in _condensed(asm, kind, f, fvec):
+        Yt = np.swapaxes(Y, 1, 2)
+        S = (Yt @ Y)[inv]
+        r = (Yt[inv] @ y[:, :, None])[:, :, 0]
+        g = dofmap.gather[els]
+        keep = g >= 0
+        np.add.at(rhs, g[keep], r[keep])
+        ok = keep[:, :, None] & keep[:, None, :]
+        rows.append(np.broadcast_to(g[:, :, None], ok.shape)[ok])
+        cols.append(np.broadcast_to(g[:, None, :], ok.shape)[ok])
+        vals.append(S[ok])
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dofmap.total, dofmap.total)).tocsc()
+    return A, rhs
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_assembly_memory_and_bitwise_triplets(initial):
+    # ex1/simple p2 on level 5: the peak of the assembly stays within 3x the
+    # returned CSC matrix (the COO scatter from lists of int64 arrays took
+    # 5x), and A and the rhs equal the reference scatter bit for bit
+    mesh = initial
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    prob = example(1)
+    dm = build_dofmap(mesh, 2)
+    asm = ElementAssembler(mesh, prob.coeffs, 2)
+    tracemalloc.start()
+    try:
+        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.format == "csc" and A.indices.dtype == np.int32
+    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+    for name in ("data", "indices", "indptr"):
+        assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
+    assert _bitwise_equal(b, b_ref)
+
+
+def test_error_function_scatter_bitwise(initial, monkeypatch):
+    # the orthogonality and rhs vectors equal np.add.at scatters bit for bit,
+    # also across several batches
+    mesh = refine_uniform(initial)
+    prob = example(2)
+    monkeypatch.setattr(dpg_solver, "_CHUNK", 7)
+    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
+    ee = error_function(mesh, prob, sol)
+    orth, rhs = np.zeros(sol.dofmap.total), np.zeros(sol.dofmap.total)
+    u_loc = sol.local_trial()
+    for els, Y, y, inv in _condensed(sol.assembler, sol.kind, prob.f, prob.fvec):
+        z = y - (Y[inv] @ u_loc[els][:, :, None])[:, :, 0]
+        Yt = np.swapaxes(Y, 1, 2)[inv]
+        g = sol.dofmap.gather[els]
+        keep = g >= 0
+        np.add.at(orth, g[keep], (Yt @ z[:, :, None])[:, :, 0][keep])
+        np.add.at(rhs, g[keep], (Yt @ y[:, :, None])[:, :, 0][keep])
+    assert _bitwise_equal(ee.orth_residual, orth)
+    assert ee.rhs_norm == float(np.linalg.norm(rhs))
