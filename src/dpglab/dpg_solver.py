@@ -23,13 +23,21 @@ of A + A^t, diagonal pivots), and iterative refinement until the normwise
 backward error is below the solver tolerance.  A solve that fails to factor
 or to certify raises :class:`SolverError`; there is no fallback.
 
+The test space of a mesh, the element classes and the loads F_T, depends
+on neither the trial variant nor the test norm.  A solve evaluates F once,
+in batches, and keeps it on its :class:`Solution` with its assembler; a
+solve of the other variant on the same mesh and data can take that test
+space (``assemble_and_solve(..., test_space=solution)``) and evaluates only
+its own B_c per class.
+
 The discrete Riesz representative of the residual ("error function") is
 eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
-condenses with the assembler of the solve, so it sees the same test space
-and quadrature, and with z_T = y_T - Y_c u_T its test norm is |z_T| (the
-energy error estimator of Carstensen, Demkowicz and Gopalakrishnan, SIAM J.
-Numer. Anal. 52, 2014), and B_T^t eps_T = Y_c^t z_T summed over elements
-reproduces the algebraic residual (Galerkin orthogonality).
+condenses with the assembler and the loads of the solve, so it sees the
+same test space, quadrature and load, and with z_T = y_T - Y_c u_T its test
+norm is |z_T| (the energy error estimator of Carstensen, Demkowicz and
+Gopalakrishnan, SIAM J. Numer. Anal. 52, 2014), and B_T^t eps_T = Y_c^t z_T
+summed over elements reproduces the algebraic residual (Galerkin
+orthogonality).
 """
 
 from __future__ import annotations
@@ -40,13 +48,19 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import ElementAssembler, TestNorm
+from .forms import ElementAssembler, TestNorm, _test_degrees
 from .mesh import Mesh
+from .problems import ProblemSpec
 from .spaces import CoefficientVector, DofMap, build_dofmap
 
-# elements condensed per batch; bounds the per-element B, G, F and loads of
-# a batch, and the test rows and class factors of the classes in it
+# elements condensed per batch; bounds the per-element B, G and whitened
+# loads of a batch, the test rows and class factors of the classes in it,
+# and the point values of one batch of the loads F
 _CHUNK = 512
+
+# entries per slice of the loops over the nonzeros of the global matrix in
+# _solve_spd, so that the scaled data is its only nnz-length temporary
+_NNZ_SLICE = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -55,13 +69,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Discrete solution of one DPG solve."""
+    """Discrete solution of one DPG solve, with the test space it lives in:
+    the assembler (element classes, quadrature) and the loads F."""
 
     mesh: Mesh = field(repr=False)
+    problem: ProblemSpec = field(repr=False)
     dofmap: DofMap = field(repr=False)
     p: int
     kind: TestNorm
-    assembler: ElementAssembler = field(repr=False)  # the solve's test space
+    assembler: ElementAssembler = field(repr=False)
+    loads: np.ndarray = field(repr=False)  # (nt, n_test) F of every element
     x: np.ndarray = field(repr=False)  # full trial coefficient vector
     residual: float = 0.0
 
@@ -141,20 +158,32 @@ def _condense_batch(B, G, F, els, classes):
     return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
 
 
-def _condensed(asm: ElementAssembler, kind: TestNorm, f, fvec):
+def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
+    """The loads F of every element, (nt, n_test), filled batch by batch so
+    that the point values of f, fvec and C stay batch-sized."""
+    nt = asm.mesh.n_triangles
+    F = np.empty((nt, asm.n_test))
+    for lo in range(0, nt, _CHUNK):
+        F[lo:lo + _CHUNK] = asm.loads(f, fvec, np.arange(lo, min(lo + _CHUNK, nt)))
+    return F
+
+
+def _condensed(asm: ElementAssembler, kind: TestNorm, F: np.ndarray):
     """Condense all elements in batches taken in class order (stable), so
     that each batch holds few classes; yields ``(els, Y, y, inv)`` with the
-    results of :func:`_condense_batch` for the elements ``els``."""
+    results of :func:`_condense_batch` for the elements ``els``.  ``F`` holds
+    the loads of every element."""
     order = np.argsort(asm.classes, kind="stable")
     for lo in range(0, len(order), _CHUNK):
         els = order[lo:lo + _CHUNK]
         yield els, *_condense_batch(asm.b_matrices(els), asm.gram(kind, els),
-                                    asm.loads(f, fvec, els), els, asm.classes[els])
+                                    F[els], els, asm.classes[els])
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, f, fvec):
-    """Assemble the condensed SPD system (CSC matrix, rhs).
+                    kind: TestNorm, F: np.ndarray):
+    """Assemble the condensed SPD system (CSC matrix, rhs) from the loads
+    ``F`` of every element.
 
     The entries of each element between its kept (non-boundary) DOFs are
     written, batch after batch, into triplet arrays preallocated from
@@ -172,7 +201,7 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     ridx = np.empty(kept.sum(), dtype=np.int64)
     rvals = np.empty(len(ridx))
     pos = rpos = 0
-    for els, Y, y, inv in _condensed(asm, kind, f, fvec):
+    for els, Y, y, inv in _condensed(asm, kind, F):
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
@@ -218,8 +247,19 @@ def _factor_equilibrated(A):
     # pattern: a product D A D drops entries that cancel to exactly zero, and
     # on ex1/simple p2 level 5 the thinned pattern factors 2x slower
     s = 1.0 / np.sqrt(d)
-    scaled = A.tocsc(copy=True)
-    scaled.data *= s[scaled.indices] * np.repeat(s, np.diff(scaled.indptr))
+    A = A.tocsc()
+    if not A.has_canonical_format:
+        # splu sorts and sums in place, and the scaled matrix shares A's
+        # index arrays; the caller's A must stay as it is
+        A = A.copy()
+        A.sum_duplicates()
+    # s_i s_j is formed per entry before it multiplies a_ij; the gather of
+    # s_i goes slice by slice, so the scaled data is the only nnz-length array
+    data = np.repeat(s, np.diff(A.indptr))
+    for lo in range(0, A.nnz, _NNZ_SLICE):
+        data[lo:lo + _NNZ_SLICE] *= s[A.indices[lo:lo + _NNZ_SLICE]]
+    data *= A.data
+    scaled = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
     try:
         lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -248,7 +288,13 @@ def _solve_spd(A, b, tol: float):
         raise SolverError(f"condensed system has non-finite entries ({A.shape[0]} "
                           "DOFs); check the problem data")
     bnorm = np.linalg.norm(b)
-    anorm = np.abs(A).sum(axis=1).max()  # inf-norm; A is symmetric
+    # inf-norm: the row sums of |A|, added in storage order as |A| @ 1 adds
+    # them, slice by slice instead of through a copy of A
+    rowsums = np.zeros(A.shape[0])
+    for lo in range(0, A.nnz, _NNZ_SLICE):
+        np.add.at(rowsums, A.indices[lo:lo + _NNZ_SLICE],
+                  np.abs(A.data[lo:lo + _NNZ_SLICE]))
+    anorm = rowsums.max()
 
     def backward_error(x):
         denom = anorm * np.linalg.norm(x) + bnorm
@@ -270,29 +316,58 @@ def _solve_spd(A, b, tol: float):
     return x, res
 
 
+def _check_data(solution: Solution, mesh: Mesh, problem, caller: str) -> None:
+    """Raise ValueError unless ``mesh`` and the coefficients and loads of
+    ``problem`` are the objects ``solution`` was computed with: its element
+    classes and its loads F hold for those only."""
+    if mesh is not solution.mesh:
+        raise ValueError(f"{caller} needs the mesh the solution was computed on")
+    for name in ("coeffs", "f", "fvec"):
+        if getattr(problem, name) is not getattr(solution.problem, name):
+            raise ValueError(f"{caller} needs the problem {name} the solution "
+                             "was computed with")
+
+
 def assemble_and_solve(mesh: Mesh, problem, p: int,
                        kind: TestNorm = TestNorm.QUASI_OPTIMAL,
                        variant: str = "standard", k1: int | None = None,
-                       k2: int | None = None,
-                       solver_tol: float = 1e-12) -> Solution:
-    """Solve the practical DPG system for ``problem`` on ``mesh``."""
+                       k2: int | None = None, solver_tol: float = 1e-12,
+                       test_space: Solution | None = None) -> Solution:
+    """Solve the practical DPG system for ``problem`` on ``mesh``.
+
+    ``test_space`` is a solve on the same mesh with the same coefficients,
+    load, trial degree and test degrees, of any variant and test norm; this
+    solve then reuses its element classes and loads F instead of computing
+    them again, with identical results.  Other data raise ValueError.
+    """
     dofmap = build_dofmap(mesh, p, variant)
-    asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2)
-    A, b = assemble_global(mesh, dofmap, asm, kind, problem.f, problem.fvec)
+    if test_space is None:
+        asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2)
+        F = _loads(asm, problem.f, problem.fvec)
+    else:
+        _check_data(test_space, mesh, problem, "test_space")
+        asm = test_space.assembler
+        have, want = (asm.p, asm.k1, asm.k2), (p, *_test_degrees(p, k1, k2))
+        if have != want:
+            raise ValueError(f"test_space has degrees (p, k1, k2) = {have}; "
+                             f"this solve asks for {want}")
+        asm = asm._for_variant(variant)
+        F = test_space.loads
+    A, b = assemble_global(mesh, dofmap, asm, kind, F)
     x, res = _solve_spd(A, b, solver_tol)
-    return Solution(mesh=mesh, dofmap=dofmap, p=p, kind=kind, assembler=asm,
-                    x=x, residual=res)
+    return Solution(mesh=mesh, problem=problem, dofmap=dofmap, p=p, kind=kind,
+                    assembler=asm, loads=F, x=x, residual=res)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     """Test norms of the Riesz representative of the residual, per element.
 
-    Condenses with the assembler of ``solution``, so the test space, the
-    quadrature and the coefficients are those of the solve; the load is
-    that of ``problem``.
+    Condenses with the assembler and the loads F of ``solution``, so the
+    test space, the quadrature, the coefficients and the load are those of
+    the solve.  ``mesh`` and ``problem`` must be the ones the solve was
+    given; other objects raise ValueError.
     """
-    if mesh is not solution.mesh:
-        raise ValueError("error_function needs the mesh the solution was computed on")
+    _check_data(solution, mesh, problem, "error_function")
     dofmap = solution.dofmap
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
@@ -302,7 +377,7 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     orth, rhs = np.empty(len(idx)), np.empty(len(idx))
     pos = 0
     for els, Y, y, inv in _condensed(solution.assembler, solution.kind,
-                                     problem.f, problem.fvec):
+                                     solution.loads):
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
         Yt = np.swapaxes(Y, 1, 2)[inv]

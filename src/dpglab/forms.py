@@ -42,6 +42,7 @@ are ordered [v block | tau_x block | tau_y block]; trial columns follow
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -94,6 +95,17 @@ class Coefficients:
         )
 
 
+def _test_degrees(p: int, k1: int | None, k2: int | None) -> tuple[int, int]:
+    """Test degrees (k1, k2) of an assembler of trial degree ``p``; each
+    defaults to p + 2."""
+    return (p + 2 if k1 is None else int(k1), p + 2 if k2 is None else int(k2))
+
+
+def _volume_exactness(k1: int, k2: int) -> int:
+    """Default exactness of the volume quadrature for test degrees (k1, k2)."""
+    return 2 * max(k1, k2) + 4
+
+
 class _TestRows(NamedTuple):
     """Test basis at the volume quadrature points of a chunk of elements.
 
@@ -134,6 +146,12 @@ class ElementAssembler:
     whole mesh once; afterwards the assembler keeps one class id per element
     and one representative per class, and the memory of a call grows with
     the number of requested elements.
+
+    The classes, the quadrature and the test tables make up the test space
+    and do not depend on the trial variant; only :attr:`layout`, the u table
+    and the local trace columns do.  The assembler of the other variant on
+    the same test space is therefore a copy with its own layout
+    (:meth:`_for_variant`), and builds no second class key.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients, p: int,
@@ -145,20 +163,14 @@ class ElementAssembler:
         self.mesh = mesh
         self.coeffs = coeffs
         self.p = p
-        self.k1 = p + 2 if k1 is None else int(k1)
-        self.k2 = p + 2 if k2 is None else int(k2)
+        self.k1, self.k2 = _test_degrees(p, k1, k2)
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError("test degrees must be >= 1")
-        self.layout: TrialLayout = trial_layout(p, variant)
         kmax = max(self.k1, self.k2)
-        pu = self.layout.pu
 
-        vol_ex = 2 * kmax + 4 if volume_exactness is None else volume_exactness
+        vol_ex = (_volume_exactness(self.k1, self.k2) if volume_exactness is None
+                  else volume_exactness)
         edge_ex = 2 * kmax + 2 if edge_exactness is None else edge_exactness
-        if vol_ex < max(2 * kmax, pu + kmax):
-            raise ValueError(
-                f"volume quadrature exactness {vol_ex} insufficient for trial degree "
-                f"{pu} with test degrees ({self.k1},{self.k2})")
         if edge_ex < (p + 1) + kmax:
             raise ValueError(
                 f"edge quadrature exactness {edge_ex} insufficient for trace degree "
@@ -166,9 +178,7 @@ class ElementAssembler:
         self.rule = triangle_quadrature(vol_ex)
         self.erule = edge_quadrature(edge_ex)
 
-        # reference tables at volume quadrature points
-        self.U = scalar_basis(pu).eval(self.rule.points)
-        self.S = self.U if pu == p else scalar_basis(p).eval(self.rule.points)
+        # reference test tables at volume quadrature points
         self.V1, self.dV1 = scalar_basis(self.k1).tables(self.rule.points)
         if self.k2 == self.k1:
             self.V2, self.dV2 = self.V1, self.dV1
@@ -193,19 +203,42 @@ class ElementAssembler:
         self.lag_rev = lagrange_1d(q, 1.0 - s)
         self.leg_fwd = legendre_orthonormal_1d(p, s)
         self.leg_rev = legendre_orthonormal_1d(p, 1.0 - s)
+        self.S = scalar_basis(p).eval(self.rule.points)
+
+        self._set_layout(variant)
+        self.classes, self._firsts = self._element_classes()
+
+    def _set_layout(self, variant: str) -> None:
+        """Trial layout of ``variant`` and the tables that depend on it: the
+        u table U and the local uhat columns.  Nothing else the assembler
+        holds depends on the trial variant."""
+        lay = trial_layout(self.p, variant)
+        kmax = max(self.k1, self.k2)
+        if self.rule.exactness < max(2 * kmax, lay.pu + kmax):
+            raise ValueError(
+                f"volume quadrature exactness {self.rule.exactness} insufficient for "
+                f"trial degree {lay.pu} with test degrees ({self.k1},{self.k2})")
+        self.layout: TrialLayout = lay
+        self.U = self.S if lay.pu == self.p else scalar_basis(lay.pu).eval(self.rule.points)
 
         # local uhat column of 1D node z (t-order) on local edge j
-        nt = mesh.n_triangles
-        lay = self.layout
-        cols = np.empty((nt, 3, q + 1), dtype=np.int64)
+        p, q = self.p, self.p + 1
+        cols = np.empty((self.mesh.n_triangles, 3, q + 1), dtype=np.int64)
         for j, (a, b) in enumerate(LOCAL_EDGES):
-            flip = mesh.tri_edge_flip[:, j]
+            flip = self.mesh.tri_edge_flip[:, j]
             cols[:, j, 0] = lay.uh0 + np.where(flip, b, a)
             cols[:, j, q] = lay.uh0 + np.where(flip, a, b)
             if p > 0:
                 cols[:, j, 1:q] = lay.uh0 + 3 + j * p + np.arange(p)
         self._uhat_cols = cols
-        self.classes, self._firsts = self._element_classes()
+
+    def _for_variant(self, variant: str) -> "ElementAssembler":
+        """An assembler of the trial ``variant`` on the same test space.  It
+        shares the element classes, the quadrature and the test tables with
+        this one; only the trial layout and its tables are its own."""
+        other = copy.copy(self)
+        other._set_layout(variant)
+        return other
 
     def _element_classes(self):
         """Class id of every element and the first element of each class.

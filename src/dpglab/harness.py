@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .dpg_solver import assemble_and_solve, error_function
-from .forms import TestNorm
+from .forms import TestNorm, _test_degrees, _volume_exactness
 from .mesh import Mesh, build_initial_mesh, refine_uniform
-from .postprocess import postprocess_u
+from .postprocess import _postprocess_exactness, postprocess_u
 from .problems import ProblemSpec, example, seam_clearance
 from .refelem import scalar_basis, triangle_quadrature
 from .spaces import CoefficientVector, l2_project
@@ -136,8 +136,9 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
     for level in range(1, config.levels + 1):
         if progress:
             progress(f"level {level}: #T={mesh.n_triangles}")
-        check_problem_alignment(problem, mesh, p)
+        check_problem_alignment(problem, mesh, p, config.k1, config.k2)
         row = ErrorRow(level=level, n_triangles=mesh.n_triangles)
+        sol = None
         try:
             if do_std:
                 sol = assemble_and_solve(mesh, problem, p, config.norm,
@@ -151,8 +152,11 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
                 if config.track_energy:
                     row.energy = error_function(mesh, problem, sol).total
             if do_aug:
+                # the standard solve's classes and loads F are the test space
+                # of the augmented one as well
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,
-                                             variant="augmented", **solve_kw)
+                                             variant="augmented", test_space=sol,
+                                             **solve_kw)
                 row.err_aug = l2_error(mesh, sol_aug.u, problem.u)
         except Exception as exc:
             raise type(exc)(f"level {level} (#T={mesh.n_triangles}): {exc}") from exc
@@ -163,12 +167,20 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
 
 
 def check_problem_alignment(problem: ProblemSpec, mesh: Mesh, p: int,
+                            k1: int | None = None, k2: int | None = None,
                             min_clearance: float = 1e-12) -> None:
-    """Guard against quadrature nodes on coefficient jump lines."""
-    rule = triangle_quadrature(2 * (p + 3) + 4)
-    if seam_clearance(problem, mesh, rule) <= min_clearance:
-        raise ValueError(
-            f"quadrature nodes of {problem.name} fall on a coefficient jump line")
+    """Guard against quadrature nodes on coefficient jump lines.
+
+    Checks every rule a study level evaluates the coefficients at: the
+    volume quadrature of the assembler with test degrees (k1, k2) and that
+    of the postprocessing.
+    """
+    for exactness in sorted({_volume_exactness(*_test_degrees(p, k1, k2)),
+                             _postprocess_exactness(p)}):
+        if seam_clearance(problem, mesh, triangle_quadrature(exactness)) <= min_clearance:
+            raise ValueError(
+                f"quadrature nodes of {problem.name} (exactness {exactness}) "
+                "fall on a coefficient jump line")
 
 
 def emit_table(table: ErrorTable, fmt: str = "csv") -> str:

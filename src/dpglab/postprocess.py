@@ -34,6 +34,12 @@ from .spaces import CoefficientVector
 _SQRT2 = np.sqrt(2.0)
 
 
+def _postprocess_exactness(p: int) -> int:
+    """Exactness of the volume quadrature of the postprocessing of a
+    degree-p solve."""
+    return 2 * (p + 1) + 6
+
+
 def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     """Local Neumann postprocessing; returns broken degree p+1 coefficients.
 
@@ -42,7 +48,7 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     lowest element whose drive or bordered factor is not finite.
     """
     p = solution.p
-    rule = triangle_quadrature(2 * (p + 1) + 6)
+    rule = triangle_quadrature(_postprocess_exactness(p))
     w = rule.weights
     nt = mesh.n_triangles
 

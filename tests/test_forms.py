@@ -169,7 +169,7 @@ def test_indefinite_matrix_raises_naming_element(initial, kind):
     asm = ElementAssembler(initial, coeffs, 0)
     with pytest.raises(SolverError, match="Gram matrix of element 0 is not SPD"):
         assemble_global(initial, build_dofmap(initial, 0), asm, kind,
-                        lambda x: np.zeros(len(x)), None)
+                        asm.loads(lambda x: np.zeros(len(x)), None))
 
 
 def _anisotropic_solution(gamma):

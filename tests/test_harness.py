@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from dpglab import harness, postprocess
 from dpglab.cli import main
-from dpglab.forms import TestNorm
+from dpglab.dpg_solver import assemble_and_solve
+from dpglab.forms import ElementAssembler, TestNorm
 from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
                             check_problem_alignment, emit_table, l2_error,
                             rate, run_convergence_study)
 from dpglab.mesh import build_initial_mesh
+from dpglab.postprocess import postprocess_u
 from dpglab.problems import example
 from dpglab.spaces import CoefficientVector, l2_project
 
@@ -139,6 +142,80 @@ def test_emit_rejects_unknown_format(cheap_table):
 def test_problem_alignment_guard(initial):
     for ex in (1, 2):
         check_problem_alignment(example(ex), initial, p=2)
+
+
+def test_alignment_guard_checks_the_rules_the_level_evaluates(initial, monkeypatch):
+    # the guard checks the volume rules of the assembler and of the
+    # postprocessing, the only points where a level evaluates coefficients
+    checked, used = [], []
+    monkeypatch.setattr(harness, "seam_clearance",
+                        lambda problem, mesh, rule: checked.append(rule) or np.inf)
+    quadrature = postprocess.triangle_quadrature
+    monkeypatch.setattr(postprocess, "triangle_quadrature",
+                        lambda ex: used.append(ex) or quadrature(ex))
+    prob = example(1)
+    for p, k1, k2 in [(0, None, None), (1, None, None), (2, None, None),
+                      (3, None, None), (1, 5, 2)]:
+        checked.clear()
+        used.clear()
+        check_problem_alignment(prob, initial, p, k1, k2)
+        sol = assemble_and_solve(initial, prob, p, k1=k1, k2=k2)
+        postprocess_u(initial, prob, sol)
+        rule = sol.assembler.rule
+        assert sorted(r.exactness for r in checked) == sorted({rule.exactness, *used})
+        assert any(np.array_equal(r.points, rule.points) for r in checked)
+
+    # a study passes its test degrees to the guard, and a jump line on the
+    # assembly points raises
+    checked.clear()
+    cfg = StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=2,
+                      variant="standard", k1=4)
+    run_convergence_study(cfg)
+    assembly = ElementAssembler(initial, prob.coeffs, 0, k1=4).rule.exactness
+    assert sorted(r.exactness for r in checked) == sorted(
+        [assembly, postprocess._postprocess_exactness(0)] * 2)
+    monkeypatch.setattr(harness, "seam_clearance",
+                        lambda problem, mesh, rule: 0.0 if rule.exactness == assembly else 1.0)
+    with pytest.raises(ValueError, match=f"exactness {assembly}\\) fall on a coefficient"):
+        run_convergence_study(cfg)
+
+
+def test_study_level_builds_one_test_space(monkeypatch):
+    # with both variants and the energy error, a level builds the class key
+    # once and evaluates F once per element, and solves exactly twice
+    # through harness.assemble_and_solve, where the benchmark checks every
+    # solve's backward error
+    levels, keys, loads, residuals = [], {}, {}, {}
+    element_classes = ElementAssembler._element_classes
+    element_loads = ElementAssembler.loads
+    solve = harness.assemble_and_solve
+
+    def counting_classes(self):
+        keys[levels[-1]] = keys.get(levels[-1], 0) + 1
+        return element_classes(self)
+
+    def counting_loads(self, f, fvec, elements=None):
+        count = loads.setdefault(levels[-1], np.zeros(self.mesh.n_triangles, dtype=int))
+        np.add.at(count, np.arange(len(count)) if elements is None else elements, 1)
+        return element_loads(self, f, fvec, elements)
+
+    def recording_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        residuals.setdefault(levels[-1], []).append(sol.residual)
+        return sol
+
+    monkeypatch.setattr(ElementAssembler, "_element_classes", counting_classes)
+    monkeypatch.setattr(ElementAssembler, "loads", counting_loads)
+    monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
+    cfg = StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=0, levels=2,
+                      variant="both", track_energy=True)
+    table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
+    assert all(None not in (row.err_aug, row.err_post, row.energy) for row in table.rows)
+    assert keys == {1: 1, 2: 1}
+    assert [len(c) for c in loads.values()] == [16, 64]
+    assert all((c == 1).all() for c in loads.values())
+    assert [len(r) for r in residuals.values()] == [2, 2]
+    assert all(r <= cfg.solver_tol for rs in residuals.values() for r in rs)
 
 
 def test_cli_study_stdout(capsys):

@@ -19,14 +19,15 @@ def initial():
     return build_initial_mesh()
 
 
-def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, coeffs=None):
+def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, problem):
     dm = build_dofmap(mesh, p)
     x = np.zeros(dm.total)
     x[dm.field_slice("u")] = u_coeffs.ravel()
     x[dm.field_slice("sigma")] = sigma_coeffs.reshape(mesh.n_triangles, -1).ravel()
-    asm = ElementAssembler(mesh, coeffs or Coefficients.constant(), p)
-    return Solution(mesh=mesh, dofmap=dm, p=p, kind=TestNorm.QUASI_OPTIMAL,
-                    assembler=asm, x=x)
+    asm = ElementAssembler(mesh, problem.coeffs, p)
+    return Solution(mesh=mesh, problem=problem, dofmap=dm, p=p,
+                    kind=TestNorm.QUASI_OPTIMAL, assembler=asm,
+                    loads=asm.loads(problem.f, problem.fvec), x=x)
 
 
 def _plain_problem(u, grad_u, laplace_u):
@@ -45,7 +46,7 @@ def test_zero_drive_gives_elementwise_means(initial):
                           lambda x: np.zeros(len(x)))
     u_coeffs = rng.standard_normal((initial.n_triangles, 3))
     sigma_coeffs = np.zeros((initial.n_triangles, 2, 3))
-    sol = _manual_solution(initial, p, u_coeffs, sigma_coeffs)
+    sol = _manual_solution(initial, p, u_coeffs, sigma_coeffs, prob)
     post = postprocess_u(initial, prob, sol)
     by_el = post.by_element()
     # constant with the same element mean: first orthonormal coefficient kept
@@ -72,7 +73,7 @@ def test_exact_reproduction_for_polynomial_solution(initial):
     u_proj = l2_project(initial, p, u)
     sx, sy = l2_project(initial, p, prob.sigma)
     sigma_coeffs = np.stack([sx.by_element(), sy.by_element()], axis=1)
-    sol = _manual_solution(initial, p, u_proj.by_element(), sigma_coeffs)
+    sol = _manual_solution(initial, p, u_proj.by_element(), sigma_coeffs, prob)
     post = postprocess_u(initial, prob, sol)
     assert l2_error(initial, post, u) < 1e-10
 
@@ -154,7 +155,7 @@ def test_variable_coefficients_against_dense_oracle(initial):
     rng = np.random.default_rng(5)
     p = 2
     sol = _manual_solution(mesh, p, rng.standard_normal((mesh.n_triangles, 6)),
-                           rng.standard_normal((mesh.n_triangles, 2, 6)), coeffs)
+                           rng.standard_normal((mesh.n_triangles, 2, 6)), prob)
     assert sol.assembler.classes.max() + 1 == mesh.n_triangles
     _assert_matches_oracle(mesh, prob, sol)
 
@@ -196,9 +197,9 @@ def test_non_finite_bordered_factor_raises():
     mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-t, -t], [0.0, -t], [-t, 0.0]],
                 [[0, 1, 2], [3, 4, 5]])
     rng = np.random.default_rng(7)
-    sol = _manual_solution(mesh, 1, rng.standard_normal((2, 3)), np.zeros((2, 2, 3)))
     prob = _plain_problem(lambda x: np.zeros(len(x)), lambda x: np.zeros((len(x), 2)),
                           lambda x: np.zeros(len(x)))
+    sol = _manual_solution(mesh, 1, rng.standard_normal((2, 3)), np.zeros((2, 2, 3)), prob)
     with pytest.raises(SolverError, match=re.escape("postprocessing of element 1:")), \
             np.errstate(over="ignore", invalid="ignore"):
         postprocess_u(mesh, prob, sol)

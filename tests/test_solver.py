@@ -87,7 +87,7 @@ def test_global_matrix_symmetric_positive_definite(initial):
     dm = build_dofmap(initial, 0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
     A, b = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL,
-                           prob.f, prob.fvec)
+                           asm.loads(prob.f, prob.fvec))
     dense = A.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
     np.linalg.cholesky(dense)  # raises if not SPD
@@ -215,7 +215,7 @@ def test_factor_fill_stays_small(initial):
     prob = example(1)
     dm = build_dofmap(mesh, 2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
-    A, _ = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+    A, _ = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec))
     _, lu = _factor_equilibrated(A)
     assert lu.L.nnz + lu.U.nnz <= 2.5 * A.nnz
 
@@ -262,10 +262,11 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
     prob = example(1)
     dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
+    F = asm.loads(prob.f, prob.fvec)
     sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
 
     def run():
-        A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, prob.f, prob.fvec)
+        A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F)
         return A, b, error_function(mesh, prob, sol).element_norms
 
     A1, b1, e1 = run()
@@ -296,7 +297,7 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
         asm = ElementAssembler(mesh, coeffs, 0)
         with pytest.raises(SolverError, match="Gram matrix of element 16 is not SPD"):
             assemble_global(mesh, build_dofmap(mesh, 0), asm, kind,
-                            lambda x: np.zeros(len(x)), None)
+                            asm.loads(lambda x: np.zeros(len(x)), None))
 
 
 def test_variable_coefficients_against_dense_oracle(initial):
@@ -320,7 +321,7 @@ def test_variable_coefficients_against_dense_oracle(initial):
         asm = ElementAssembler(mesh, coeffs, 1)
         assert asm.classes.max() + 1 == n_classes
         for kind in TestNorm:
-            A, b = assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec)
+            A, b = assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec))
             B = asm.b_matrices()
             BF = np.concatenate([B, asm.loads(prob.f, prob.fvec)[:, :, None]], axis=2)
             SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(kind), BF)
@@ -342,19 +343,20 @@ def test_error_function_uses_the_solve_quadrature(initial):
     kind = TestNorm.QUASI_OPTIMAL
     dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
-    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, prob.f, prob.fvec), 1e-12)
-    sol = Solution(mesh=mesh, dofmap=dm, p=1, kind=kind, assembler=asm,
-                   x=x, residual=res)
+    F = asm.loads(prob.f, prob.fvec)
+    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, F), 1e-12)
+    sol = Solution(mesh=mesh, problem=prob, dofmap=dm, p=1, kind=kind, assembler=asm,
+                   loads=F, x=x, residual=res)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
 
 
-def _reference_scatter(dofmap, asm, kind, f, fvec):
+def _reference_scatter(dofmap, asm, kind, F):
     """The condensed system scattered from growing lists of triplets into a
     COO matrix, and the rhs by np.add.at, batch by batch."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.total)
-    for els, Y, y, inv in _condensed(asm, kind, f, fvec):
+    for els, Y, y, inv in _condensed(asm, kind, F):
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
@@ -384,15 +386,16 @@ def test_assembly_memory_and_bitwise_triplets(initial):
     prob = example(1)
     dm = build_dofmap(mesh, 2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
+    F = asm.loads(prob.f, prob.fvec)
     tracemalloc.start()
     try:
-        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert A.format == "csc" and A.indices.dtype == np.int32
     assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
-    A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, prob.f, prob.fvec)
+    A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, F)
     for name in ("data", "indices", "indptr"):
         assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
     assert _bitwise_equal(b, b_ref)
@@ -408,7 +411,7 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
     ee = error_function(mesh, prob, sol)
     orth, rhs = np.zeros(sol.dofmap.total), np.zeros(sol.dofmap.total)
     u_loc = sol.local_trial()
-    for els, Y, y, inv in _condensed(sol.assembler, sol.kind, prob.f, prob.fvec):
+    for els, Y, y, inv in _condensed(sol.assembler, sol.kind, sol.loads):
         z = y - (Y[inv] @ u_loc[els][:, :, None])[:, :, 0]
         Yt = np.swapaxes(Y, 1, 2)[inv]
         g = sol.dofmap.gather[els]
@@ -417,3 +420,99 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
         np.add.at(rhs, g[keep], (Yt @ y[:, :, None])[:, :, 0][keep])
     assert _bitwise_equal(ee.orth_residual, orth)
     assert ee.rhs_norm == float(np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("kind", list(TestNorm))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
+    # the augmented solve on the classes and loads F of the standard solve
+    # is the standalone augmented solve, bit for bit
+    mesh = refine_uniform(initial)
+    prob = example(ex)
+    sol = assemble_and_solve(mesh, prob, p, kind)
+    shared = assemble_and_solve(mesh, prob, p, kind, variant="augmented", test_space=sol)
+    alone = assemble_and_solve(mesh, prob, p, kind, variant="augmented")
+    assert shared.assembler.classes is sol.assembler.classes
+    assert shared.loads is sol.loads
+    assert _bitwise_equal(shared.loads, alone.loads)
+    assert _bitwise_equal(shared.x, alone.x)
+    assert shared.residual == alone.residual
+
+
+def test_test_space_of_other_data_raises(initial):
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL)
+    same = dict(mesh=mesh, problem=prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
+                variant="augmented", test_space=sol)
+    for change, match in [
+            (dict(mesh=refine_uniform(initial)), "test_space needs the mesh"),
+            (dict(problem=dataclasses.replace(prob, coeffs=Coefficients.constant())),
+             "test_space needs the problem coeffs"),
+            (dict(problem=dataclasses.replace(prob, f=lambda x: prob.f(x))),
+             "test_space needs the problem f"),
+            (dict(problem=dataclasses.replace(prob, fvec=None)),
+             "test_space needs the problem fvec"),
+            (dict(p=2), r"\(1, 3, 3\); this solve asks for \(2, 4, 4\)"),
+            (dict(k1=4), r"asks for \(1, 4, 3\)"),
+            (dict(k2=2), r"asks for \(1, 3, 2\)")]:
+        with pytest.raises(ValueError, match=match):
+            assemble_and_solve(**{**same, **change})
+    # the default test degrees spelled out, and another test norm, share it
+    other = assemble_and_solve(**{**same, "kind": TestNorm.SIMPLE, "k1": 3, "k2": 3})
+    alone = assemble_and_solve(mesh, prob, 1, TestNorm.SIMPLE, variant="augmented")
+    assert _bitwise_equal(other.x, alone.x)
+
+
+def test_error_function_rejects_other_problem(initial):
+    prob = example(1)
+    sol = assemble_and_solve(initial, prob, 0, TestNorm.QUASI_OPTIMAL)
+    for other, name in [(example(1), "coeffs"), (example(2), "coeffs"),
+                        (dataclasses.replace(prob, f=lambda x: prob.f(x)), "f"),
+                        (dataclasses.replace(prob, fvec=None), "fvec")]:
+        with pytest.raises(ValueError, match=f"error_function needs the problem {name} "):
+            error_function(initial, other, sol)
+    with pytest.raises(ValueError, match="error_function needs the mesh"):
+        error_function(refine_uniform(initial), prob, sol)
+    # a copy with the same coefficients and load is the same problem
+    error_function(initial, dataclasses.replace(prob, name="copy"), sol)
+
+
+def test_solve_spd_memory(initial):
+    # ex1/simple p2 on level 4: the traced peak of the solve (SuperLU's own
+    # memory is not traced) stays below the CSC bytes of A, 0.75x measured:
+    # the norm and the equilibration copy neither A nor |A|, and the scaled
+    # data is their only nnz-length array
+    mesh = initial
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    prob = example(1)
+    dm = build_dofmap(mesh, 2)
+    asm = ElementAssembler(mesh, prob.coeffs, 2)
+    A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec))
+    csc = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        _, res = _solve_spd(A, b, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-12
+    assert peak <= 1.0 * csc
+
+
+def test_solve_spd_leaves_non_canonical_input_alone():
+    # unsorted row indices in a column: the factorization canonicalizes a
+    # copy, the caller's arrays stay as they were
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    A = sp.csc_matrix((np.array([1.0, 4.0, 3.0, 1.0, 1.0, 2.0, 1.0]),
+                       np.array([1, 0, 1, 0, 2, 2, 1], dtype=np.int32),
+                       np.array([0, 2, 5, 7], dtype=np.int32)), shape=(3, 3))
+    assert not A.has_sorted_indices
+    indices, data = A.indices.copy(), A.data.copy()
+    b = np.array([1.0, 2.0, 3.0])
+    x, res = _solve_spd(A, b, 1e-12)
+    assert res <= 1e-12
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14)
+    assert _bitwise_equal(A.indices, indices) and _bitwise_equal(A.data, data)
