@@ -17,11 +17,14 @@ DOFs (field DOFs couple to the traces of their own element; trace DOFs couple
 neighbours).  The homogeneous Dirichlet condition holds by construction:
 boundary trace DOFs of the scalar field never exist.
 
-The global system is solved one way only: Jacobi equilibration to unit
-diagonal, a SuperLU factorization in symmetric mode (minimum-degree ordering
-of A + A^t, diagonal pivots), and iterative refinement until the normwise
-backward error is below the solver tolerance.  A solve that fails to factor
-or to certify raises :class:`SolverError`; there is no fallback.
+The global system is solved one way only: symmetric equilibration by powers
+of two that bring the diagonal into [1/2, 2), applied to the assembled
+matrix in place and undone exactly after the factorization, a SuperLU
+factorization in symmetric mode (minimum-degree ordering of A + A^t,
+diagonal pivots), and iterative refinement until the normwise backward
+error of the assembled matrix is below the solver tolerance.  A solve that
+fails to factor or to certify raises :class:`SolverError`; there is no
+fallback.
 
 The test space of a mesh, the element classes and the loads F_T, depends
 on neither the trial variant nor the test norm.  A solve evaluates F once,
@@ -48,18 +51,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import ElementAssembler, TestNorm, _test_degrees
+from .forms import _CHUNK, ElementAssembler, TestNorm, _test_degrees
 from .mesh import Mesh
 from .problems import ProblemSpec
 from .spaces import CoefficientVector, DofMap, build_dofmap
 
-# elements condensed per batch; bounds the per-element B, G and whitened
-# loads of a batch, the test rows and class factors of the classes in it,
-# and the point values of one batch of the loads F
-_CHUNK = 512
-
 # entries per slice of the loops over the nonzeros of the global matrix in
-# _solve_spd, so that the scaled data is its only nnz-length temporary
+# _solve_spd and _factor_equilibrated, so that neither makes an nnz-length
+# temporary
 _NNZ_SLICE = 1 << 16
 
 
@@ -84,15 +83,16 @@ class Solution:
 
     @property
     def u(self) -> CoefficientVector:
-        return CoefficientVector(np.array(self.x[self.dofmap.field_slice("u")]),
-                                 self.mesh, self.dofmap.layout.pu)
+        lay = self.dofmap.layout
+        g = self.dofmap.gather[:, lay.u0:lay.u0 + lay.nu]
+        return CoefficientVector(self.x[g].ravel(), self.mesh, lay.pu)
 
     @property
     def sigma(self) -> np.ndarray:
         """(nt, 2, ns) component coefficients."""
-        ns = self.dofmap.layout.ns
-        return self.x[self.dofmap.field_slice("sigma")].reshape(
-            self.mesh.n_triangles, 2, ns)
+        lay = self.dofmap.layout
+        g = self.dofmap.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]
+        return self.x[g].reshape(self.mesh.n_triangles, 2, lay.ns)
 
     @property
     def uhat(self) -> np.ndarray:
@@ -224,48 +224,85 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     return A, np.bincount(ridx, rvals, minlength=n)
 
 
+def _column_blocks(A):
+    """Column ranges ``(c0, c1)`` of the CSC matrix ``A`` that hold about
+    ``_NNZ_SLICE`` entries each (a longer column is a block of its own)."""
+    n = A.shape[1]
+    cuts = np.unique(np.append(
+        np.searchsorted(A.indptr, np.arange(0, A.nnz, _NNZ_SLICE)), n))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _entry_scales(A, s, c0: int, c1: int):
+    """``s_i s_j`` for the stored entries a_ij of the columns ``c0:c1``."""
+    lo, hi = A.indptr[c0], A.indptr[c1]
+    return s[A.indices[lo:hi]] * np.repeat(s[c0:c1], np.diff(A.indptr[c0:c1 + 1]))
+
+
 def _factor_equilibrated(A):
-    """Jacobi-equilibrate the SPD matrix ``A`` and factor it.
+    """Factor the SPD matrix ``A`` equilibrated by powers of two, in place.
 
     Returns ``(s, lu)`` with ``lu`` the SuperLU factor of ``diag(s) A diag(s)``
-    and ``s = diag(A)^{-1/2}``, so ``x = s * lu.solve(s * b)`` solves
-    ``A x = b``.  The scaled matrix has unit diagonal and stays SPD, so it is
-    factored as such: a minimum-degree ordering of the pattern of A + A^t
-    (Liu's multiple-elimination MMD) applied symmetrically to rows and
-    columns, and diagonal pivots only.  Gaussian elimination without
-    pivoting is backward stable on SPD matrices, and the unit diagonal keeps
-    the pivots well scaled; the partial-pivoting COLAMD default of SuperLU
-    fills the factor several times more.
+    and ``s_i = 2^-(e_i // 2)`` for ``a_ii = m_i 2^e_i``, ``m_i`` in [1/2, 1)
+    (``round(log2 a_ii / 2)`` in integers, as LAPACK's xSYEQUB), so the
+    equilibrated diagonal lies in [1/2, 2) and ``x = s * lu.solve(s * b)``
+    solves ``A x = b``; both products are exact.  The scaled matrix stays
+    SPD, so it is factored as such: a minimum-degree ordering of the pattern
+    of A + A^t (Liu's multiple-elimination MMD) applied symmetrically to rows
+    and columns, and diagonal pivots only.  Gaussian elimination without
+    pivoting is backward stable on SPD matrices, and the balanced diagonal
+    keeps the pivots well scaled; the partial-pivoting COLAMD default of
+    SuperLU fills the factor several times more.
+
+    ``A.data`` itself is scaled, column block by column block, and is
+    divided back in a ``finally`` clause, also when the factorization
+    raises.  Multiplying by a power of two is exact, so the caller's A comes
+    back bit for bit, unless a scaled entry left the normal range: that
+    raises :class:`SolverError` before the entry is written.  A matrix that
+    is not in canonical CSC form is scaled and factored as a summed copy.
     """
     d = A.diagonal()
     if np.any(d <= 0):
         raise SolverError("condensed matrix has non-positive diagonal entries "
                           "(rank deficiency)")
-    # symmetric Jacobi equilibration: trace and field blocks carry different
-    # powers of h, and balancing them keeps the factorization accurate.  The
-    # entries are scaled one by one so the ordering sees the assembled
-    # pattern: a product D A D drops entries that cancel to exactly zero, and
-    # on ex1/simple p2 level 5 the thinned pattern factors 2x slower
-    s = 1.0 / np.sqrt(d)
+    # symmetric equilibration: trace and field blocks carry different powers
+    # of h, and balancing them keeps the factorization accurate.  The entries
+    # are scaled one by one so the ordering sees the assembled pattern: a
+    # product D A D drops entries that cancel to exactly zero, and on
+    # ex1/simple p2 level 5 the thinned pattern factors 2x slower
+    s = np.ldexp(1.0, -(np.frexp(d)[1] // 2))
     A = A.tocsc()
     if not A.has_canonical_format:
-        # splu sorts and sums in place, and the scaled matrix shares A's
-        # index arrays; the caller's A must stay as it is
+        # splu sums and sorts in place, and the caller's A must stay as it is
         A = A.copy()
         A.sum_duplicates()
-    # s_i s_j is formed per entry before it multiplies a_ij; the gather of
-    # s_i goes slice by slice, so the scaled data is the only nnz-length array
-    data = np.repeat(s, np.diff(A.indptr))
-    for lo in range(0, A.nnz, _NNZ_SLICE):
-        data[lo:lo + _NNZ_SLICE] *= s[A.indices[lo:lo + _NNZ_SLICE]]
-    data *= A.data
-    scaled = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+    blocks = _column_blocks(A)
+    scaled = 0
     try:
-        lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"SuperLU factorization of the {A.shape[0]}x{A.shape[1]} "
-                          f"condensed system failed: {exc}") from exc
+        for c0, c1 in blocks:
+            lo, hi = A.indptr[c0], A.indptr[c1]
+            a = A.data[lo:hi]
+            v = a * _entry_scales(A, s, c0, c1)
+            # a subnormal (or overflowing) product is rounded, and dividing
+            # it back would not give a_ij
+            bad = ~np.isfinite(v) | ((np.abs(v) < np.finfo(float).tiny) & (a != 0))
+            if bad.any():
+                k = lo + int(np.argmax(bad))
+                col = int(np.searchsorted(A.indptr, k, side="right")) - 1
+                raise SolverError(
+                    f"equilibration of the {A.shape[0]}-DOF condensed system "
+                    f"leaves the normal range at row {A.indices[k]}, column {col}")
+            a[:] = v
+            scaled += 1
+        try:
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError(f"SuperLU factorization of the {A.shape[0]}x{A.shape[1]} "
+                              f"condensed system failed: {exc}") from exc
+    finally:
+        for c0, c1 in blocks[:scaled]:
+            A.data[A.indptr[c0]:A.indptr[c1]] /= _entry_scales(A, s, c0, c1)
     return s, lu
 
 

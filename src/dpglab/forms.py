@@ -55,6 +55,12 @@ from .refelem import (LOCAL_EDGES, edge_quadrature, lagrange_1d,
                       triangle_quadrature)
 from .spaces import TrialLayout, trial_layout
 
+# elements per batch of the class key here and of the loads and the
+# condensation in dpglab.dpg_solver; bounds the point values, the per-element
+# B, G and whitened loads of a batch, and the test rows and class factors of
+# the classes in it
+_CHUNK = 512
+
 
 class TestNorm(Enum):
     __test__ = False  # not a pytest collection target
@@ -142,10 +148,10 @@ class ElementAssembler:
     the elements into classes (:attr:`classes`) on which every input of B
     and G is bitwise equal; :meth:`b_matrices` and :meth:`gram` evaluate
     their kernels once per class among the requested elements and return
-    one matrix per requested element.  Building the class key touches the
-    whole mesh once; afterwards the assembler keeps one class id per element
-    and one representative per class, and the memory of a call grows with
-    the number of requested elements.
+    one matrix per requested element.  The class key is built and hashed
+    batch by batch over the mesh; afterwards the assembler keeps one class
+    id per element and one representative per class, and the memory of a
+    call grows with the number of requested elements.
 
     The classes, the quadrature and the test tables make up the test space
     and do not depend on the trial variant; only :attr:`layout`, the u table
@@ -246,21 +252,26 @@ class ElementAssembler:
         The key row of an element holds every per-element value B and G
         read; rows are compared as bytes, so unequal bits (even -0.0 against
         0.0) only split classes.  Classes are numbered in the order of their
-        first element."""
+        first element.  The rows are built and hashed ``_CHUNK`` elements at
+        a time, so the point values of the coefficients stay batch-sized."""
         m = self.mesh
         nt = m.n_triangles
-        _, inv_t, X = self._geom(np.arange(nt))
-        flat = X.reshape(-1, 2)
-        key = np.concatenate([
-            inv_t.reshape(nt, -1), m.dets[:, None], m.tri_edge_lengths,
-            m.tri_edge_normals.reshape(nt, -1), m.tri_edge_signs, m.tri_edge_flip,
-            np.asarray(self.coeffs.matrix(flat)).reshape(nt, -1),
-            np.asarray(self.coeffs.advection(flat)).reshape(nt, -1),
-            np.asarray(self.coeffs.reaction(flat)).reshape(nt, -1),
-        ], axis=1)
         ids = {}
-        classes = np.fromiter((ids.setdefault(row.tobytes(), len(ids)) for row in key),
-                              dtype=np.int64, count=nt)
+        classes = np.empty(nt, dtype=np.int64)
+        for lo in range(0, nt, _CHUNK):
+            els = np.arange(lo, min(lo + _CHUNK, nt))
+            n = len(els)
+            _, inv_t, X = self._geom(els)
+            flat = X.reshape(-1, 2)
+            key = np.concatenate([
+                inv_t.reshape(n, -1), m.dets[els, None], m.tri_edge_lengths[els],
+                m.tri_edge_normals[els].reshape(n, -1), m.tri_edge_signs[els],
+                m.tri_edge_flip[els],
+                np.asarray(self.coeffs.matrix(flat)).reshape(n, -1),
+                np.asarray(self.coeffs.advection(flat)).reshape(n, -1),
+                np.asarray(self.coeffs.reaction(flat)).reshape(n, -1),
+            ], axis=1)
+            classes[els] = [ids.setdefault(row.tobytes(), len(ids)) for row in key]
         return classes, np.unique(classes, return_index=True)[1]
 
     def _representatives(self, els: np.ndarray):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dpglab import forms
 from dpglab.dpg_solver import SolverError, assemble_global
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.mesh import build_initial_mesh, refine_uniform
@@ -367,3 +368,38 @@ def test_quadrature_insufficiency_raises(initial):
     with pytest.raises(ValueError):
         ElementAssembler(initial, prob.coeffs, 1, k1=0)
 
+
+def _whole_mesh_classes(asm):
+    """Class ids from one key row per element built over the whole mesh at
+    once, numbered in the order of their first element."""
+    m = asm.mesh
+    nt = m.n_triangles
+    flat = m.map_points(asm.rule.points, np.arange(nt)).reshape(-1, 2)
+    key = np.concatenate([
+        m.inv_ts.reshape(nt, -1), m.dets[:, None], m.tri_edge_lengths,
+        m.tri_edge_normals.reshape(nt, -1), m.tri_edge_signs, m.tri_edge_flip,
+        np.asarray(asm.coeffs.matrix(flat)).reshape(nt, -1),
+        np.asarray(asm.coeffs.advection(flat)).reshape(nt, -1),
+        np.asarray(asm.coeffs.reaction(flat)).reshape(nt, -1),
+    ], axis=1)
+    ids = {}
+    return np.array([ids.setdefault(row.tobytes(), len(ids)) for row in key])
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_batched_class_key_equals_whole_mesh_key(initial, monkeypatch, chunk):
+    # the class key is built _CHUNK elements at a time; the class ids must
+    # be those of the key over the whole mesh, bitwise
+    monkeypatch.setattr(forms, "_CHUNK", chunk)
+    meshes = [initial]
+    for _ in range(4):
+        meshes.append(refine_uniform(meshes[-1]))
+    for ex in (1, 2):
+        coeffs = example(ex).coeffs
+        for mesh in meshes:
+            for p in range(3):
+                asm = ElementAssembler(mesh, coeffs, p)
+                want = _whole_mesh_classes(asm)
+                assert np.array_equal(asm.classes, want)
+                assert np.array_equal(asm._firsts,
+                                      np.unique(want, return_index=True)[1])

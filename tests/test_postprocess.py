@@ -21,9 +21,10 @@ def initial():
 
 def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, problem):
     dm = build_dofmap(mesh, p)
+    lay = dm.layout
     x = np.zeros(dm.total)
-    x[dm.field_slice("u")] = u_coeffs.ravel()
-    x[dm.field_slice("sigma")] = sigma_coeffs.reshape(mesh.n_triangles, -1).ravel()
+    x[dm.gather[:, lay.u0:lay.u0 + lay.nu]] = u_coeffs
+    x[dm.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]] = sigma_coeffs.reshape(mesh.n_triangles, -1)
     asm = ElementAssembler(mesh, problem.coeffs, p)
     return Solution(mesh=mesh, problem=problem, dofmap=dm, p=p,
                     kind=TestNorm.QUASI_OPTIMAL, assembler=asm,

@@ -188,14 +188,18 @@ def test_singular_matrix_raises_instead_of_fallback():
     # symmetric, positive diagonal, rank 2: the last pivot is exactly zero
     A = sp.csc_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0],
                                 [1.0, 0.0, 1.0]]))
+    data = A.data.copy()
     with pytest.raises(SolverError, match="3x3 condensed system failed: "
                        "Factor is exactly singular"):
         _solve_spd(A, np.ones(3), 1e-12)
+    # the factorization raised after the in-place scaling: A is restored
+    assert _bitwise_equal(A.data, data)
 
 
 def test_solve_spd_certifies_badly_scaled_matrix():
     # unit-diagonal SPD tridiagonal matrix, rescaled so that diag(A) spans
-    # 1e-8 ... 1e8; Jacobi equilibration must undo the scaling exactly
+    # 1e-8 ... 1e8; the power-of-two equilibration must bring the diagonal
+    # back to [1/2, 2) for the solve to certify
     n = 200
     M = sp.diags([np.full(n - 1, -0.45), np.ones(n), np.full(n - 1, -0.45)],
                  [-1, 0, 1])
@@ -208,16 +212,81 @@ def test_solve_spd_certifies_badly_scaled_matrix():
     assert np.linalg.norm(r @ (x - ref)) <= 1e-10 * np.linalg.norm(r @ ref)
 
 
+def _system(mesh, p, kind, ex=1):
+    prob = example(ex)
+    dm = build_dofmap(mesh, p)
+    asm = ElementAssembler(mesh, prob.coeffs, p)
+    return assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec))
+
+
 def test_factor_fill_stays_small(initial):
-    # minimum-degree ordering in symmetric mode gives L+U fill of 1.36 nnz(A)
-    # on ex1/simple p2 level 3; SuperLU's COLAMD default gives 5.75
-    mesh = refine_uniform(refine_uniform(initial))
-    prob = example(1)
-    dm = build_dofmap(mesh, 2)
-    asm = ElementAssembler(mesh, prob.coeffs, 2)
-    A, _ = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec))
+    # minimum-degree ordering in symmetric mode, with the field blocks in
+    # descending element order, gives L+U fill of 1.29 nnz(A) on ex1/simple
+    # p2 level 3 (1.36 with the field blocks in element order); SuperLU's
+    # COLAMD default gives 5.75
+    A, _ = _system(refine_uniform(refine_uniform(initial)), 2, TestNorm.SIMPLE)
     _, lu = _factor_equilibrated(A)
-    assert lu.L.nnz + lu.U.nnz <= 2.5 * A.nnz
+    assert lu.L.nnz + lu.U.nnz <= 1.32 * A.nnz
+
+
+def test_factor_fill_qopt_p0(initial):
+    # ex1/qopt p0 level 4: 106,374 entries in L+U (136,926 with the field
+    # blocks in element order)
+    mesh = initial
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    A, _ = _system(mesh, 0, TestNorm.QUASI_OPTIMAL)
+    _, lu = _factor_equilibrated(A)
+    assert lu.L.nnz + lu.U.nnz <= 110_000
+
+
+def test_solve_spd_restores_assembled_matrix(initial, monkeypatch):
+    # A is scaled in place, column block by column block, for the
+    # factorization; a certified solve hands back the assembled A bit for bit
+    monkeypatch.setattr(dpg_solver, "_NNZ_SLICE", 1000)
+    A, b = _system(refine_uniform(initial), 2, TestNorm.SIMPLE)
+    assert A.has_canonical_format
+    before = [getattr(A, name).copy() for name in ("data", "indices", "indptr")]
+    s, _ = _factor_equilibrated(A)
+    assert len(np.unique(s)) > 1  # the scaling is not the identity
+    d = s * s * A.diagonal()
+    assert d.min() >= 0.5 and d.max() < 2.0
+    _, res = _solve_spd(A, b, 1e-12)
+    assert res <= 1e-12
+    for name, arr in zip(("data", "indices", "indptr"), before):
+        assert _bitwise_equal(getattr(A, name), arr)
+
+
+@pytest.mark.parametrize("nnz_slice", [1, 1 << 16])
+def test_subnormal_equilibrated_entry_raises(monkeypatch, nnz_slice):
+    # diag 2^600, so s = 2^-300; the off-diagonal 2^-450 would scale to the
+    # subnormal 2^-1050 and could not be divided back exactly
+    monkeypatch.setattr(dpg_solver, "_NNZ_SLICE", nnz_slice)
+    big, small = np.ldexp(1.0, 600), np.ldexp(1.0, -450)
+    A = sp.csc_matrix(np.array([[1.0, 0.5, 0.0], [0.5, big, small],
+                                [0.0, small, big]]))
+    data = A.data.copy()
+    with pytest.raises(SolverError, match="equilibration of the 3-DOF condensed "
+                       "system leaves the normal range at row 2, column 1"):
+        _solve_spd(A, np.ones(3), 1e-12)
+    assert _bitwise_equal(A.data, data)
+
+
+@pytest.mark.parametrize("variant", ["standard", "augmented"])
+def test_solution_fields_read_through_gather(initial, variant):
+    # the field blocks are numbered in descending element order; u and sigma
+    # are read through the gather, so they come out in element order
+    sol = assemble_and_solve(refine_uniform(initial), example(1), p=1,
+                             variant=variant)
+    dm, lay = sol.dofmap, sol.dofmap.layout
+    nt = sol.mesh.n_triangles
+    u_cols = dm.gather[:, lay.u0:lay.u0 + lay.nu]
+    assert np.array_equal(u_cols[:, 0], (nt - 1 - np.arange(nt)) * lay.nu)
+    assert _bitwise_equal(sol.u.by_element(), sol.x[u_cols])
+    sig_cols = dm.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]
+    assert _bitwise_equal(sol.sigma.reshape(nt, -1), sol.x[sig_cols])
+    assert _bitwise_equal(sol.sigma.reshape(nt, -1),
+                          sol.local_trial()[:, lay.sx0:lay.sx0 + 2 * lay.ns])
 
 
 def test_solve_spd_rejects_non_finite_system():
@@ -481,9 +550,9 @@ def test_error_function_rejects_other_problem(initial):
 
 def test_solve_spd_memory(initial):
     # ex1/simple p2 on level 4: the traced peak of the solve (SuperLU's own
-    # memory is not traced) stays below the CSC bytes of A, 0.75x measured:
-    # the norm and the equilibration copy neither A nor |A|, and the scaled
-    # data is their only nnz-length array
+    # memory is not traced) stays below a quarter of the CSC bytes of A,
+    # 0.16x measured: the norm and the equilibration make no nnz-length
+    # array, A itself is scaled in place
     mesh = initial
     for _ in range(3):
         mesh = refine_uniform(mesh)
@@ -499,7 +568,7 @@ def test_solve_spd_memory(initial):
     finally:
         tracemalloc.stop()
     assert res <= 1e-12
-    assert peak <= 1.0 * csc
+    assert peak <= 0.25 * csc
 
 
 def test_solve_spd_leaves_non_canonical_input_alone():
