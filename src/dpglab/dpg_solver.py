@@ -26,12 +26,13 @@ error of the assembled matrix is below the solver tolerance.  A solve that
 fails to factor or to certify raises :class:`SolverError`; there is no
 fallback.
 
-The test space of a mesh, the element classes and the loads F_T, depends
-on neither the trial variant nor the test norm.  A solve evaluates F once,
-in batches, and keeps it on its :class:`Solution` with its assembler; a
-solve of the other variant on the same mesh and data can take that test
-space (``assemble_and_solve(..., test_space=solution)``) and evaluates only
-its own B_c per class.
+The test space of a mesh, the assembler and the loads F_T, depends on
+neither the trial variant nor the test norm; B_c is assembled against the
+trial layout of the solve's :class:`dpglab.spaces.DofMap`.  A solve
+evaluates F once, in batches, and keeps it on its :class:`Solution` with
+its assembler; a solve of the other variant on the same mesh and data can
+take that test space (``assemble_and_solve(..., test_space=solution)``)
+and then evaluates only its own B_c per class.
 
 The discrete Riesz representative of the residual ("error function") is
 eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
@@ -54,7 +55,7 @@ import scipy.sparse.linalg as spla
 from .forms import _CHUNK, ElementAssembler, TestNorm, _test_degrees
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .spaces import CoefficientVector, DofMap, build_dofmap
+from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap
 
 # entries per slice of the loops over the nonzeros of the global matrix in
 # _solve_spd and _factor_equilibrated, so that neither makes an nnz-length
@@ -93,14 +94,6 @@ class Solution:
         lay = self.dofmap.layout
         g = self.dofmap.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]
         return self.x[g].reshape(self.mesh.n_triangles, 2, lay.ns)
-
-    @property
-    def uhat(self) -> np.ndarray:
-        return self.x[self.dofmap.field_slice("uhat")]
-
-    @property
-    def sighat(self) -> np.ndarray:
-        return self.x[self.dofmap.field_slice("sighat")]
 
     def local_trial(self) -> np.ndarray:
         """(nt, n_local) element trial vectors; boundary traces are zero."""
@@ -168,15 +161,17 @@ def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
     return F
 
 
-def _condensed(asm: ElementAssembler, kind: TestNorm, F: np.ndarray):
+def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
+               F: np.ndarray):
     """Condense all elements in batches taken in class order (stable), so
     that each batch holds few classes; yields ``(els, Y, y, inv)`` with the
-    results of :func:`_condense_batch` for the elements ``els``.  ``F`` holds
-    the loads of every element."""
+    results of :func:`_condense_batch` for the elements ``els``.  B is
+    assembled against the trial ``layout``; ``F`` holds the loads of every
+    element."""
     order = np.argsort(asm.classes, kind="stable")
     for lo in range(0, len(order), _CHUNK):
         els = order[lo:lo + _CHUNK]
-        yield els, *_condense_batch(asm.b_matrices(els), asm.gram(kind, els),
+        yield els, *_condense_batch(asm.b_matrices(els, layout), asm.gram(kind, els),
                                     F[els], els, asm.classes[els])
 
 
@@ -201,7 +196,7 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     ridx = np.empty(kept.sum(), dtype=np.int64)
     rvals = np.empty(len(ridx))
     pos = rpos = 0
-    for els, Y, y, inv in _condensed(asm, kind, F):
+    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
@@ -374,12 +369,12 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
 
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
-    solve then reuses its element classes and loads F instead of computing
-    them again, with identical results.  Other data raise ValueError.
+    solve then shares its assembler and loads F instead of computing them
+    again, with identical results.  Other data raise ValueError.
     """
     dofmap = build_dofmap(mesh, p, variant)
     if test_space is None:
-        asm = ElementAssembler(mesh, problem.coeffs, p, variant, k1, k2)
+        asm = ElementAssembler(mesh, problem.coeffs, p, k1, k2)
         F = _loads(asm, problem.f, problem.fvec)
     else:
         _check_data(test_space, mesh, problem, "test_space")
@@ -388,7 +383,6 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
         if have != want:
             raise ValueError(f"test_space has degrees (p, k1, k2) = {have}; "
                              f"this solve asks for {want}")
-        asm = asm._for_variant(variant)
         F = test_space.loads
     A, b = assemble_global(mesh, dofmap, asm, kind, F)
     x, res = _solve_spd(A, b, solver_tol)
@@ -413,8 +407,8 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     idx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
     orth, rhs = np.empty(len(idx)), np.empty(len(idx))
     pos = 0
-    for els, Y, y, inv in _condensed(solution.assembler, solution.kind,
-                                     solution.loads):
+    for els, Y, y, inv in _condensed(solution.assembler, dofmap.layout,
+                                     solution.kind, solution.loads):
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
         Yt = np.swapaxes(Y, 1, 2)[inv]

@@ -34,15 +34,19 @@ evaluates B and G once per class; on the uniformly refined criss-cross
 meshes with elementwise-constant coefficients a few dozen classes cover the
 mesh, and variable coefficients give one class per element.
 
+The assembler holds the test space only: the element classes, the
+quadrature and the test tables.  The trial space is the caller's: B is
+assembled against the :class:`dpglab.spaces.TrialLayout` it is given, so
+the standard and the augmented variant share one assembler.
+
 All bases are scaled by 1 / sqrt(det J) per element, which cancels the
 Jacobian factor in every volume pairing of two scaled functions.  Test rows
-are ordered [v block | tau_x block | tau_y block]; trial columns follow
-:class:`dpglab.spaces.TrialLayout`.
+are ordered [v block | tau_x block | tau_y block]; trial columns follow the
+layout B is assembled against.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -50,9 +54,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .mesh import Mesh
-from .refelem import (LOCAL_EDGES, edge_quadrature, lagrange_1d,
-                      legendre_orthonormal_1d, ref_edge_points, scalar_basis,
-                      triangle_quadrature)
+from .refelem import (edge_quadrature, lagrange_1d, legendre_orthonormal_1d,
+                      ref_edge_points, scalar_basis, triangle_quadrature)
 from .spaces import TrialLayout, trial_layout
 
 # elements per batch of the class key here and of the loads and the
@@ -153,16 +156,15 @@ class ElementAssembler:
     id per element and one representative per class, and the memory of a
     call grows with the number of requested elements.
 
-    The classes, the quadrature and the test tables make up the test space
-    and do not depend on the trial variant; only :attr:`layout`, the u table
-    and the local trace columns do.  The assembler of the other variant on
-    the same test space is therefore a copy with its own layout
-    (:meth:`_for_variant`), and builds no second class key.
+    The classes, the quadrature and the test tables make up the test space.
+    It does not depend on the trial variant: :meth:`b_matrices` takes the
+    trial layout to assemble against, so one assembler serves the standard
+    and the augmented solve (u of degree p + 1) alike.
     """
 
     def __init__(self, mesh: Mesh, coeffs: Coefficients, p: int,
-                 variant: str = "standard", k1: int | None = None,
-                 k2: int | None = None, volume_exactness: int | None = None,
+                 k1: int | None = None, k2: int | None = None,
+                 volume_exactness: int | None = None,
                  edge_exactness: int | None = None):
         if p < 0:
             raise ValueError("trial degree must be >= 0")
@@ -183,6 +185,11 @@ class ElementAssembler:
                 f"{p + 1} with test degrees ({self.k1},{self.k2})")
         self.rule = triangle_quadrature(vol_ex)
         self.erule = edge_quadrature(edge_ex)
+        # the highest volume trial degree is p + 1, that of the augmented u
+        if self.rule.exactness < max(2 * kmax, (p + 1) + kmax):
+            raise ValueError(
+                f"volume quadrature exactness {self.rule.exactness} insufficient for "
+                f"trial degree {p + 1} with test degrees ({self.k1},{self.k2})")
 
         # reference test tables at volume quadrature points
         self.V1, self.dV1 = scalar_basis(self.k1).tables(self.rule.points)
@@ -204,47 +211,20 @@ class ElementAssembler:
             self.V1E.append(scalar_basis(self.k1).eval(pts))
             self.V2E.append(scalar_basis(self.k2).eval(pts)
                             if self.k2 != self.k1 else self.V1E[-1])
+        # uhat nodal values in the column order of TrialLayout.uhat_cols:
+        # local vertex a, the edge nodes lo->hi, local vertex b.  The nodes
+        # are uniform on the lo->hi parameter, so a flipped edge only
+        # reverses them: [q, 1, ..., q-1, 0]
         q = p + 1
-        self.lag_fwd = lagrange_1d(q, s)          # trace nodal values, lo->hi param
-        self.lag_rev = lagrange_1d(q, 1.0 - s)
+        self.lag_fwd = lagrange_1d(q, s)
+        self.lag_rev = lagrange_1d(q, 1.0 - s)[:, [q, *range(1, q), 0]]
         self.leg_fwd = legendre_orthonormal_1d(p, s)
         self.leg_rev = legendre_orthonormal_1d(p, 1.0 - s)
-        self.S = scalar_basis(p).eval(self.rule.points)
+        # trial basis of degree p + 1; the basis is hierarchical, so its first
+        # scalar_dim(d) columns are the degree-d basis bit for bit
+        self.U = scalar_basis(p + 1).eval(self.rule.points)
 
-        self._set_layout(variant)
         self.classes, self._firsts = self._element_classes()
-
-    def _set_layout(self, variant: str) -> None:
-        """Trial layout of ``variant`` and the tables that depend on it: the
-        u table U and the local uhat columns.  Nothing else the assembler
-        holds depends on the trial variant."""
-        lay = trial_layout(self.p, variant)
-        kmax = max(self.k1, self.k2)
-        if self.rule.exactness < max(2 * kmax, lay.pu + kmax):
-            raise ValueError(
-                f"volume quadrature exactness {self.rule.exactness} insufficient for "
-                f"trial degree {lay.pu} with test degrees ({self.k1},{self.k2})")
-        self.layout: TrialLayout = lay
-        self.U = self.S if lay.pu == self.p else scalar_basis(lay.pu).eval(self.rule.points)
-
-        # local uhat column of 1D node z (t-order) on local edge j
-        p, q = self.p, self.p + 1
-        cols = np.empty((self.mesh.n_triangles, 3, q + 1), dtype=np.int64)
-        for j, (a, b) in enumerate(LOCAL_EDGES):
-            flip = self.mesh.tri_edge_flip[:, j]
-            cols[:, j, 0] = lay.uh0 + np.where(flip, b, a)
-            cols[:, j, q] = lay.uh0 + np.where(flip, a, b)
-            if p > 0:
-                cols[:, j, 1:q] = lay.uh0 + 3 + j * p + np.arange(p)
-        self._uhat_cols = cols
-
-    def _for_variant(self, variant: str) -> "ElementAssembler":
-        """An assembler of the trial ``variant`` on the same test space.  It
-        shares the element classes, the quadrature and the test tables with
-        this one; only the trial layout and its tables are its own."""
-        other = copy.copy(self)
-        other._set_layout(variant)
-        return other
 
     def _element_classes(self):
         """Class id of every element and the first element of each class.
@@ -351,10 +331,14 @@ class ElementAssembler:
         raise ValueError(f"unknown test norm kind {kind!r}")
 
     # -- B -----------------------------------------------------------------
-    def b_matrices(self, elements=None) -> np.ndarray:
-        """B of each requested element, evaluated once per element class."""
+    def b_matrices(self, elements=None, layout: TrialLayout | None = None) -> np.ndarray:
+        """B of each requested element against the trial ``layout`` (default:
+        the standard layout of degree p), evaluated once per element class."""
+        lay = trial_layout(self.p) if layout is None else layout
+        if lay.p != self.p:
+            raise ValueError(f"trial layout of degree {lay.p} for an assembler "
+                             f"of degree {self.p}")
         els, inverse = self._representatives(self._all(elements))
-        lay = self.layout
         sdet = np.sqrt(self.mesh.dets[els])
 
         B = np.zeros((len(els), self.n_test, lay.total))
@@ -362,9 +346,10 @@ class ElementAssembler:
         # sigma_y; the rows carry sqrt(w), the tables the other sqrt(w)
         adj = np.swapaxes(self._rows(els).adjoint, 2, 3)
         sw = np.sqrt(self.rule.weights)[:, None]
-        B[:, :, lay.u0:lay.u0 + lay.nu] = adj[:, 0] @ (sw * self.U)
-        B[:, :, lay.sx0:lay.sx0 + lay.ns] = adj[:, 1] @ (sw * self.S)
-        B[:, :, lay.sy0:lay.sy0 + lay.ns] = adj[:, 2] @ (sw * self.S)
+        B[:, :, lay.u0:lay.u0 + lay.nu] = adj[:, 0] @ (sw * self.U[:, :lay.nu])
+        S = sw * self.U[:, :lay.ns]
+        B[:, :, lay.sx0:lay.sx0 + lay.ns] = adj[:, 1] @ S
+        B[:, :, lay.sy0:lay.sy0 + lay.ns] = adj[:, 2] @ S
 
         rv, rt = self._col_blocks[0], self._col_blocks[1:]
         we = self.erule.weights
@@ -372,19 +357,15 @@ class ElementAssembler:
             length, nrm, sgn, flip = self._edge_data(els, j)
             lag = np.where(flip[:, None, None], self.lag_rev[None], self.lag_fwd[None])
             leg = np.where(flip[:, None, None], self.leg_rev[None], self.leg_fwd[None])
-            # <uhat, tau . n_T>: scatter into vertex/edge-node columns
-            cols = self._uhat_cols[els, j]  # (m, p+2) columns within the trial block
+            # <uhat, tau . n_T>
+            cols = lay.uhat_cols(j)
             for c in range(2):
-                contrib = np.einsum("k,e,ekz,ki->eiz", we, length * nrm[:, c] / sdet,
-                                    lag, self.V2E[j])
-                np.add.at(B, (np.arange(len(els))[:, None, None],
-                              np.arange(*rt[c].indices(self.n_test))[None, :, None],
-                              cols[:, None, :]), contrib)
+                B[:, rt[c], cols] += np.einsum("k,e,ekz,ki->eiz", we,
+                                               length * nrm[:, c] / sdet, lag, self.V2E[j])
             # <sighat, v> with orientation sign against the global edge normal
             fac = sgn * np.sqrt(length) / sdet
-            contrib = np.einsum("k,e,ekm,ki->eim", we, fac, leg, self.V1E[j])
-            c0 = lay.sh0 + j * (self.p + 1)
-            B[:, rv, c0:c0 + self.p + 1] += contrib
+            B[:, rv, lay.sighat_cols(j)] += np.einsum("k,e,ekm,ki->eim", we, fac, leg,
+                                                      self.V1E[j])
         return B[inverse]
 
     # -- G -----------------------------------------------------------------

@@ -30,6 +30,8 @@ from .refelem import scalar_basis, triangle_quadrature
 from .spaces import CoefficientVector, l2_project
 
 CSV_HEADER = "p,nT,err_u,rate_u,err_proj,rate_proj,err_aug,rate_aug,err_post,rate_post"
+# a quadrature node this close to a coefficient jump line counts as on it
+_MIN_CLEARANCE = 1e-12
 
 
 def fmt_err(v: Optional[float]) -> str:
@@ -167,8 +169,7 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
 
 
 def check_problem_alignment(problem: ProblemSpec, mesh: Mesh, p: int,
-                            k1: int | None = None, k2: int | None = None,
-                            min_clearance: float = 1e-12) -> None:
+                            k1: int | None = None, k2: int | None = None) -> None:
     """Guard against quadrature nodes on coefficient jump lines.
 
     Checks every rule a study level evaluates the coefficients at: the
@@ -177,7 +178,7 @@ def check_problem_alignment(problem: ProblemSpec, mesh: Mesh, p: int,
     """
     for exactness in sorted({_volume_exactness(*_test_degrees(p, k1, k2)),
                              _postprocess_exactness(p)}):
-        if seam_clearance(problem, mesh, triangle_quadrature(exactness)) <= min_clearance:
+        if seam_clearance(problem, mesh, triangle_quadrature(exactness)) <= _MIN_CLEARANCE:
             raise ValueError(
                 f"quadrature nodes of {problem.name} (exactness {exactness}) "
                 "fall on a coefficient jump line")

@@ -44,9 +44,13 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     """Local Neumann postprocessing; returns broken degree p+1 coefficients.
 
     The element mean of the result equals the element mean of ``solution.u``
-    up to the local solver roundoff.  Raises :class:`SolverError` naming the
-    lowest element whose drive or bordered factor is not finite.
+    up to the local solver roundoff.  ``mesh`` must be the mesh of the solve,
+    whose element classes the bordered matrices are formed on; another mesh
+    raises ValueError.  Raises :class:`SolverError` naming the lowest element
+    whose drive or bordered factor is not finite.
     """
+    if mesh is not solution.mesh:
+        raise ValueError("postprocess_u needs the mesh the solution was computed on")
     p = solution.p
     rule = triangle_quadrature(_postprocess_exactness(p))
     w = rule.weights
@@ -75,8 +79,7 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     drive = C[:, :, 0] * g[:, None, 0] + C[:, :, 1] * g[:, None, 1] + beta * uh[:, None]
 
     # bordered matrix [[K, c], [c^t, 0]] per class, c_i = int_T phi_i
-    classes = solution.assembler.classes
-    firsts = np.unique(classes, return_index=True)[1]
+    classes, firsts = solution.assembler.classes, solution.assembler._firsts
     Gp = Pg[None] @ np.swapaxes(mesh.inv_ts[firsts], 1, 2)[:, None]  # (c, Q, n, 2)
     Gw = (np.sqrt(w)[:, None, None] * Gp).swapaxes(2, 3).reshape(len(firsts), -1, n)
     M = np.zeros((len(firsts), n + 1, n + 1))

@@ -1,8 +1,9 @@
 """Global trial DOF maps, broken L2 projection and Raviart-Thomas
 interpolation.
 
-Trial fields and their element-local column layout (shared with the element
-assembly in :mod:`dpglab.forms`):
+Trial fields and their element-local column layout, stated once by
+:class:`TrialLayout`; the element assembly in :mod:`dpglab.forms` assembles
+B against the layout it is given:
 
 * ``u``: broken scalars, degree p (p+1 for the augmented variant),
 * ``sigma``: broken vectors, degree p, x-component block then y-component,
@@ -24,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .refelem import (RTBasis, edge_quadrature, legendre_1d, ref_edge_points,
-                      scalar_basis, scalar_dim, triangle_quadrature)
+from .refelem import (LOCAL_EDGES, RTBasis, edge_quadrature, legendre_1d,
+                      ref_edge_points, scalar_basis, scalar_dim,
+                      triangle_quadrature)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,16 @@ class TrialLayout:
     @property
     def total(self) -> int:
         return self.sh0 + self.n_sighat
+
+    def uhat_cols(self, j: int) -> np.ndarray:
+        """Local uhat columns of local edge j = (a, b): vertex a, the p edge
+        nodes in global lo->hi order, vertex b."""
+        a, b = LOCAL_EDGES[j]
+        return self.uh0 + np.array([a, *range(3 + j * self.p, 3 + (j + 1) * self.p), b])
+
+    def sighat_cols(self, j: int) -> np.ndarray:
+        """Local sighat columns of local edge j, one per Legendre degree."""
+        return self.sh0 + j * (self.p + 1) + np.arange(self.p + 1)
 
 
 def trial_layout(p: int, variant: str = "standard") -> TrialLayout:
@@ -146,27 +158,18 @@ class DofMap:
         base_s = self.offsets["sigma"] + slot * 2 * lay.ns
         gather[:, lay.sx0:lay.sx0 + 2 * lay.ns] = base_s + np.arange(2 * lay.ns)
 
-        off_uh = self.offsets["uhat"]
+        off_uh, off_sh = self.offsets["uhat"], self.offsets["sighat"]
         vert_ids = iv[mesh.triangles]
         gather[:, lay.uh0:lay.uh0 + 3] = np.where(vert_ids >= 0, off_uh + vert_ids, -1)
         for j in range(3):
-            cols = lay.uh0 + 3 + j * p + np.arange(p)
             eid = ie[mesh.tri_edges[:, j]]
             base = off_uh + self.n_interior_vertices + eid[:, None] * p
-            gather[:, cols] = np.where(eid[:, None] >= 0, base + np.arange(p), -1)
-
-        off_sh = self.offsets["sighat"]
-        for j in range(3):
-            cols = lay.sh0 + j * (p + 1) + np.arange(p + 1)
-            gather[:, cols] = off_sh + mesh.tri_edges[:, j:j + 1] * (p + 1) + np.arange(p + 1)
+            gather[:, lay.uhat_cols(j)[1:-1]] = np.where(eid[:, None] >= 0,
+                                                         base + np.arange(p), -1)
+            gather[:, lay.sighat_cols(j)] = \
+                off_sh + mesh.tri_edges[:, j:j + 1] * (p + 1) + np.arange(p + 1)
         gather.setflags(write=False)
         self.gather = gather
-
-    def field_slice(self, name: str) -> slice:
-        sizes = {"u": self.n_u, "sigma": self.n_sigma,
-                 "uhat": self.n_uhat, "sighat": self.n_sighat}
-        start = self.offsets[name]
-        return slice(start, start + sizes[name])
 
     def local_vector(self, x: np.ndarray) -> np.ndarray:
         """Gather a global vector to (nt, n_local); absent boundary-uhat DOFs

@@ -9,7 +9,7 @@ from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example
 from dpglab.refelem import (LOCAL_EDGES, REF_VERTICES, scalar_basis,
                             triangle_quadrature)
-from dpglab.spaces import build_dofmap
+from dpglab.spaces import build_dofmap, trial_layout
 
 # anisotropic SPD diffusion matrix with convection and reaction
 ANISO = dict(C=[[2.0, 0.6], [0.6, 0.5]], beta=(1.0, -0.5), gamma=0.3)
@@ -60,7 +60,7 @@ def test_b_constant_test_function_row(initial):
     c[0] = np.sqrt(det) / np.sqrt(2.0)
     row = c @ B
 
-    lay = asm.layout
+    lay = trial_layout(p)
     rule = triangle_quadrature(2 * p + 6)
     psi = scalar_basis(p).eval(rule.points)
     # oracle: direct quadrature of <phi_j, 1>_T for the scaled basis
@@ -218,9 +218,10 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
     p = 2
     for coeffs in _aniso_coefficients():
         u, sigma, f, fvec = _anisotropic_solution(coeffs.reaction)
-        asm = ElementAssembler(level3, coeffs, p, variant="augmented")
-        lay, w = asm.layout, asm.rule.weights
-        B = asm.b_matrices()
+        asm = ElementAssembler(level3, coeffs, p)
+        lay, w = trial_layout(p, "augmented"), asm.rule.weights
+        U, S = (scalar_basis(d).eval(asm.rule.points) for d in (p + 1, p))
+        B = asm.b_matrices(layout=lay)
         F = asm.loads(f, fvec)
         for t in range(level3.n_triangles):
             def to_phys(ref):
@@ -230,9 +231,9 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
             X = to_phys(asm.rule.points)
             sdet = np.sqrt(level3.dets[t])
             x = np.zeros(lay.total)
-            x[lay.u0:lay.u0 + lay.nu] = sdet * (w * u(X)) @ asm.U
-            x[lay.sx0:lay.sx0 + lay.ns] = sdet * (w * sigma(X)[:, 0]) @ asm.S
-            x[lay.sy0:lay.sy0 + lay.ns] = sdet * (w * sigma(X)[:, 1]) @ asm.S
+            x[lay.u0:lay.u0 + lay.nu] = sdet * (w * u(X)) @ U
+            x[lay.sx0:lay.sx0 + lay.ns] = sdet * (w * sigma(X)[:, 0]) @ S
+            x[lay.sy0:lay.sy0 + lay.ns] = sdet * (w * sigma(X)[:, 1]) @ S
             # uhat: vertex values, then p interior nodes per edge in global order
             x[lay.uh0:lay.uh0 + 3] = u(to_phys(REF_VERTICES))
             for j, (a, b) in enumerate(LOCAL_EDGES):
@@ -253,6 +254,31 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
                 x[c0:c0 + p + 1] = (np.sqrt(level3.tri_edge_lengths[t, j])
                                     * (asm.erule.weights * sn) @ leg)
             assert np.abs(B[t] @ x - F[t]).max() <= 1e-12 * np.abs(F).max()
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_one_assembler_serves_both_layouts(level3, ex, p):
+    # the augmented B differs from the standard one only by the u columns of
+    # degree p + 1; the sigma, uhat and sighat columns, flipped edges
+    # included, are bitwise equal, and so are the first nu u columns for
+    # p >= 1.  At p = 0 the standard u block is a matrix-vector product,
+    # which rounds differently from the 3-column product.
+    assert level3.tri_edge_flip.any()
+    asm = ElementAssembler(level3, example(ex).coeffs, p)
+    std, aug = trial_layout(p), trial_layout(p, "augmented")
+    Bs = asm.b_matrices(layout=std)
+    Ba = asm.b_matrices(layout=aug)
+    assert Bs.shape[2] == std.total and Ba.shape[2] == aug.total
+    assert Ba[:, :, aug.sx0:].tobytes() == Bs[:, :, std.sx0:].tobytes()
+    us, ua = Bs[:, :, :std.nu], Ba[:, :, :std.nu]
+    if p >= 1:
+        assert ua.tobytes() == us.tobytes()
+    else:
+        assert np.abs(ua - us).max() <= 4e-16 * np.abs(us).max()
+    assert asm.b_matrices().tobytes() == Bs.tobytes()  # the default layout
+    with pytest.raises(ValueError, match="trial layout of degree"):
+        asm.b_matrices(layout=trial_layout(p + 1))
 
 
 def test_qopt_scalar_block_equals_simple_when_unreactive(initial):

@@ -178,6 +178,23 @@ def test_example2_against_dense_oracle(initial, p):
     _assert_matches_oracle(mesh, prob, sol)
 
 
+def test_foreign_mesh_raises(initial):
+    # the bordered matrices are formed on the solve's element classes: the
+    # same mesh rotated by 90 degrees (same element count) gave err_post
+    # 0.142 instead of 9.5e-4 without an error, a refined mesh a numpy
+    # broadcast error
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL)
+    rotated = Mesh(mesh.vertices @ np.array([[0.0, 1.0], [-1.0, 0.0]]) + [1.0, 0.0],
+                   mesh.triangles)
+    assert rotated.n_triangles == mesh.n_triangles
+    for other in (rotated, refine_uniform(mesh)):
+        with pytest.raises(ValueError, match="postprocess_u needs the mesh the "
+                                             "solution was computed on"):
+            postprocess_u(other, prob, sol)
+
+
 def test_non_finite_drive_raises(initial):
     # fvec is NaN on {x > 0.9}: the lowest element reaching there is named
     mesh = refine_uniform(initial)
