@@ -17,10 +17,8 @@ DOFs (field DOFs couple to the traces of their own element; trace DOFs couple
 neighbours).  The homogeneous Dirichlet condition holds by construction:
 boundary trace DOFs of the scalar field never exist.
 
-The global system is solved one way only: symmetric equilibration by powers
-of two that bring the diagonal into [1/2, 2), applied to the assembled
-matrix in place and undone exactly after the factorization, a SuperLU
-factorization in symmetric mode (minimum-degree ordering of A + A^t,
+The global system is solved one way only: a SuperLU factorization of the
+assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
 diagonal pivots), and iterative refinement until the normwise backward
 error of the assembled matrix is below the solver tolerance.  A solve that
 fails to factor or to certify raises :class:`SolverError`; there is no
@@ -57,9 +55,8 @@ from .mesh import Mesh
 from .problems import ProblemSpec
 from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap
 
-# entries per slice of the loops over the nonzeros of the global matrix in
-# _solve_spd and _factor_equilibrated, so that neither makes an nnz-length
-# temporary
+# entries per slice of the loop over the nonzeros of the global matrix that
+# takes its inf-norm in _solve_spd, so that it makes no nnz-length temporary
 _NNZ_SLICE = 1 << 16
 
 
@@ -219,97 +216,45 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     return A, np.bincount(ridx, rvals, minlength=n)
 
 
-def _column_blocks(A):
-    """Column ranges ``(c0, c1)`` of the CSC matrix ``A`` that hold about
-    ``_NNZ_SLICE`` entries each (a longer column is a block of its own)."""
-    n = A.shape[1]
-    cuts = np.unique(np.append(
-        np.searchsorted(A.indptr, np.arange(0, A.nnz, _NNZ_SLICE)), n))
-    return list(zip(cuts[:-1], cuts[1:]))
+def _factor(A):
+    """SuperLU factor of the SPD matrix ``A``, as assembled.
 
-
-def _entry_scales(A, s, c0: int, c1: int):
-    """``s_i s_j`` for the stored entries a_ij of the columns ``c0:c1``."""
-    lo, hi = A.indptr[c0], A.indptr[c1]
-    return s[A.indices[lo:hi]] * np.repeat(s[c0:c1], np.diff(A.indptr[c0:c1 + 1]))
-
-
-def _factor_equilibrated(A):
-    """Factor the SPD matrix ``A`` equilibrated by powers of two, in place.
-
-    Returns ``(s, lu)`` with ``lu`` the SuperLU factor of ``diag(s) A diag(s)``
-    and ``s_i = 2^-(e_i // 2)`` for ``a_ii = m_i 2^e_i``, ``m_i`` in [1/2, 1)
-    (``round(log2 a_ii / 2)`` in integers, as LAPACK's xSYEQUB), so the
-    equilibrated diagonal lies in [1/2, 2) and ``x = s * lu.solve(s * b)``
-    solves ``A x = b``; both products are exact.  The scaled matrix stays
-    SPD, so it is factored as such: a minimum-degree ordering of the pattern
-    of A + A^t (Liu's multiple-elimination MMD) applied symmetrically to rows
-    and columns, and diagonal pivots only.  Gaussian elimination without
-    pivoting is backward stable on SPD matrices, and the balanced diagonal
-    keeps the pivots well scaled; the partial-pivoting COLAMD default of
-    SuperLU fills the factor several times more.
-
-    ``A.data`` itself is scaled, column block by column block, and is
-    divided back in a ``finally`` clause, also when the factorization
-    raises.  Multiplying by a power of two is exact, so the caller's A comes
-    back bit for bit, unless a scaled entry left the normal range: that
-    raises :class:`SolverError` before the entry is written.  A matrix that
-    is not in canonical CSC form is scaled and factored as a summed copy.
+    A is factored as the SPD matrix it is: a minimum-degree ordering of the
+    pattern of A + A^t (Liu's multiple-elimination MMD) applied
+    symmetrically to rows and columns, and diagonal pivots only.  Gaussian
+    elimination without pivoting is backward stable on SPD matrices; the
+    partial-pivoting COLAMD default of SuperLU fills the factor several
+    times more.  The ordering reads the pattern only and every nonzero
+    diagonal is taken as the pivot, so a diagonal scaling of A by powers of
+    two would only rescale the factors exactly and change no bit of a solve.
+    ``splu`` sums and sorts its input in place, so a matrix that is not in
+    canonical CSC form is factored as a summed copy and the caller's A is
+    never written.
     """
-    d = A.diagonal()
-    if np.any(d <= 0):
+    if np.any(A.diagonal() <= 0):
         raise SolverError("condensed matrix has non-positive diagonal entries "
                           "(rank deficiency)")
-    # symmetric equilibration: trace and field blocks carry different powers
-    # of h, and balancing them keeps the factorization accurate.  The entries
-    # are scaled one by one so the ordering sees the assembled pattern: a
-    # product D A D drops entries that cancel to exactly zero, and on
-    # ex1/simple p2 level 5 the thinned pattern factors 2x slower
-    s = np.ldexp(1.0, -(np.frexp(d)[1] // 2))
     A = A.tocsc()
     if not A.has_canonical_format:
-        # splu sums and sorts in place, and the caller's A must stay as it is
         A = A.copy()
         A.sum_duplicates()
-    blocks = _column_blocks(A)
-    scaled = 0
     try:
-        for c0, c1 in blocks:
-            lo, hi = A.indptr[c0], A.indptr[c1]
-            a = A.data[lo:hi]
-            v = a * _entry_scales(A, s, c0, c1)
-            # a subnormal (or overflowing) product is rounded, and dividing
-            # it back would not give a_ij
-            bad = ~np.isfinite(v) | ((np.abs(v) < np.finfo(float).tiny) & (a != 0))
-            if bad.any():
-                k = lo + int(np.argmax(bad))
-                col = int(np.searchsorted(A.indptr, k, side="right")) - 1
-                raise SolverError(
-                    f"equilibration of the {A.shape[0]}-DOF condensed system "
-                    f"leaves the normal range at row {A.indices[k]}, column {col}")
-            a[:] = v
-            scaled += 1
-        try:
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise SolverError(f"SuperLU factorization of the {A.shape[0]}x{A.shape[1]} "
-                              f"condensed system failed: {exc}") from exc
-    finally:
-        for c0, c1 in blocks[:scaled]:
-            A.data[A.indptr[c0]:A.indptr[c1]] /= _entry_scales(A, s, c0, c1)
-    return s, lu
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"SuperLU factorization of the {A.shape[0]}x{A.shape[1]} "
+                          f"condensed system failed: {exc}") from exc
 
 
 def _solve_spd(A, b, tol: float):
     """Solve the condensed SPD system to normwise backward error <= tol.
 
-    One factorization of the equilibrated matrix (see
-    :func:`_factor_equilibrated`), then at most three steps of iterative
-    refinement.  The answer is returned only with its certificate: if the
-    system has a non-finite entry, the factorization fails, or the backward
-    error still exceeds ``tol`` (or is NaN) after the last step,
-    :class:`SolverError` is raised.
+    One factorization of the assembled matrix (see :func:`_factor`), then
+    at most three steps of iterative refinement; A is only read.  The
+    answer is returned only with its certificate: if the system has a
+    non-finite entry, the factorization fails, or the backward error still
+    exceeds ``tol`` (or is NaN) after the last step, :class:`SolverError`
+    is raised.
 
     The backward error |b - Ax| / (|A| |x| + |b|) is the certifiable notion
     of a relative residual here: the plain quotient |b - Ax| / |b| bottoms
@@ -332,13 +277,13 @@ def _solve_spd(A, b, tol: float):
         denom = anorm * np.linalg.norm(x) + bnorm
         return float(np.linalg.norm(b - A @ x) / denom) if denom != 0 else 0.0
 
-    s, lu = _factor_equilibrated(A)
-    x = s * lu.solve(s * b)
+    lu = _factor(A)
+    x = lu.solve(b)
     res = backward_error(x)
     steps = 0
     # "not <=" so that a NaN backward error is never certified
     while not res <= tol and steps < 3:  # iterative refinement
-        x = x + s * lu.solve(s * (b - A @ x))
+        x = x + lu.solve(b - A @ x)
         res = backward_error(x)
         steps += 1
     if not res <= tol:

@@ -44,7 +44,10 @@ def fmt_rate(v: Optional[float]) -> str:
 
 
 def l2_error(mesh: Mesh, approx: CoefficientVector, exact) -> float:
-    """L2 distance between a broken polynomial field and a callable."""
+    """L2 distance between a broken polynomial field on ``mesh`` and a
+    callable."""
+    if approx.mesh is not mesh:
+        raise ValueError("l2_error needs the mesh the field lives on")
     deg = approx.degree
     rule = triangle_quadrature(2 * deg + 6)
     psi = scalar_basis(deg).eval(rule.points)

@@ -8,7 +8,7 @@ from dpglab.forms import ElementAssembler, TestNorm
 from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
                             check_problem_alignment, emit_table, l2_error,
                             rate, run_convergence_study)
-from dpglab.mesh import build_initial_mesh
+from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
 from dpglab.problems import example
 from dpglab.spaces import CoefficientVector, l2_project
@@ -48,6 +48,22 @@ def test_l2_error_projection_optimality(initial):
         perturbed = CoefficientVector(
             cv.data + 1e-3 * rng.standard_normal(cv.data.size), initial, 1)
         assert base <= l2_error(initial, perturbed, prob.u)
+
+
+def test_l2_error_rejects_field_of_other_mesh(initial):
+    def f(x):
+        return x[:, 0] + 2.0 * x[:, 1] ** 2
+
+    mesh = refine_uniform(initial)
+    cv = l2_project(mesh, 2, f)
+    assert l2_error(mesh, cv, f) < 1e-12
+    # the same mesh rotated by 90 degrees about (1/2, 1/2): same sizes, other
+    # points, so the field's coefficients do not belong to it
+    rotated = Mesh(np.column_stack([1.0 - mesh.vertices[:, 1], mesh.vertices[:, 0]]),
+                   mesh.triangles, level=mesh.level)
+    for other in (rotated, refine_uniform(mesh)):
+        with pytest.raises(ValueError, match="l2_error needs the mesh the field lives on"):
+            l2_error(other, cv, f)
 
 
 def test_rate_convention():

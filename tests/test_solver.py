@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from dpglab import dpg_solver
 from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
-                               _factor_equilibrated, _solve_spd, assemble_and_solve,
+                               _factor, _solve_spd, assemble_and_solve,
                                assemble_global, error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
@@ -183,28 +183,48 @@ def test_uncertified_solve_raises_with_backward_error(initial):
         assemble_and_solve(initial, example(1), p=0, solver_tol=0.0)
 
 
+def _csc_arrays(A):
+    """Copies of the arrays of the CSC matrix ``A``."""
+    return [getattr(A, name).copy() for name in ("data", "indices", "indptr")]
+
+
 def test_singular_matrix_raises_instead_of_fallback():
     # symmetric, positive diagonal, rank 2: the last pivot is exactly zero
     A = sp.csc_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 0.0],
                                 [1.0, 0.0, 1.0]]))
-    data = A.data.copy()
+    assert A.has_canonical_format
+    before = _csc_arrays(A)
     with pytest.raises(SolverError, match="3x3 condensed system failed: "
                        "Factor is exactly singular"):
         _solve_spd(A, np.ones(3), 1e-12)
-    # the factorization raised after the in-place scaling: A is restored
-    assert _bitwise_equal(A.data, data)
+    # a failed factorization leaves the caller's A as it was
+    assert all(map(_bitwise_equal, _csc_arrays(A), before))
 
 
-def test_solve_spd_certifies_badly_scaled_matrix():
-    # unit-diagonal SPD tridiagonal matrix, rescaled so that diag(A) spans
-    # 1e-8 ... 1e8; the power-of-two equilibration must bring the diagonal
-    # back to [1/2, 2) for the solve to certify
+@pytest.mark.parametrize("diagonal", [[1.0, 0.0, 1.0], [1.0, -2.0, 1.0]])
+def test_non_positive_diagonal_raises(diagonal):
+    A = sp.csc_matrix(np.diag(diagonal) + np.diag([0.1, 0.1], 1)
+                      + np.diag([0.1, 0.1], -1))
+    with pytest.raises(SolverError, match="non-positive diagonal entries"):
+        _solve_spd(A, np.ones(3), 1e-12)
+
+
+def _badly_scaled_tridiagonal():
+    """Unit-diagonal SPD tridiagonal matrix r M r with diag(A) spanning
+    1e-8 ... 1e8, the scaling r, and a right-hand side."""
     n = 200
     M = sp.diags([np.full(n - 1, -0.45), np.ones(n), np.full(n - 1, -0.45)],
                  [-1, 0, 1])
     r = sp.diags(np.logspace(-4, 4, n))
-    A = (r @ M @ r).tocsc()
-    b = np.random.default_rng(2).standard_normal(n)
+    return (r @ M @ r).tocsc(), r, np.random.default_rng(2).standard_normal(n)
+
+
+def test_solve_spd_certifies_badly_scaled_matrix():
+    # diagonal pivots in a pattern-only ordering make the factorization
+    # invariant under diagonal scaling, so the spread of the diagonal does
+    # not stop the solve from certifying, and the error is small in the
+    # scaled norm
+    A, r, b = _badly_scaled_tridiagonal()
     x, res = _solve_spd(A, b, 1e-12)
     assert res <= 1e-12
     ref = spla.spsolve(A, b)
@@ -224,7 +244,7 @@ def test_factor_fill_stays_small(initial):
     # p2 level 3 (1.36 with the field blocks in element order); SuperLU's
     # COLAMD default gives 5.75
     A, _ = _system(refine_uniform(refine_uniform(initial)), 2, TestNorm.SIMPLE)
-    _, lu = _factor_equilibrated(A)
+    lu = _factor(A)
     assert lu.L.nnz + lu.U.nnz <= 1.32 * A.nnz
 
 
@@ -235,40 +255,64 @@ def test_factor_fill_qopt_p0(initial):
     for _ in range(3):
         mesh = refine_uniform(mesh)
     A, _ = _system(mesh, 0, TestNorm.QUASI_OPTIMAL)
-    _, lu = _factor_equilibrated(A)
+    lu = _factor(A)
     assert lu.L.nnz + lu.U.nnz <= 110_000
 
 
 def test_solve_spd_restores_assembled_matrix(initial, monkeypatch):
-    # A is scaled in place, column block by column block, for the
-    # factorization; a certified solve hands back the assembled A bit for bit
+    # the solve only reads A, slice by slice for its norm: a certified solve
+    # hands back the assembled A bit for bit
     monkeypatch.setattr(dpg_solver, "_NNZ_SLICE", 1000)
     A, b = _system(refine_uniform(initial), 2, TestNorm.SIMPLE)
     assert A.has_canonical_format
-    before = [getattr(A, name).copy() for name in ("data", "indices", "indptr")]
-    s, _ = _factor_equilibrated(A)
-    assert len(np.unique(s)) > 1  # the scaling is not the identity
-    d = s * s * A.diagonal()
-    assert d.min() >= 0.5 and d.max() < 2.0
+    before = _csc_arrays(A)
     _, res = _solve_spd(A, b, 1e-12)
     assert res <= 1e-12
-    for name, arr in zip(("data", "indices", "indptr"), before):
-        assert _bitwise_equal(getattr(A, name), arr)
+    assert all(map(_bitwise_equal, _csc_arrays(A), before))
 
 
 @pytest.mark.parametrize("nnz_slice", [1, 1 << 16])
-def test_subnormal_equilibrated_entry_raises(monkeypatch, nnz_slice):
-    # diag 2^600, so s = 2^-300; the off-diagonal 2^-450 would scale to the
-    # subnormal 2^-1050 and could not be divided back exactly
+def test_wide_range_matrix_solves_unchanged(monkeypatch, nnz_slice):
+    # diagonal 2^600 next to the off-diagonal 2^-450: entries 1050 binary
+    # orders apart factor, solve and certify as they are, and A is only read
     monkeypatch.setattr(dpg_solver, "_NNZ_SLICE", nnz_slice)
     big, small = np.ldexp(1.0, 600), np.ldexp(1.0, -450)
-    A = sp.csc_matrix(np.array([[1.0, 0.5, 0.0], [0.5, big, small],
-                                [0.0, small, big]]))
-    data = A.data.copy()
-    with pytest.raises(SolverError, match="equilibration of the 3-DOF condensed "
-                       "system leaves the normal range at row 2, column 1"):
-        _solve_spd(A, np.ones(3), 1e-12)
-    assert _bitwise_equal(A.data, data)
+    dense = np.array([[1.0, 0.5, 0.0], [0.5, big, small], [0.0, small, big]])
+    A = sp.csc_matrix(dense)
+    before = _csc_arrays(A)
+    b = np.ones(3)
+    x, res = _solve_spd(A, b, 1e-12)
+    assert res <= 1e-12
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14, atol=0.0)
+    assert all(map(_bitwise_equal, _csc_arrays(A), before))
+
+
+def _scaled_factor_matches(A, b):
+    """Factor the copy s_i s_j a_ij of A, with s = 2^-(e // 2) for the
+    binary exponents e of diag(A), scaled entry by entry so that its
+    pattern is that of A, and check that it solves A x = b bit for bit as
+    the factor of A does, with the same permutations and fill."""
+    s = np.ldexp(1.0, -(np.frexp(A.diagonal())[1] // 2))
+    assert len(np.unique(s)) > 1  # the scaling is not the identity
+    scaled = A.copy()
+    scaled.data *= s[A.indices] * np.repeat(s, np.diff(A.indptr))
+    lu_s, lu = _factor(scaled), _factor(A)
+    assert _bitwise_equal(s * lu_s.solve(s * b), lu.solve(b))
+    assert np.array_equal(lu_s.perm_c, lu.perm_c)
+    assert np.array_equal(lu_s.perm_r, lu.perm_r)
+    assert (lu_s.L.nnz, lu_s.U.nnz) == (lu.L.nnz, lu.U.nnz)
+
+
+def test_power_of_two_scaling_changes_no_bit(initial):
+    # the MMD ordering of A + A^t reads only the pattern and diag_pivot_thresh
+    # 0 takes every diagonal as the pivot, so factoring D A D with D a
+    # power-of-two diagonal gives the factors of A exactly rescaled: an
+    # equilibration of the condensed system would change no bit of a solve
+    level3 = refine_uniform(refine_uniform(initial))
+    _scaled_factor_matches(*_system(level3, 2, TestNorm.SIMPLE))
+    _scaled_factor_matches(*_system(refine_uniform(level3), 0, TestNorm.QUASI_OPTIMAL))
+    A, _, b = _badly_scaled_tridiagonal()
+    _scaled_factor_matches(A, b)
 
 
 @pytest.mark.parametrize("variant", ["standard", "augmented"])
@@ -551,8 +595,8 @@ def test_error_function_rejects_other_problem(initial):
 def test_solve_spd_memory(initial):
     # ex1/simple p2 on level 4: the traced peak of the solve (SuperLU's own
     # memory is not traced) stays below a quarter of the CSC bytes of A,
-    # 0.16x measured: the norm and the equilibration make no nnz-length
-    # array, A itself is scaled in place
+    # 0.08x measured: the norm makes no nnz-length array, and the
+    # factorization reads A as assembled
     mesh = initial
     for _ in range(3):
         mesh = refine_uniform(mesh)
