@@ -8,6 +8,7 @@ line per criterion; exit code is nonzero if any criterion fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .acceptance import AcceptanceRunner
@@ -48,13 +49,14 @@ def _run_study(args) -> int:
                       p=args.degree, levels=args.levels, variant=args.variant,
                       k1=args.k1, k2=args.k2, solver_tol=args.solver_tol)
     progress = None if args.quiet else lambda m: print(m, file=sys.stderr)
-    table = run_convergence_study(cfg, progress=progress)
-    text = emit_table(table, args.fmt)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the output is opened before the first level, so that a path that
+    # cannot be written fails at once rather than after the whole study
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write the table to {args.out}: {exc.strerror}") from exc
+    with out as fh:
+        fh.write(emit_table(run_convergence_study(cfg, progress=progress), args.fmt))
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpg_solver import assemble_and_solve, error_function
+from .dpg_solver import _check_solver_tol, assemble_and_solve, error_function
 from .forms import TestNorm, _test_degrees, _volume_exactness
 from .mesh import Mesh, build_initial_mesh, refine_uniform
 from .postprocess import _postprocess_exactness, postprocess_u
@@ -82,6 +82,7 @@ class StudyConfig:
             raise ValueError("a study needs at least 2 levels")
         if self.variant not in ("standard", "augmented", "both"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        _check_solver_tol(self.solver_tol)
         if isinstance(self.norm, str):
             object.__setattr__(self, "norm", TestNorm.from_name(self.norm))
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_jacobi, eval_legendre
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # reference edge j runs from vertex j to vertex j+1 mod 3
@@ -77,6 +77,41 @@ def edge_quadrature(exactness: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, exactness)
 
 
+def _jacobi(n: int, alpha: int, beta: int, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomial P_n^(alpha, beta)(x) of integer order and weights.
+
+    The recurrence runs on the differences d_k = p_{k+1} - p_k of the
+    polynomials normalized to p_k(1) = 1 and ends with the factor
+    binom(n + alpha, n) = P_n(1), in the order of operations of
+    ``scipy.special.eval_jacobi`` for an integer order.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2 * (alpha + 1) + (alpha + beta + 2) * (x - 1))
+    d = (alpha + beta + 2) * (x - 1) / (2 * (alpha + 1))
+    p = d + 1
+    for k in range(1, n):
+        t = 2 * k + alpha + beta
+        d = ((t * (t + 1) * (t + 2)) * (x - 1) * p + 2 * k * (k + beta) * (t + 2) * d) \
+            / (2 * (k + alpha + 1) * (k + alpha + beta + 1) * t)
+        p = d + p
+    return comb(n + alpha, n) * p
+
+
+def _legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """Legendre polynomial P_n(x), by the recurrence on the differences
+    d_k = P_{k+1} - P_k that ``scipy.special.eval_legendre`` uses for an
+    integer order."""
+    if n == 0:
+        return np.ones_like(x)
+    d, p = x - 1, x
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = d + p
+    return p
+
+
 def _modal_tables(p: int, points: np.ndarray):
     """Values and gradients of the orthonormal modal basis.
 
@@ -110,9 +145,9 @@ def _modal_tables(p: int, points: np.ndarray):
         for m in range(d + 1):
             n = d - m
             c = np.sqrt(2.0 * (2 * m + 1) * (m + n + 1))
-            J = eval_jacobi(n, 2 * m + 1, 0, b)
+            J = _jacobi(n, 2 * m + 1, 0, b)
             if n >= 1:
-                Jy = (n + 2 * m + 2) * eval_jacobi(n - 1, 2 * m + 2, 1, b)
+                Jy = (n + 2 * m + 2) * _jacobi(n - 1, 2 * m + 2, 1, b)
             else:
                 Jy = np.zeros(npts)
             vals.append(c * L[m] * J)
@@ -165,7 +200,7 @@ def legendre_1d(p: int, t: np.ndarray) -> np.ndarray:
     """Legendre polynomials P_k(2t-1), k = 0..p, on [0,1]; shape (len(t), p+1).
     The leading one is the constant 1 (the RT edge-moment normalization)."""
     t = np.atleast_1d(t)
-    return np.column_stack([eval_legendre(k, 2.0 * t - 1.0) for k in range(p + 1)])
+    return np.column_stack([_legendre(k, 2.0 * t - 1.0) for k in range(p + 1)])
 
 
 def legendre_orthonormal_1d(p: int, t: np.ndarray) -> np.ndarray:

@@ -150,6 +150,12 @@ def test_config_validation():
     assert cfg.norm is TestNorm.QUASI_OPTIMAL
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_config_rejects_solver_tol(tol):
+    with pytest.raises(ValueError, match="solver tolerance must be finite"):
+        StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=2, solver_tol=tol)
+
+
 def test_emit_rejects_unknown_format(cheap_table):
     with pytest.raises(ValueError, match="unknown output format 'pdf'"):
         emit_table(cheap_table, "pdf")
@@ -251,6 +257,36 @@ def test_cli_study_to_file(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert out.read_text().startswith("| p | #T |")
+
+
+def _no_study(*args, **kwargs):
+    raise AssertionError("the study ran")
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_cli_rejects_solver_tol(tol, monkeypatch, capsys):
+    from dpglab import cli
+
+    monkeypatch.setattr(cli, "run_convergence_study", _no_study)
+    code = main(["study", "--example", "1", "--norm", "qopt", "--p", "0",
+                 "--levels", "2", "--quiet", "--solver-tol", tol])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "dpg-lab: error: solver tolerance must be finite and positive")
+
+
+def test_cli_study_to_missing_directory(tmp_path, monkeypatch, capsys):
+    # the output path is opened before the first level
+    from dpglab import cli
+
+    monkeypatch.setattr(cli, "run_convergence_study", _no_study)
+    out = tmp_path / "missing" / "table.csv"
+    code = main(["study", "--example", "1", "--norm", "qopt", "--p", "0",
+                 "--levels", "2", "--quiet", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dpg-lab: error: cannot write the table to {out}: ")
+    assert not out.parent.exists()
 
 
 def test_cli_rejects_bad_levels(capsys):

@@ -2,10 +2,12 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi, eval_legendre
 
+from dpglab import refelem
 from dpglab.refelem import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS, REF_VERTICES,
                             RTBasis, edge_quadrature, lagrange_1d,
-                            legendre_orthonormal_1d, scalar_basis,
+                            legendre_1d, legendre_orthonormal_1d, scalar_basis,
                             triangle_quadrature)
 
 
@@ -84,6 +86,23 @@ def test_legendre_orthonormal_1d():
     V = legendre_orthonormal_1d(4, rule.points)
     gram = np.einsum("q,qi,qj->ij", rule.weights, V, V)
     assert np.abs(gram - np.eye(5)).max() < 1e-13
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_polynomials_match_scipy_special(p, monkeypatch):
+    # the numpy recurrences against scipy.special on every rule up to the
+    # exactness 2p + 24 of the acceptance checks; the Jacobi values agree
+    # bit for bit, the Legendre ones but at x = 0, where scipy sums a series
+    for e in range(2 * 4 + 25):
+        tri, edge = triangle_quadrature(e).points, edge_quadrature(e).points
+        got = (*scalar_basis(p).tables(tri), legendre_1d(p, edge))
+        with monkeypatch.context() as m:
+            m.setattr(refelem, "_jacobi", eval_jacobi)
+            m.setattr(refelem, "_legendre", eval_legendre)
+            want = (*scalar_basis(p).tables(tri), legendre_1d(p, edge))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])

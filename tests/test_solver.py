@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import dpglab
 from dpglab import dpg_solver
 from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
                                _factor, _solve_spd, assemble_and_solve,
@@ -177,10 +182,24 @@ def test_best_approximation_sandwich(initial):
 
 
 def test_uncertified_solve_raises_with_backward_error(initial):
-    # no backward error reaches 0: all three refinement steps run, then raise
+    # no backward error reaches 1e-300: all three refinement steps run, then
+    # raise
     with pytest.raises(SolverError, match=r"backward error .* > tolerance "
-                       r"0\.000e\+00 after 3 refinement steps"):
-        assemble_and_solve(initial, example(1), p=0, solver_tol=0.0)
+                       r"1\.000e-300 after 3 refinement steps"):
+        assemble_and_solve(initial, example(1), p=0, solver_tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_solver_tol_must_be_finite_and_positive(initial, tol, monkeypatch):
+    # rejected before any assembly: NaN or 0 would certify no solve after
+    # three refinement steps, inf every solve
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled with an invalid tolerance")
+
+    monkeypatch.setattr(dpg_solver, "ElementAssembler", no_assembly)
+    with pytest.raises(ValueError, match="solver tolerance must be finite and "
+                       "positive"):
+        assemble_and_solve(initial, example(1), p=0, solver_tol=tol)
 
 
 def _csc_arrays(A):
@@ -629,3 +648,43 @@ def test_solve_spd_leaves_non_canonical_input_alone():
     assert res <= 1e-12
     assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14)
     assert _bitwise_equal(A.indices, indices) and _bitwise_equal(A.data, data)
+
+
+# the peak RSS of this process image in kB; ru_maxrss would also count the
+# RSS of the process that started it, which it inherits across fork and exec
+_FACTOR_MEMORY_SCRIPT = """
+import scipy.sparse as sp
+from dpglab.dpg_solver import _factor
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+
+A = sp.load_npz({path!r}).tocsc()
+before = hwm()
+lu = _factor(A)
+print((hwm() - before) * 1024, (lu.L.nnz + lu.U.nnz) * 12)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_factor_working_memory(initial, tmp_path):
+    # ex1/qopt p0 level 5: the factorization's peak RSS growth stays within
+    # 1.7x the bytes of the factor it keeps (12 per entry), 1.32x measured;
+    # SuperLU's default panels of 20 columns hold a dense n x 20 work array
+    # and index arrays of that shape, and grew it by 2.33x.  A is read from
+    # a file in a fresh process so that no assembly transient sets the peak
+    mesh = initial
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    A, _ = _system(mesh, 0, TestNorm.QUASI_OPTIMAL)
+    path = tmp_path / "A.npz"
+    sp.save_npz(path, A, compressed=False)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(dpglab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c",
+                          _FACTOR_MEMORY_SCRIPT.format(path=str(path))],
+                         env=env, capture_output=True, text=True, check=True)
+    growth, factor_bytes = map(int, out.stdout.split())
+    assert growth <= 1.7 * factor_bytes, (growth, factor_bytes)
