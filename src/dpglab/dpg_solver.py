@@ -50,7 +50,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import _CHUNK, ElementAssembler, TestNorm, _test_degrees
+from .forms import (_CHUNK, ElementAssembler, TestNorm, _check_test_degrees,
+                    _test_degrees)
 from .mesh import Mesh
 from .problems import ProblemSpec
 from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap
@@ -335,21 +336,24 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
     solve then shares its assembler and loads F instead of computing them
-    again, with identical results.  Other data raise ValueError, as does a
-    ``solver_tol`` that is not finite and positive.
+    again, with identical results.  Other data raise ValueError, as do a
+    ``solver_tol`` that is not finite and positive and test degrees too low
+    for the variant (:func:`dpglab.forms._check_test_degrees`).
     """
     _check_solver_tol(solver_tol)
     dofmap = build_dofmap(mesh, p, variant)
-    if test_space is None:
-        asm = ElementAssembler(mesh, problem.coeffs, p, k1, k2)
-        F = _loads(asm, problem.f, problem.fvec)
-    else:
+    if test_space is not None:
         _check_data(test_space, mesh, problem, "test_space")
         asm = test_space.assembler
         have, want = (asm.p, asm.k1, asm.k2), (p, *_test_degrees(p, k1, k2))
         if have != want:
             raise ValueError(f"test_space has degrees (p, k1, k2) = {have}; "
                              f"this solve asks for {want}")
+    _check_test_degrees(dofmap.layout, k1, k2)
+    if test_space is None:
+        asm = ElementAssembler(mesh, problem.coeffs, p, k1, k2)
+        F = _loads(asm, problem.f, problem.fvec)
+    else:
         F = test_space.loads
     A, b = assemble_global(mesh, dofmap, asm, kind, F)
     x, res = _solve_spd(A, b, solver_tol)

@@ -55,7 +55,8 @@ import numpy as np
 
 from .mesh import Mesh
 from .refelem import (edge_quadrature, lagrange_1d, legendre_orthonormal_1d,
-                      ref_edge_points, scalar_basis, triangle_quadrature)
+                      ref_edge_points, scalar_tables, scalar_values,
+                      triangle_quadrature)
 from .spaces import TrialLayout, trial_layout
 
 # elements per batch of the class key here and of the loads and the
@@ -108,6 +109,22 @@ def _test_degrees(p: int, k1: int | None, k2: int | None) -> tuple[int, int]:
     """Test degrees (k1, k2) of an assembler of trial degree ``p``; each
     defaults to p + 2."""
     return (p + 2 if k1 is None else int(k1), p + 2 if k2 is None else int(k2))
+
+
+def _check_test_degrees(layout: TrialLayout, k1: int | None, k2: int | None) -> None:
+    """Raise ValueError unless k1 >= p + 1 and k2 >= pu + 1 for the trial
+    layout's degrees p (sigma) and pu (u).
+
+    Then grad v reaches the degree of sigma and div tau that of u.  Lower
+    test degrees can leave the discrete system singular, which no backward
+    error detects (err_u 1e15 at p = 1, k2 = 1), or lose the
+    superconvergence (k1 = p)."""
+    k1, k2 = _test_degrees(layout.p, k1, k2)
+    if k1 < layout.p + 1 or k2 < layout.pu + 1:
+        raise ValueError(
+            f"test degrees (k1, k2) = ({k1}, {k2}) are too low for trial degrees "
+            f"(p, pu) = ({layout.p}, {layout.pu}); need k1 >= {layout.p + 1} "
+            f"and k2 >= {layout.pu + 1}")
 
 
 def _volume_exactness(k1: int, k2: int) -> int:
@@ -192,11 +209,11 @@ class ElementAssembler:
                 f"trial degree {p + 1} with test degrees ({self.k1},{self.k2})")
 
         # reference test tables at volume quadrature points
-        self.V1, self.dV1 = scalar_basis(self.k1).tables(self.rule.points)
+        self.V1, self.dV1 = scalar_tables(self.k1, self.rule.points)
         if self.k2 == self.k1:
             self.V2, self.dV2 = self.V1, self.dV1
         else:
-            self.V2, self.dV2 = scalar_basis(self.k2).tables(self.rule.points)
+            self.V2, self.dV2 = scalar_tables(self.k2, self.rule.points)
         self.n1 = self.V1.shape[1]
         self.n2 = self.V2.shape[1]
         self.n_test = self.n1 + 2 * self.n2
@@ -208,8 +225,8 @@ class ElementAssembler:
         self.V1E, self.V2E = [], []
         for j in range(3):
             pts = ref_edge_points(s, j)
-            self.V1E.append(scalar_basis(self.k1).eval(pts))
-            self.V2E.append(scalar_basis(self.k2).eval(pts)
+            self.V1E.append(scalar_values(self.k1, pts))
+            self.V2E.append(scalar_values(self.k2, pts)
                             if self.k2 != self.k1 else self.V1E[-1])
         # uhat nodal values in the column order of TrialLayout.uhat_cols:
         # local vertex a, the edge nodes lo->hi, local vertex b.  The nodes
@@ -222,7 +239,7 @@ class ElementAssembler:
         self.leg_rev = legendre_orthonormal_1d(p, 1.0 - s)
         # trial basis of degree p + 1; the basis is hierarchical, so its first
         # scalar_dim(d) columns are the degree-d basis bit for bit
-        self.U = scalar_basis(p + 1).eval(self.rule.points)
+        self.U = scalar_values(p + 1, self.rule.points)
 
         self.classes, self._firsts = self._element_classes()
 

@@ -22,12 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .dpg_solver import _check_solver_tol, assemble_and_solve, error_function
-from .forms import TestNorm, _test_degrees, _volume_exactness
+from .forms import TestNorm, _check_test_degrees, _test_degrees, _volume_exactness
 from .mesh import Mesh, build_initial_mesh, refine_uniform
 from .postprocess import _postprocess_exactness, postprocess_u
 from .problems import ProblemSpec, example, seam_clearance
-from .refelem import scalar_basis, triangle_quadrature
-from .spaces import CoefficientVector, l2_project
+from .refelem import triangle_quadrature
+from .spaces import CoefficientVector, broken_eval, l2_project, trial_layout
 
 CSV_HEADER = "p,nT,err_u,rate_u,err_proj,rate_proj,err_aug,rate_aug,err_post,rate_post"
 # a quadrature node this close to a coefficient jump line counts as on it
@@ -48,12 +48,10 @@ def l2_error(mesh: Mesh, approx: CoefficientVector, exact) -> float:
     callable."""
     if approx.mesh is not mesh:
         raise ValueError("l2_error needs the mesh the field lives on")
-    deg = approx.degree
-    rule = triangle_quadrature(2 * deg + 6)
-    psi = scalar_basis(deg).eval(rule.points)
+    rule = triangle_quadrature(2 * approx.degree + 6)
     X = mesh.map_points(rule.points)
     vals = np.asarray(exact(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1)
-    diff = vals - (approx.by_element() @ psi.T) / np.sqrt(mesh.dets)[:, None]
+    diff = vals - broken_eval(approx, rule.points)
     err2 = np.einsum("q,eq,e->", rule.weights, diff * diff, mesh.dets)
     return float(np.sqrt(err2))
 
@@ -83,6 +81,9 @@ class StudyConfig:
         if self.variant not in ("standard", "augmented", "both"):
             raise ValueError(f"unknown variant {self.variant!r}")
         _check_solver_tol(self.solver_tol)
+        for variant in ("standard", "augmented"):
+            if self.variant in (variant, "both"):
+                _check_test_degrees(trial_layout(self.p, variant), self.k1, self.k2)
         if isinstance(self.norm, str):
             object.__setattr__(self, "norm", TestNorm.from_name(self.norm))
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .dpg_solver import Solution, SolverError
 from .mesh import Mesh
-from .refelem import scalar_basis, triangle_quadrature
-from .spaces import CoefficientVector
+from .refelem import scalar_tables, scalar_values, triangle_quadrature
+from .spaces import CoefficientVector, broken_eval
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -56,18 +56,15 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     w = rule.weights
     nt = mesh.n_triangles
 
-    _, Pg = scalar_basis(p + 1).tables(rule.points)  # (Q, n, 2)
+    _, Pg = scalar_tables(p + 1, rule.points)  # (Q, n, 2)
     nq, n = Pg.shape[:2]
     sdet = np.sqrt(mesh.dets)
 
     # u_h, sigma_h and the drive at the quadrature points, one component
     # plane (e, 2, Q) per vector field
     u = solution.u
-    Uv = scalar_basis(u.degree).eval(rule.points)
-    Sv = Uv if u.degree == p else scalar_basis(p).eval(rule.points)
-    cu = u.by_element()
-    uh = (cu @ Uv.T) / sdet[:, None]
-    sh = (solution.sigma @ Sv.T) / sdet[:, None, None]
+    uh = broken_eval(u, rule.points)
+    sh = (solution.sigma @ scalar_values(p, rule.points).T) / sdet[:, None, None]
 
     X = mesh.map_points(rule.points)
     flat = X.reshape(-1, 2)
@@ -96,7 +93,7 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     b = np.empty((nt, n + 1))
     b[:, :n] = ref.reshape(nt, -1) @ (w[:, None, None] * Pg).transpose(2, 0, 1).reshape(-1, n)
     b[:, :n] *= sdet[:, None]
-    b[:, n] = cu[:, 0] * sdet / _SQRT2  # element mean of u_h (orthonormal basis)
+    b[:, n] = u.by_element()[:, 0] * sdet / _SQRT2  # element mean of u_h (orthonormal basis)
     bad = ~(ok[classes] & np.isfinite(b).all(axis=1))
     if bad.any():
         raise SolverError(f"postprocessing of element {np.flatnonzero(bad)[0]}: "

@@ -4,14 +4,16 @@ Reference triangle: conv{(0,0), (1,0), (0,1)}, area 1/2.  Scalar broken
 fields use an L2-orthonormal modal basis (collapsed-coordinate Jacobi
 construction evaluated through a singularity-free recurrence), which makes
 element mass blocks exact identities and keeps the Gram solves well
-conditioned.  Skeleton traces use nodal Lagrange data; H(div) interpolation
-uses a Raviart-Thomas basis defined by edge and interior moments.
+conditioned.  Skeleton traces use nodal Lagrange data.  Raviart-Thomas
+fields are expanded in the spanning set of RT^p (:func:`rt_span`), which is
+a basis; :mod:`dpglab.spaces` fixes the coefficients per element from the
+edge and interior moments.  Every basis is a plain function of the degree
+and the points that returns its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -20,9 +22,6 @@ from numpy.polynomial.legendre import leggauss
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # reference edge j runs from vertex j to vertex j+1 mod 3
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-_S2 = 1.0 / np.sqrt(2.0)
-REF_EDGE_NORMALS = np.array([[0.0, -1.0], [_S2, _S2], [-1.0, 0.0]])
-REF_EDGE_LENGTHS = np.array([1.0, np.sqrt(2.0), 1.0])
 
 
 def ref_edge_points(s: np.ndarray, j: int) -> np.ndarray:
@@ -112,15 +111,21 @@ def _legendre(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _modal_tables(p: int, points: np.ndarray):
-    """Values and gradients of the orthonormal modal basis.
+def scalar_tables(p: int, points: np.ndarray):
+    """Values (npoints, dim) and gradients (npoints, dim, 2) of the
+    L2(ref)-orthonormal modal basis of P^p on the reference triangle.
 
     The basis member indexed by (m, n) is
     ``c * P_m(a) * ((1-y)/2 * 2)^m * J_n^{(2m+1,0)}(2y-1)`` in collapsed
     coordinates ``a = 2x/(1-y) - 1``; the product ``P_m(a) (1-y)^m`` is
     evaluated by a three-term recurrence that never divides by ``1-y``, so
-    the top vertex is safe.  Ordering: total degree, then m ascending.
+    the top vertex is safe.  Ordering: total degree, then m ascending, so
+    the basis is hierarchical: the first ``scalar_dim(d)`` columns are the
+    degree-d basis bit for bit.
     """
+    if p < 0:
+        raise ValueError("degree must be >= 0")
+    points = np.atleast_2d(points)
     x = points[:, 0]
     y = points[:, 1]
     npts = len(x)
@@ -157,31 +162,9 @@ def _modal_tables(p: int, points: np.ndarray):
             np.stack([np.array(gx).T, np.array(gy).T], axis=2))
 
 
-class ScalarBasis:
-    """L2(ref)-orthonormal polynomial basis of P^p on the reference triangle."""
-
-    def __init__(self, p: int):
-        if p < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = p
-        self.dim = scalar_dim(p)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Basis values, shape (npoints, dim)."""
-        return _modal_tables(self.degree, np.atleast_2d(points))[0]
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        """Basis gradients, shape (npoints, dim, 2)."""
-        return _modal_tables(self.degree, np.atleast_2d(points))[1]
-
-    def tables(self, points: np.ndarray):
-        """(values, gradients) in one pass."""
-        return _modal_tables(self.degree, np.atleast_2d(points))
-
-
-@lru_cache(maxsize=None)
-def scalar_basis(p: int) -> ScalarBasis:
-    return ScalarBasis(p)
+def scalar_values(p: int, points: np.ndarray) -> np.ndarray:
+    """Values (npoints, dim) of the orthonormal basis of P^p."""
+    return scalar_tables(p, points)[0]
 
 
 def lagrange_1d(q: int, t: np.ndarray) -> np.ndarray:
@@ -208,107 +191,28 @@ def legendre_orthonormal_1d(p: int, t: np.ndarray) -> np.ndarray:
     return np.sqrt(2 * np.arange(p + 1) + 1) * legendre_1d(p, t)
 
 
-class RTBasis:
-    """Raviart-Thomas basis RT^p on the reference triangle.
+def rt_span(p: int, points: np.ndarray):
+    """Values (npoints, dim, 2) and divergences (npoints, dim) of the
+    spanning set of RT^p = (P^p)^2 + x P~^p on the reference triangle.
 
-    Degrees of freedom: for each edge, moments of the (outward) normal trace
-    against Legendre polynomials in the edge parameter (arclength measure,
-    leading moment against the constant 1); for p >= 1, interior moments
-    against (P^{p-1})^2.  The stored basis is dual to these functionals.
+    The members are (psi_i, 0) and (0, psi_i) for the orthonormal basis
+    psi_i of P^p, then (x, y) h_a for the homogeneous h_a = x^(p-a) y^a,
+    a = 0..p; the sum is direct, so they are a basis of dimension
+    (p + 1)(p + 3).
     """
-
-    def __init__(self, p: int):
-        if p < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = p
-        self.dim = (p + 1) * (p + 3)
-        self.n_edge_dofs = 3 * (p + 1)
-
-        # spanning set: (psi_i, 0), (0, psi_i), then x * (homogeneous degree p)
-        self._span_scalar = scalar_basis(p)
-        self._n_s = self._span_scalar.dim
-
-        rule = triangle_quadrature(max(2 * p, 2 * (p + 1)))
-        erule = edge_quadrature(2 * p + 2)
-        D = np.empty((self.dim, self.dim))
-        D[:self.n_edge_dofs] = self._edge_moments_of_span(erule)
-        if p >= 1:
-            D[self.n_edge_dofs:] = self._interior_moments_of_span(rule)
-        self._dual = np.linalg.inv(D)  # span coefficients of the nodal basis
-
-    # -- spanning set -----------------------------------------------------
-    def _span_eval(self, points: np.ndarray) -> np.ndarray:
-        """(npts, dim, 2) values of the spanning set."""
-        points = np.atleast_2d(points)
-        p, ns = self.degree, self._n_s
-        psi = self._span_scalar.eval(points)
-        out = np.zeros((len(points), self.dim, 2))
-        out[:, :ns, 0] = psi
-        out[:, ns:2 * ns, 1] = psi
-        x, y = points[:, 0], points[:, 1]
-        for a in range(p + 1):
-            h = x ** (p - a) * y ** a
-            out[:, 2 * ns + a, 0] = x * h
-            out[:, 2 * ns + a, 1] = y * h
-        return out
-
-    def _span_div(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        p, ns = self.degree, self._n_s
-        g = self._span_scalar.grad(points)
-        out = np.zeros((len(points), self.dim))
-        out[:, :ns] = g[:, :, 0]
-        out[:, ns:2 * ns] = g[:, :, 1]
-        x, y = points[:, 0], points[:, 1]
-        for a in range(p + 1):
-            # div((x,y) h) = (p + 2) h for h homogeneous of degree p
-            out[:, 2 * ns + a] = (p + 2) * x ** (p - a) * y ** a
-        return out
-
-    def _edge_moments_of_span(self, erule) -> np.ndarray:
-        p = self.degree
-        rows = np.empty((self.n_edge_dofs, self.dim))
-        leg = legendre_1d(p, erule.points)
-        for j in range(3):
-            vals = self._span_eval(ref_edge_points(erule.points, j))
-            tn = vals @ REF_EDGE_NORMALS[j]
-            block = np.einsum("k,km,ki->mi", erule.weights * REF_EDGE_LENGTHS[j], leg, tn)
-            rows[j * (p + 1):(j + 1) * (p + 1)] = block
-        return rows
-
-    def _interior_moments_of_span(self, rule) -> np.ndarray:
-        psi = scalar_basis(self.degree - 1).eval(rule.points)
-        vals = self._span_eval(rule.points)
-        n_int = 2 * psi.shape[1]
-        rows = np.empty((n_int, self.dim))
-        rows[0::2] = np.einsum("k,km,ki->mi", rule.weights, psi, vals[:, :, 0])
-        rows[1::2] = np.einsum("k,km,ki->mi", rule.weights, psi, vals[:, :, 1])
-        return rows
-
-    # -- public evaluators ------------------------------------------------
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """(npoints, dim, 2) values of the nodal basis."""
-        return np.einsum("qic,ij->qjc", self._span_eval(points), self._dual)
-
-    def div(self, points: np.ndarray) -> np.ndarray:
-        return self._span_div(points) @ self._dual
-
-    def apply_dofs(self, func) -> np.ndarray:
-        """Apply the defining functionals to a vector field on the reference
-        triangle; ``func(points) -> (npoints, 2)``."""
-        p = self.degree
-        erule = edge_quadrature(2 * p + 2 + 10)
-        out = np.empty(self.dim)
-        leg = legendre_1d(p, erule.points)
-        for j in range(3):
-            vals = np.atleast_2d(func(ref_edge_points(erule.points, j)))
-            tn = vals @ REF_EDGE_NORMALS[j]
-            out[j * (p + 1):(j + 1) * (p + 1)] = np.einsum(
-                "k,km,k->m", erule.weights * REF_EDGE_LENGTHS[j], leg, tn)
-        if p >= 1:
-            rule = triangle_quadrature(2 * p + 10)
-            psi = scalar_basis(p - 1).eval(rule.points)
-            vals = np.atleast_2d(func(rule.points))
-            out[self.n_edge_dofs + 0::2] = np.einsum("k,km,k->m", rule.weights, psi, vals[:, 0])
-            out[self.n_edge_dofs + 1::2] = np.einsum("k,km,k->m", rule.weights, psi, vals[:, 1])
-        return out
+    points = np.atleast_2d(points)
+    psi, dpsi = scalar_tables(p, points)
+    ns = psi.shape[1]
+    vals = np.zeros((len(points), 2 * ns + p + 1, 2))
+    div = np.empty((len(points), 2 * ns + p + 1))
+    vals[:, :ns, 0] = psi
+    vals[:, ns:2 * ns, 1] = psi
+    div[:, :ns] = dpsi[:, :, 0]
+    div[:, ns:2 * ns] = dpsi[:, :, 1]
+    x, y = points[:, 0], points[:, 1]
+    for a in range(p + 1):
+        h = x ** (p - a) * y ** a
+        vals[:, 2 * ns + a] = points * h[:, None]
+        # div((x, y) h) = (p + 2) h for h homogeneous of degree p
+        div[:, 2 * ns + a] = (p + 2) * h
+    return vals, div

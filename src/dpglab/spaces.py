@@ -16,6 +16,10 @@ B against the layout it is given:
 
 Boundary ``uhat`` DOFs do not exist (homogeneous Dirichlet data); gather
 entries for them are -1.
+
+:func:`rt_interpolate` keeps one coefficient row per element in the
+Piola-mapped spanning set of RT^p (:func:`dpglab.refelem.rt_span`); one
+batched solve of the element moment systems computes them all.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .refelem import (LOCAL_EDGES, RTBasis, edge_quadrature, legendre_1d,
-                      ref_edge_points, scalar_basis, scalar_dim,
-                      triangle_quadrature)
+from .refelem import (LOCAL_EDGES, edge_quadrature, legendre_1d, ref_edge_points,
+                      rt_span, scalar_dim, scalar_values, triangle_quadrature)
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,8 @@ class CoefficientVector:
 
 def broken_eval(cv: CoefficientVector, ref_points: np.ndarray) -> np.ndarray:
     """Field values at the same reference points in every element, (nt, nq)."""
-    psi = scalar_basis(cv.degree).eval(ref_points)
-    scale = 1.0 / np.sqrt(cv.mesh.dets)
-    return (cv.by_element() @ psi.T) * scale[:, None]
+    psi = scalar_values(cv.degree, ref_points)
+    return (cv.by_element() @ psi.T) / np.sqrt(cv.mesh.dets)[:, None]
 
 
 class DofMap:
@@ -190,7 +192,7 @@ def l2_project(mesh: Mesh, p: int, f, exactness: int | None = None):
     tuple of CoefficientVectors, one per component.
     """
     rule = triangle_quadrature(2 * p + 6 if exactness is None else exactness)
-    psi = scalar_basis(p).eval(rule.points)
+    psi = scalar_values(p, rule.points)
     X = mesh.map_points(rule.points)
     vals = np.asarray(f(X.reshape(-1, 2)))
     sdet = np.sqrt(mesh.dets)
@@ -210,57 +212,42 @@ def l2_project(mesh: Mesh, p: int, f, exactness: int | None = None):
 class RTCoefficients:
     """Global H(div)-conforming RT^p interpolant.
 
-    ``edge_moments[E, k]`` is the moment of the normal trace (against the
-    global normal) with the k-th Legendre polynomial of the lo->hi edge
-    parameter in arclength measure; ``interior_moments`` holds element
-    moments against (P^{p-1})^2.  Element coefficient recovery solves the
-    matching local moment systems, so the normal trace is single-valued by
-    construction.
+    ``coeffs[T]`` expands the field on element T in the Piola-mapped
+    spanning set :func:`dpglab.refelem.rt_span`.  The coefficients match
+    the moments of the normal trace on each edge, which are computed once
+    per edge against the global normal, so the normal trace is
+    single-valued by construction.
     """
 
     mesh: Mesh = field(repr=False)
     degree: int
-    edge_moments: np.ndarray  # (ne, p+1)
-    interior_moments: np.ndarray  # (nt, p*(p+1))
-
-    def local_coeffs(self) -> np.ndarray:
-        """(nt, dim) coefficients in the Piola-mapped reference RT basis."""
-        M, _ = _rt_local_moment_systems(self.mesh, self.degree)
-        p = self.degree
-        nt = self.mesh.n_triangles
-        rhs = np.empty((nt, (p + 1) * (p + 3)))
-        for j in range(3):
-            rhs[:, j * (p + 1):(j + 1) * (p + 1)] = \
-                self.edge_moments[self.mesh.tri_edges[:, j]]
-        if p >= 1:
-            rhs[:, 3 * (p + 1):] = self.interior_moments
-        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    coeffs: np.ndarray  # (nt, (p+1)(p+3))
 
     def div(self, ref_points: np.ndarray) -> np.ndarray:
         """Divergence values at reference points per element, (nt, nq)."""
-        dref = RTBasis(self.degree).div(ref_points)  # (nq, dim)
-        return (self.local_coeffs() @ dref.T) / self.mesh.dets[:, None]
+        dref = rt_span(self.degree, ref_points)[1]  # (nq, dim)
+        return (self.coeffs @ dref.T) / self.mesh.dets[:, None]
 
     def eval(self, ref_points: np.ndarray) -> np.ndarray:
         """Field values at reference points per element, (nt, nq, 2)."""
-        vref = RTBasis(self.degree).eval(ref_points)  # (nq, dim, 2)
+        vref = rt_span(self.degree, ref_points)[0]  # (nq, dim, 2)
         piola = np.einsum("ecd,qid->eqic", self.mesh.jacobians, vref)
         piola /= self.mesh.dets[:, None, None, None]
-        return np.einsum("ei,eqic->eqc", self.local_coeffs(), piola)
+        return np.einsum("ei,eqic->eqc", self.coeffs, piola)
 
 
-def _rt_local_moment_systems(mesh: Mesh, p: int):
-    """Moment matrices of the Piola-mapped RT basis w.r.t. the *global* edge
-    and interior functionals, batched over elements: (nt, dim, dim)."""
-    basis = RTBasis(p)
-    dim = basis.dim
+def _rt_local_moment_systems(mesh: Mesh, p: int) -> np.ndarray:
+    """Moments of the Piola-mapped spanning set of RT^p against the
+    *global* edge and interior functionals, batched over elements:
+    (nt, dim, dim), one row per functional and one column per member."""
+    dim = (p + 1) * (p + 3)
     nt = mesh.n_triangles
     erule = edge_quadrature(2 * p + 4)
     leg_fwd = legendre_1d(p, erule.points)
     leg_rev = legendre_1d(p, 1.0 - erule.points)
     M = np.empty((nt, dim, dim))
     for j in range(3):
-        vref = basis.eval(ref_edge_points(erule.points, j))  # (nq, dim, 2)
+        vref = rt_span(p, ref_edge_points(erule.points, j))[0]  # (nq, dim, 2)
         piola = np.einsum("ecd,qid->eqic", mesh.jacobians, vref) / mesh.dets[:, None, None, None]
         n_e = mesh.edge_normals[mesh.tri_edges[:, j]]  # (nt, 2) global normal
         tn = np.einsum("eqic,ec->eqi", piola, n_e)
@@ -271,25 +258,28 @@ def _rt_local_moment_systems(mesh: Mesh, p: int):
         M[:, j * (p + 1):(j + 1) * (p + 1), :] = np.einsum("eq,eqm,eqi->emi", wlen, legf, tn)
     if p >= 1:
         rule = triangle_quadrature(2 * p + 4)
-        psi = scalar_basis(p - 1).eval(rule.points)  # (nq, npsi)
-        vref = basis.eval(rule.points)
+        psi = scalar_values(p - 1, rule.points)  # (nq, npsi)
+        vref = rt_span(p, rule.points)[0]
         piola = np.einsum("ecd,qid->eqic", mesh.jacobians, vref) / mesh.dets[:, None, None, None]
         w = rule.weights[None, :] * mesh.dets[:, None]
         rows = np.einsum("eq,qm,eqic->emci", w, psi, piola)
         M[:, 3 * (p + 1):, :] = rows.reshape(nt, -1, dim)
-    return M, basis
+    return M
 
 
 def rt_interpolate(mesh: Mesh, p: int, tau, exactness: int | None = None) -> RTCoefficients:
     """Interpolate a vector field with single-valued normal traces into
     global RT^p by matching edge normal-trace moments and interior moments.
 
-    ``tau(points) -> (n, 2)`` must be piecewise smooth; on interior edges it
-    is evaluated on the edge itself, so its normal component must be
-    single-valued there.  The default moment quadrature carries extra
-    exactness because the commuting property only holds up to the accuracy
-    of the computed moments for non-polynomial fields.
+    The edge moments are against the Legendre polynomials of the lo->hi
+    edge parameter in arclength measure, the interior ones (p >= 1) against
+    (P^{p-1})^2.  ``tau(points) -> (n, 2)`` must be piecewise smooth; on
+    interior edges it is evaluated on the edge itself, so its normal
+    component must be single-valued there.  The default moment quadrature
+    carries extra exactness because the commuting property only holds up to
+    the accuracy of the computed moments for non-polynomial fields.
     """
+    nt = mesh.n_triangles
     erule = edge_quadrature(2 * p + 10 if exactness is None else exactness)
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
@@ -298,16 +288,17 @@ def rt_interpolate(mesh: Mesh, p: int, tau, exactness: int | None = None) -> RTC
     tn = np.einsum("eqc,ec->eq", vals, mesh.edge_normals)
     leg = legendre_1d(p, erule.points)
     wlen = erule.weights[None, :] * mesh.edge_lengths[:, None]
-    edge_moments = np.einsum("eq,qm->em", wlen * tn, leg)
+    moments = np.einsum("eq,qm->em", wlen * tn, leg)  # (ne, p+1)
 
+    rhs = np.empty((nt, (p + 1) * (p + 3)))
+    for j in range(3):
+        rhs[:, j * (p + 1):(j + 1) * (p + 1)] = moments[mesh.tri_edges[:, j]]
     if p >= 1:
         rule = triangle_quadrature(2 * p + 10 if exactness is None else exactness)
-        psi = scalar_basis(p - 1).eval(rule.points)
+        psi = scalar_values(p - 1, rule.points)
         X = mesh.map_points(rule.points)
-        fv = np.asarray(tau(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1, 2)
+        fv = np.asarray(tau(X.reshape(-1, 2))).reshape(nt, -1, 2)
         w = rule.weights[None, :] * mesh.dets[:, None]
-        interior = np.einsum("eq,qm,eqc->emc",
-                             w, psi, fv).reshape(mesh.n_triangles, -1)
-    else:
-        interior = np.zeros((mesh.n_triangles, 0))
-    return RTCoefficients(mesh, p, edge_moments, interior)
+        rhs[:, 3 * (p + 1):] = np.einsum("eq,qm,eqc->emc", w, psi, fv).reshape(nt, -1)
+    M = _rt_local_moment_systems(mesh, p)
+    return RTCoefficients(mesh, p, np.linalg.solve(M, rhs[:, :, None])[:, :, 0])

@@ -7,8 +7,8 @@ from dpglab.dpg_solver import SolverError, assemble_global
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example
-from dpglab.refelem import (LOCAL_EDGES, REF_VERTICES, scalar_basis,
-                            triangle_quadrature)
+from dpglab.refelem import (LOCAL_EDGES, REF_VERTICES, scalar_tables,
+                            scalar_values, triangle_quadrature)
 from dpglab.spaces import build_dofmap, trial_layout
 
 # anisotropic SPD diffusion matrix with convection and reaction
@@ -62,7 +62,7 @@ def test_b_constant_test_function_row(initial):
 
     lay = trial_layout(p)
     rule = triangle_quadrature(2 * p + 6)
-    psi = scalar_basis(p).eval(rule.points)
+    psi = scalar_values(p, rule.points)
     # oracle: direct quadrature of <phi_j, 1>_T for the scaled basis
     want_u = np.sqrt(det) * np.einsum("q,qj->j", rule.weights, psi)
     assert np.allclose(row[lay.u0:lay.u0 + lay.nu], want_u, atol=1e-13)
@@ -135,7 +135,7 @@ def test_norms_with_anisotropic_matrix(level3, p):
         asm = ElementAssembler(level3, coeffs, p)
         k = asm.k1
         rule = triangle_quadrature(2 * k + 2)  # integrands have degree <= 2k
-        V, dV = scalar_basis(k).tables(rule.points)
+        V, dV = scalar_tables(k, rule.points)
         n = V.shape[1]
         grams = {kind: asm.gram(kind) for kind in TestNorm}
         for t in range(level3.n_triangles):
@@ -220,7 +220,7 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
         u, sigma, f, fvec = _anisotropic_solution(coeffs.reaction)
         asm = ElementAssembler(level3, coeffs, p)
         lay, w = trial_layout(p, "augmented"), asm.rule.weights
-        U, S = (scalar_basis(d).eval(asm.rule.points) for d in (p + 1, p))
+        U, S = (scalar_values(d, asm.rule.points) for d in (p + 1, p))
         B = asm.b_matrices(layout=lay)
         F = asm.loads(f, fvec)
         for t in range(level3.n_triangles):
@@ -361,7 +361,7 @@ def test_element_load_oracle(initial):
     F = asm.loads(lambda x: np.ones(len(x)), None, np.array([t]))[0]
     det = initial.dets[t]
     rule = triangle_quadrature(2 * k + 4)
-    V = scalar_basis(k).eval(rule.points)
+    V = scalar_values(k, rule.points)
     want = np.sqrt(det) * np.einsum("q,qi->i", rule.weights, V)
     n1 = V.shape[1]
     assert np.allclose(F[:n1], want, atol=1e-14)

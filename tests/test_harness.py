@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,35 @@ def test_config_rejects_solver_tol(tol):
         StudyConfig(example=1, norm=TestNorm.SIMPLE, p=0, levels=2, solver_tol=tol)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_test_degrees_below_the_trial_degrees_raise(initial, p):
+    # k1 >= p + 1 and k2 >= pu + 1, pu the degree of u, solve about as well
+    # as the default degrees p + 2; below that the system can be singular
+    # with a tiny backward error (err_u 1e15 at p = 1, k2 = 1), so the solve
+    # and a study that would make it raise
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    for variant, pu in (("standard", p), ("augmented", p + 1)):
+        default = l2_error(mesh, assemble_and_solve(mesh, prob, p, variant=variant).u, prob.u)
+        for k1, k2 in itertools.product(range(1, p + 3), repeat=2):
+            kw = dict(variant=variant, k1=k1, k2=k2)
+            if k1 >= p + 1 and k2 >= pu + 1:
+                sol = assemble_and_solve(mesh, prob, p, **kw)
+                assert l2_error(mesh, sol.u, prob.u) <= 3 * default
+                StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=p, levels=2, **kw)
+                continue
+            low = rf"test degrees \(k1, k2\) = \({k1}, {k2}\) are too low"
+            match = (rf"{low} for trial degrees \(p, pu\) = \({p}, {pu}\); "
+                     rf"need k1 >= {p + 1} and k2 >= {pu + 1}")
+            with pytest.raises(ValueError, match=match):
+                assemble_and_solve(mesh, prob, p, **kw)
+            with pytest.raises(ValueError, match=match):
+                StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=p, levels=2, **kw)
+            with pytest.raises(ValueError, match=low):
+                StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=p, levels=2,
+                            **{**kw, "variant": "both"})
+
+
 def test_emit_rejects_unknown_format(cheap_table):
     with pytest.raises(ValueError, match="unknown output format 'pdf'"):
         emit_table(cheap_table, "pdf")
@@ -273,6 +304,17 @@ def test_cli_rejects_solver_tol(tol, monkeypatch, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "dpg-lab: error: solver tolerance must be finite and positive")
+
+
+def test_cli_rejects_low_test_degrees(monkeypatch, capsys):
+    from dpglab import cli
+
+    monkeypatch.setattr(cli, "run_convergence_study", _no_study)
+    code = main(["study", "--example", "1", "--norm", "qopt", "--p", "1",
+                 "--levels", "2", "--quiet", "--k2", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "dpg-lab: error: test degrees (k1, k2) = (3, 1) are too low")
 
 
 def test_cli_study_to_missing_directory(tmp_path, monkeypatch, capsys):

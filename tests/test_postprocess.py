@@ -10,7 +10,7 @@ from dpglab.harness import l2_error
 from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
 from dpglab.problems import ProblemSpec, derive_data, example
-from dpglab.refelem import scalar_basis, triangle_quadrature
+from dpglab.refelem import scalar_tables, scalar_values, triangle_quadrature
 from dpglab.spaces import build_dofmap, l2_project
 
 
@@ -110,10 +110,10 @@ def _dense_oracle(mesh, problem, sol):
     p = sol.p
     rule = triangle_quadrature(2 * (p + 1) + 6)
     w = rule.weights
-    _, Pg = scalar_basis(p + 1).tables(rule.points)
+    _, Pg = scalar_tables(p + 1, rule.points)
     n = Pg.shape[1]
-    Uv = scalar_basis(sol.u.degree).eval(rule.points)
-    Sv = scalar_basis(p).eval(rule.points)
+    Uv = scalar_values(sol.u.degree, rule.points)
+    Sv = scalar_values(p, rule.points)
     out = np.empty((mesh.n_triangles, n))
     for e, (X, cu, cs) in enumerate(zip(mesh.map_points(rule.points),
                                         sol.u.by_element(), sol.sigma)):

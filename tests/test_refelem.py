@@ -5,9 +5,9 @@ import pytest
 from scipy.special import eval_jacobi, eval_legendre
 
 from dpglab import refelem
-from dpglab.refelem import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS, REF_VERTICES,
-                            RTBasis, edge_quadrature, lagrange_1d,
-                            legendre_1d, legendre_orthonormal_1d, scalar_basis,
+from dpglab.refelem import (edge_quadrature, lagrange_1d, legendre_1d,
+                            legendre_orthonormal_1d, ref_edge_points, rt_span,
+                            scalar_dim, scalar_tables, scalar_values,
                             triangle_quadrature)
 
 
@@ -46,16 +46,18 @@ def test_edge_quadrature():
 
 
 def test_scalar_basis_dimensions_and_constant():
-    assert scalar_basis(0).dim == 1
-    assert scalar_basis(2).dim == 6
-    vals = scalar_basis(0).eval(np.array([[0.3, 0.2], [0.1, 0.7]]))
-    assert np.allclose(vals, np.sqrt(2.0))
+    pts = np.array([[0.3, 0.2], [0.1, 0.7]])
+    assert scalar_values(0, pts).shape == (2, scalar_dim(0)) == (2, 1)
+    assert scalar_values(2, pts).shape == (2, scalar_dim(2)) == (2, 6)
+    assert np.allclose(scalar_values(0, pts), np.sqrt(2.0))
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        scalar_tables(-1, pts)
 
 
 @pytest.mark.parametrize("p", [1, 3, 5])
 def test_scalar_basis_orthonormal(p):
     rule = triangle_quadrature(2 * p)
-    V = scalar_basis(p).eval(rule.points)
+    V = scalar_values(p, rule.points)
     gram = np.einsum("q,qi,qj->ij", rule.weights, V, V)
     assert np.abs(gram - np.eye(V.shape[1])).max() < 1e-12
 
@@ -63,11 +65,10 @@ def test_scalar_basis_orthonormal(p):
 def test_scalar_basis_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     pts = 0.1 + 0.35 * rng.random((20, 2))
-    basis = scalar_basis(4)
-    g = basis.grad(pts)
+    g = scalar_tables(4, pts)[1]
     h = 1e-6
     for c, step in enumerate((np.array([1e-6, 0.0]), np.array([0.0, 1e-6]))):
-        fd = (basis.eval(pts + step) - basis.eval(pts - step)) / (2 * h)
+        fd = (scalar_values(4, pts + step) - scalar_values(4, pts - step)) / (2 * h)
         scale = np.maximum(np.abs(g[:, :, c]), 1.0)
         assert np.max(np.abs(fd - g[:, :, c]) / scale) < 1e-6
 
@@ -95,46 +96,36 @@ def test_polynomials_match_scipy_special(p, monkeypatch):
     # bit for bit, the Legendre ones but at x = 0, where scipy sums a series
     for e in range(2 * 4 + 25):
         tri, edge = triangle_quadrature(e).points, edge_quadrature(e).points
-        got = (*scalar_basis(p).tables(tri), legendre_1d(p, edge))
+        got = (*scalar_tables(p, tri), legendre_1d(p, edge))
         with monkeypatch.context() as m:
             m.setattr(refelem, "_jacobi", eval_jacobi)
             m.setattr(refelem, "_legendre", eval_legendre)
-            want = (*scalar_basis(p).tables(tri), legendre_1d(p, edge))
+            want = (*scalar_tables(p, tri), legendre_1d(p, edge))
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 3])
-def test_rt_basis_dof_identity(p):
-    basis = RTBasis(p)
-    assert basis.dim == (p + 1) * (p + 3)
-    ident = np.column_stack([
-        basis.apply_dofs(lambda x, j=j: basis.eval(x)[:, j, :])
-        for j in range(basis.dim)])
-    assert np.abs(ident - np.eye(basis.dim)).max() < 1e-12
+def test_rt_span_dimension():
+    # (p+1)(p+3) members of full rank, whose divergences match central
+    # differences of their values
+    rng = np.random.default_rng(5)
+    pts = 0.1 + 0.4 * rng.random((30, 2))
+    h = 1e-6
+    for p in range(4):
+        dim = (p + 1) * (p + 3)
+        vals, div = rt_span(p, pts)
+        assert vals.shape == (30, dim, 2) and div.shape == (30, dim)
+        assert np.linalg.matrix_rank(vals.transpose(0, 2, 1).reshape(-1, dim)) == dim
+        fd = sum((rt_span(p, pts + step)[0][:, :, c] - rt_span(p, pts - step)[0][:, :, c])
+                 / (2 * h) for c, step in enumerate(np.array([[h, 0.0], [0.0, h]])))
+        assert np.abs(fd - div).max() < 1e-6 * max(1.0, np.abs(div).max())
 
 
-def test_rt0_normal_traces_and_divergence():
-    basis = RTBasis(0)
-    assert basis.dim == 3
-    rule = edge_quadrature(4)
-    for j in range(3):
-        va, vb = ((0, 1), (1, 2), (2, 0))[j]
-        pts = ((1 - rule.points)[:, None] * REF_VERTICES[va]
-               + rule.points[:, None] * REF_VERTICES[vb])
-        tn = basis.eval(pts) @ REF_EDGE_NORMALS[j]
-        for k in range(3):
-            expected = (1.0 / REF_EDGE_LENGTHS[j]) if k == j else 0.0
-            assert np.allclose(tn[:, k], expected, atol=1e-12)
-    # divergences of RT^0 are constant
+def test_rt0_span_divergence_is_constant():
     pts = np.array([[0.2, 0.2], [0.6, 0.1], [0.1, 0.6]])
-    div = basis.div(pts)
+    div = rt_span(0, pts)[1]
     assert np.abs(div - div[0]).max() < 1e-12
-
-
-def test_rt1_dimension():
-    assert RTBasis(1).dim == 8
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -145,25 +136,25 @@ def test_piola_preserves_edge_normal_moments(p):
     polynomial."""
     from dpglab.mesh import build_initial_mesh
 
+    # outward unit normals and lengths of the reference edges
+    s2 = 1.0 / np.sqrt(2.0)
+    ref_normals = np.array([[0.0, -1.0], [s2, s2], [-1.0, 0.0]])
+    ref_lengths = np.array([1.0, np.sqrt(2.0), 1.0])
     mesh = build_initial_mesh()
-    basis = RTBasis(p)
     rng = np.random.default_rng(11)
-    coef = rng.standard_normal(basis.dim)
+    coef = rng.standard_normal((p + 1) * (p + 3))
     rule = edge_quadrature(2 * p + 6)
     leg = legendre_orthonormal_1d(p, rule.points)
     for t in (0, 7):
         J = mesh.jacobians[t]
         det = mesh.dets[t]
         for j in range(3):
-            va, vb = ((0, 1), (1, 2), (2, 0))[j]
-            ref = ((1 - rule.points)[:, None] * REF_VERTICES[va]
-                   + rule.points[:, None] * REF_VERTICES[vb])
-            tau_ref = np.einsum("i,qic->qc", coef, basis.eval(ref))
+            tau_ref = np.einsum("i,qic->qc", coef, rt_span(p, ref_edge_points(rule.points, j))[0])
             tau_phys = tau_ref @ J.T / det
             n_phys = mesh.tri_edge_normals[t, j]
             length = mesh.tri_edge_lengths[t, j]
             got = np.einsum("q,q,qm->m", rule.weights * length,
                             tau_phys @ n_phys, leg)
-            want = np.einsum("q,q,qm->m", rule.weights * REF_EDGE_LENGTHS[j],
-                             tau_ref @ REF_EDGE_NORMALS[j], leg)
+            want = np.einsum("q,q,qm->m", rule.weights * ref_lengths[j],
+                             tau_ref @ ref_normals[j], leg)
             assert np.allclose(got, want, atol=1e-12)

@@ -94,18 +94,17 @@ def test_l2_project_idempotent(initial):
 
 def _eval_at_physical(mesh, cv, pts):
     """Evaluate a broken field at arbitrary physical points (test helper)."""
-    from dpglab.refelem import scalar_basis
+    from dpglab.refelem import scalar_values
     out = np.empty(len(pts))
     inv = np.linalg.inv(mesh.jacobians)
     coef = cv.by_element()
-    basis = scalar_basis(cv.degree)
     # locate the element containing each point (small meshes only)
     for i, x in enumerate(pts):
         ref = np.einsum("ecd,ed->ec", inv, x[None, :] - mesh.shifts)
         inside = np.flatnonzero((ref[:, 0] >= -1e-12) & (ref[:, 1] >= -1e-12)
                                 & (ref.sum(axis=1) <= 1 + 1e-12))
         e = inside[0]
-        psi = basis.eval(ref[e][None, :])[0]
+        psi = scalar_values(cv.degree, ref[e][None, :])[0]
         out[i] = coef[e] @ psi / np.sqrt(mesh.dets[e])
     return out
 
@@ -133,17 +132,18 @@ def test_coefficient_vector_validation(initial):
 
 def test_rt_interpolate_reproduces_rt_fields(initial):
     rng = np.random.default_rng(3)
-    # global polynomial fields of Raviart-Thomas form (a + x h, b + y h)
-    for p in (0, 1):
-        a = rng.uniform(-1, 1, 3)
-        b = rng.uniform(-1, 1, 3)
+    # global polynomial fields of Raviart-Thomas form (a + x h, b + y h); the
+    # interpolant reproduces them only if the span is a basis of RT^p
+    for p in range(4):
+        powers = [(i, d - i) for d in range(p + 1) for i in range(d + 1)]
+        a = rng.uniform(-1, 1, len(powers))
+        b = rng.uniform(-1, 1, len(powers))
         c = rng.uniform(-1, 1)
 
-        def tau(x, a=a, b=b, c=c, p=p):
+        def tau(x, a=a, b=b, c=c, p=p, powers=powers):
+            mono = np.column_stack([x[:, 0] ** i * x[:, 1] ** j for i, j in powers])
             h = c * (x[:, 0] + 0.7 * x[:, 1]) ** p
-            ax = a[0] + p * (a[1] * x[:, 0] + a[2] * x[:, 1])
-            bx = b[0] + p * (b[1] * x[:, 0] + b[2] * x[:, 1])
-            return np.column_stack([ax + x[:, 0] * h, bx + x[:, 1] * h])
+            return np.column_stack([mono @ a + x[:, 0] * h, mono @ b + x[:, 1] * h])
 
         interp = rt_interpolate(initial, p, tau)
         rule = triangle_quadrature(6)
@@ -187,9 +187,7 @@ def test_rt_interpolant_normal_trace_single_valued(initial):
         return np.column_stack([np.sin(x[:, 1]), np.cos(x[:, 0])])
 
     interp = rt_interpolate(initial, 1, tau)
-    coeffs = interp.local_coeffs()
-    from dpglab.refelem import RTBasis, REF_VERTICES, edge_quadrature
-    basis = RTBasis(1)
+    from dpglab.refelem import edge_quadrature, ref_edge_points, rt_span
     erule = edge_quadrature(6)
     mesh = initial
     for e in np.flatnonzero(~mesh.boundary_edge):
@@ -197,11 +195,9 @@ def test_rt_interpolant_normal_trace_single_valued(initial):
         vals = []
         for t in (t0, t1):
             j = list(mesh.tri_edges[t]).index(e)
-            va, vb = ((0, 1), (1, 2), (2, 0))[j]
             s = erule.points if not mesh.tri_edge_flip[t, j] else 1 - erule.points
-            ref = (1 - s)[:, None] * REF_VERTICES[va] + s[:, None] * REF_VERTICES[vb]
-            piola = np.einsum("cd,qid->qic", mesh.jacobians[t], basis.eval(ref))
-            piola /= mesh.dets[t]
-            tn = np.einsum("i,qic,c->q", coeffs[t], piola, mesh.edge_normals[e])
+            vref = rt_span(1, ref_edge_points(s, j))[0]
+            piola = np.einsum("cd,qid->qic", mesh.jacobians[t], vref) / mesh.dets[t]
+            tn = np.einsum("i,qic,c->q", interp.coeffs[t], piola, mesh.edge_normals[e])
             vals.append(tn)
         assert np.abs(vals[0] - vals[1]).max() < 1e-11
