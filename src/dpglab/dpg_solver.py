@@ -15,7 +15,14 @@ in class order, so a batch holds few classes.  Summing S_T, r_T over
 elements gives a sparse symmetric positive definite system for all trial
 DOFs (field DOFs couple to the traces of their own element; trace DOFs couple
 neighbours).  The homogeneous Dirichlet condition holds by construction:
-boundary trace DOFs of the scalar field never exist.
+boundary trace DOFs of the scalar field never exist.  The field DOFs being
+element-local, every entry in a field row or column comes from one element
+and only skeleton-skeleton entries are sums; so the canonical CSC pattern
+and the place of each element entry in it follow from the DOF map and the
+skeleton incidence, and the condensed blocks are added straight into the
+CSC arrays, with no triplets and no sort (on example 1, simple norm, p=2,
+level 5 the assembly peaks at 1.8 times the bytes of the returned matrix;
+triplets and their COO conversion took 2.6 times).
 
 The global system is solved one way only: a SuperLU factorization of the
 assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
@@ -45,6 +52,7 @@ orthogonality).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +67,16 @@ from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap
 # entries per slice of the loop over the nonzeros of the global matrix that
 # takes its inf-norm in _solve_spd, so that it makes no nnz-length temporary
 _NNZ_SLICE = 1 << 16
+# bound on the DOFs and on the nonzeros of the condensed matrix: its indices
+# and indptr are int32
+_INDEX_BOUND = 2**31
+# skeleton pairs looked up at a time in _csc_pattern, so that the lookup's
+# arrays stay the size of one condensed batch.  glibc raises its mmap
+# threshold to the size of each freed block of up to 32 MiB; once a larger
+# temporary of the assembly has been freed, SuperLU's blocks below it come
+# from the heap, which does not shrink, and ex1/simple p2 level 5 peaks at
+# 259 instead of 213 MiB RSS
+_LOOKUPS = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -173,47 +191,168 @@ def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
                                     F[els], els, asm.classes[els])
 
 
+class _CscPattern(NamedTuple):
+    """The canonical CSC pattern of the condensed matrix, and where each
+    element's local entries go in its ``data`` (see :func:`_csc_pattern`)."""
+
+    indptr: np.ndarray  # (n + 1,) int32
+    table: np.ndarray  # (nt, nf + 2 nk + nl) column starts and row offsets
+    skel: np.ndarray  # (nt, nk * nk) int32 positions of skeleton-skeleton entries
+    first: np.ndarray  # (nl * nl,) the two terms of each local entry's
+    second: np.ndarray  # position, as columns of ``table`` and then ``skel``
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def positions(self, els) -> np.ndarray:
+        """(len(els), nl * nl) positions in ``data`` of the local entries of
+        the elements ``els``, row by row; entries of boundary DOFs go to
+        ``nnz``."""
+        t = np.concatenate([self.table[els], self.skel[els]], axis=1)
+        pos = np.take(t, self.first, axis=1)
+        pos += np.take(t, self.second, axis=1)
+        return np.minimum(pos, self.nnz, out=pos)
+
+
+def _csc_pattern(dofmap: DofMap) -> _CscPattern:
+    """The pattern of sum_T S_T scattered through ``dofmap.gather``, in
+    canonical CSC form (rows ascending in each column, no duplicates), and
+    where every element's entries go in it.
+
+    u and sigma are element-local and numbered before the skeleton, and the
+    u and sigma DOFs of an element ascend with its local columns from one
+    field slot of the DofMap.  So a field column of element e holds the kept
+    DOFs of e: its nf = nu + 2 ns field DOFs in local order, then its kept
+    skeleton DOFs in ascending order.  A skeleton column c holds the u rows
+    of the m_c elements that share c, in slot order, then their sigma rows in
+    slot order, then the skeleton rows that share an element with c: column
+    c of the pattern of E_s^t E_s, with E_s the incidence of the field slots
+    and the kept skeleton DOFs.  The position of each skeleton pair in that
+    pattern is read off E_s^t E_s with its data set to 0, 1, ..., nnz_s - 1.
+
+    Each element's row of ``table`` holds the starts F of its field columns,
+    the starts U of its u rows and S of its sigma rows in its skeleton
+    columns, and the offsets R of its local DOFs in its field columns (u and
+    sigma DOFs at 0 .. nf-1); its row of ``skel`` the positions of its
+    skeleton-skeleton entries.  Entry (i, j) of the element is at the sum of
+    the two values of these rows, joined, that ``first`` and ``second``
+    name.  The starts of a boundary column and the offsets of a boundary row
+    are nnz, so every entry of a boundary DOF sums to nnz or beyond.
+    """
+    g = dofmap.gather
+    lay = dofmap.layout
+    nt, nl = g.shape
+    nf = lay.uh0  # u, sigma_x and sigma_y lead the local columns
+    off = dofmap.offsets["uhat"]  # the first skeleton DOF
+    n = dofmap.total
+    gk = g[:, nf:]
+    nk = nl - nf
+    keep = gk >= 0
+    c = np.where(keep, gk - off, 0)
+    # E_s, one row per slot, holds 0 .. k-1 in the order of its entries; its
+    # CSC copy lists the slots of each column in ascending order, so where
+    # an entry lands there is the rank of its slot among those of its column
+    order = np.argsort(g[:, lay.u0])  # the elements in slot order
+    ko, co = keep[order], c[order]
+    k = np.count_nonzero(ko)
+    E = sp.csr_matrix((np.arange(k, dtype=np.int32), co[ko],
+                       np.r_[0, np.cumsum(ko.sum(axis=1))]), shape=(nt, n - off))
+    Ec = E.tocsc()
+    landed = np.empty(k, dtype=np.int64)
+    landed[Ec.data] = np.arange(k)
+    qo = np.zeros((nt, nk), dtype=np.int64)
+    qo[ko] = landed - Ec.indptr[co[ko]]
+    q = np.empty_like(qo)
+    q[order] = qo
+    m = np.diff(Ec.indptr)[c]  # elements that share each skeleton DOF
+    E.data[:] = Ec.data[:] = 1
+    Ps = Ec.T @ E  # symmetric: its CSR arrays are its CSC arrays
+    Ps.sort_indices()
+
+    length = np.empty(n, dtype=np.int64)
+    length[g[:, :nf]] = nf + np.count_nonzero(keep, axis=1)[:, None]
+    length[off:] = np.diff(Ec.indptr) * nf + np.diff(Ps.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    nnz = int(indptr[-1])
+    if nnz >= _INDEX_BOUND:
+        raise SolverError(f"{nnz} nonzeros exceed the int32 indices of the assembly")
+
+    F, U, S, R, K = np.cumsum([0, nf, nk, nk, nl])
+    table = np.empty((nt, K), dtype=np.int64)
+    col = np.where(keep, indptr[off + c], nnz)
+    table[:, F:U] = indptr[g[:, :nf]]
+    table[:, U:S] = col + q * lay.nu
+    table[:, S:R] = col + m * lay.nu + q * 2 * lay.ns
+    rank = table[:, R:K]
+    rank[:, :nf] = np.arange(nf)
+    np.put_along_axis(rank[:, nf:], np.argsort(np.where(keep, gk, n), axis=1),
+                      nf + np.arange(nk), axis=1)
+    rank[:, nf:][~keep] = nnz
+    # skeleton column c: m_c nu u rows, m_c 2 ns sigma rows, then Ps[:, c]
+    start = col + m * nf - Ps.indptr[c]
+    Ps.data = np.arange(Ps.nnz, dtype=np.int32)
+    c32 = c.astype(np.int32)  # the index type of Ps, so sampling copies no index
+    skel = np.empty((nt, nk, nk), dtype=np.int32)
+    step = max(1, _LOOKUPS // nk**2)
+    for lo in range(0, nt, step):
+        cs = c32[lo:lo + step]
+        pair = (len(cs), nk, nk)
+        found = np.asarray(Ps[np.broadcast_to(cs[:, None, :], pair).ravel(),
+                              np.broadcast_to(cs[:, :, None], pair).ravel()])
+        skel[lo:lo + step] = np.minimum(found.reshape(pair) + start[lo:lo + step, None, :],
+                                        nnz)
+    skel[~keep] = nnz
+
+    # which two values of an element's joined rows sum to the position of (i, j)
+    i, j = np.indices((nl, nl))
+    first = np.select([j < nf, i < lay.nu, i < nf], [F + j, U + j - nf, S + j - nf],
+                      K + (i - nf) * nk + j - nf)
+    second = np.select([j < nf, i < lay.nu, i < nf], [R + i, R + i, R + i - lay.nu], R)
+    return _CscPattern(indptr=indptr.astype(np.int32), table=table,
+                       skel=skel.reshape(nt, -1), first=first.ravel(),
+                       second=second.ravel())
+
+
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
                     kind: TestNorm, F: np.ndarray):
     """Assemble the condensed SPD system (CSC matrix, rhs) from the loads
-    ``F`` of every element.
+    ``F`` of every element, straight into the canonical CSC arrays.
 
-    The entries of each element between its kept (non-boundary) DOFs are
-    written, batch after batch, into triplet arrays preallocated from
-    ``dofmap.gather``, with int32 indices.  The CSC conversion sums the
-    duplicates of A, and one ``bincount`` those of the rhs, in that order.
+    The pattern and the place of each element's entries in it come from
+    ``dofmap.gather`` (:func:`_csc_pattern`).  Each batch of condensed
+    elements adds its S_T into ``data`` with one ``np.add.at``, in batch
+    order, and writes the row indices at the same places.  No triplet is
+    formed and nothing is sorted; only the skeleton-skeleton entries are
+    sums, so A is exactly symmetric and the same for any batch size.  One
+    ``bincount`` sums the rhs.
     """
     n = dofmap.total
-    if n >= 2**31:
+    if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
-    kept = (dofmap.gather >= 0).sum(axis=1)
-    nnz = int((kept * kept).sum())
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
-    vals = np.empty(nnz)
-    ridx = np.empty(kept.sum(), dtype=np.int64)
+    pattern = _csc_pattern(dofmap)
+    # one slot past the end takes the entries of the boundary DOFs
+    data = np.zeros(pattern.nnz + 1)
+    indices = np.empty(pattern.nnz + 1, dtype=np.int32)
+    rows = dofmap.gather.astype(np.int32)
+    ridx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
     rvals = np.empty(len(ridx))
-    pos = rpos = 0
+    rpos = 0
     for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
         g = dofmap.gather[els]
-        keep = g >= 0
-        k = np.count_nonzero(keep)
-        ridx[rpos:rpos + k] = g[keep]
-        rvals[rpos:rpos + k] = r[keep]
+        kept = g >= 0
+        k = np.count_nonzero(kept)
+        ridx[rpos:rpos + k] = g[kept]
+        rvals[rpos:rpos + k] = r[kept]
         rpos += k
-        m, nl = g.shape
-        ri = np.broadcast_to(g[:, :, None], (m, nl, nl))
-        ci = np.broadcast_to(g[:, None, :], (m, nl, nl))
-        ok = keep[:, :, None] & keep[:, None, :]
-        k = np.count_nonzero(ok)
-        rows[pos:pos + k] = ri[ok]
-        cols[pos:pos + k] = ci[ok]
-        vals[pos:pos + k] = S[ok]
-        pos += k
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        pos = pattern.positions(els)
+        np.add.at(data, pos.ravel(), S.ravel())
+        indices[pos.reshape(S.shape)] = rows[els][:, :, None]
+    A = sp.csc_matrix((data[:-1], indices[:-1], pattern.indptr), shape=(n, n))
     return A, np.bincount(ridx, rvals, minlength=n)
 
 

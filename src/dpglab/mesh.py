@@ -124,15 +124,6 @@ class Mesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def h_max(self) -> float:
-        return float(self.tri_edge_lengths.max())
-
-    def shape_regularity(self) -> float:
-        """max over triangles of diam(T)^2 / area(T)."""
-        diam = self.tri_edge_lengths.max(axis=1)
-        return float((diam ** 2 / self.areas).max())
-
     def map_points(self, points: np.ndarray, elements=None) -> np.ndarray:
         """Images (e, q, 2) of the reference points (q, 2) under the affine
         maps of ``elements`` (all triangles by default)."""

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import Coefficients
+from .forms import _CHUNK, Coefficients
 from .mesh import Mesh
 from .refelem import QuadratureRule
 
@@ -174,9 +174,13 @@ def zero_data_problem(coeffs: Coefficients | None = None) -> ProblemSpec:
 
 def seam_clearance(problem: ProblemSpec, mesh: Mesh, rule: QuadratureRule) -> float:
     """Smallest distance from any mapped volume quadrature point to a
-    coefficient jump line; +inf for problems without jumps."""
+    coefficient jump line; +inf for problems without jumps.  The points are
+    mapped ``_CHUNK`` elements at a time, so no array spans the whole mesh."""
     if problem.seam_distance is None:
         return np.inf
-    X = mesh.map_points(rule.points)
-    return float(problem.seam_distance(X.reshape(-1, 2)).min())
+    nt = mesh.n_triangles
+    return float(min(
+        problem.seam_distance(mesh.map_points(rule.points, np.arange(lo, min(lo + _CHUNK, nt)))
+                              .reshape(-1, 2)).min()
+        for lo in range(0, nt, _CHUNK)))
 

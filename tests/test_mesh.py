@@ -75,16 +75,25 @@ def test_macro_triangles_and_seam_alignment(initial):
     assert abs(initial.edge_lengths[x_half].sum() - 1.0) < 1e-12
 
 
+def _h_max(mesh):
+    return float(mesh.tri_edge_lengths.max())
+
+
+def _shape_regularity(mesh):
+    """max over triangles of diam(T)^2 / area(T)."""
+    return float((mesh.tri_edge_lengths.max(axis=1) ** 2 / mesh.areas).max())
+
+
 def test_refinement_counts_and_similarity(initial):
     mesh = initial
-    reg0 = mesh.shape_regularity()
-    h0 = mesh.h_max
+    reg0 = _shape_regularity(mesh)
+    h0 = _h_max(mesh)
     for level in range(2, 5):
         child = refine_uniform(mesh)
         assert child.n_triangles == 4 * mesh.n_triangles
         assert child.n_triangles == 16 * 4 ** (level - 1)
-        assert abs(child.h_max - h0 / 2 ** (level - 1)) < 1e-12
-        assert abs(child.shape_regularity() - reg0) < 1e-12
+        assert abs(_h_max(child) - h0 / 2 ** (level - 1)) < 1e-12
+        assert abs(_shape_regularity(child) - reg0) < 1e-12
         # combinatorial identity for conforming triangulations
         nb = int(child.boundary_edge.sum())
         assert child.n_edges == (3 * child.n_triangles + nb) / 2

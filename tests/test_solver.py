@@ -94,7 +94,7 @@ def test_global_matrix_symmetric_positive_definite(initial):
     A, b = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL,
                            asm.loads(prob.f, prob.fvec))
     dense = A.toarray()
-    assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
+    assert np.array_equal(dense, dense.T)
     np.linalg.cholesky(dense)  # raises if not SPD
 
 
@@ -507,10 +507,30 @@ def _bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _add_at_reference(dofmap, asm, kind, F, ref):
+    """The values of the condensed matrix added by np.add.at into the CSC
+    pattern of ``ref``, batch after batch in the order of the condensation;
+    each entry's place is looked up by its row and column."""
+    place = ref.copy()
+    place.data = np.arange(ref.nnz)
+    data = np.zeros(ref.nnz)
+    for els, Y, _, inv in _condensed(asm, dofmap.layout, kind, F):
+        S = (np.swapaxes(Y, 1, 2) @ Y)[inv]
+        g = dofmap.gather[els]
+        ok = (g >= 0)[:, :, None] & (g >= 0)[:, None, :]
+        rows = np.broadcast_to(g[:, :, None], ok.shape)[ok]
+        cols = np.broadcast_to(g[:, None, :], ok.shape)[ok]
+        np.add.at(data, np.asarray(place[rows, cols]).ravel(), S[ok])
+    return data
+
+
 def test_assembly_memory_and_bitwise_triplets(initial):
-    # ex1/simple p2 on level 5: the peak of the assembly stays within 3x the
-    # returned CSC matrix (the COO scatter from lists of int64 arrays took
-    # 5x), and A and the rhs equal the reference scatter bit for bit
+    # ex1/simple p2 on level 5: the peak of the assembly stays within 2x the
+    # returned CSC matrix (1.80x measured; triplet arrays and their COO
+    # conversion took 2.6x, lists of int64 triplet arrays 5x).  indptr,
+    # indices and the rhs equal the COO reference of the triplets bit for
+    # bit; SciPy sums the duplicates of the COO matrix in its own order, so
+    # the values equal np.add.at of the same batches into that pattern
     mesh = initial
     for _ in range(4):
         mesh = refine_uniform(mesh)
@@ -525,11 +545,61 @@ def test_assembly_memory_and_bitwise_triplets(initial):
     finally:
         tracemalloc.stop()
     assert A.format == "csc" and A.indices.dtype == np.int32
-    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert peak <= 2 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
     A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, F)
-    for name in ("data", "indices", "indptr"):
+    for name in ("indices", "indptr"):
         assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
     assert _bitwise_equal(b, b_ref)
+    assert _bitwise_equal(A.data, _add_at_reference(dm, asm, TestNorm.SIMPLE, F, A_ref))
+
+
+@pytest.mark.parametrize("variant", ["standard", "augmented"])
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
+    # levels 1-3; on level 1 every element has a boundary vertex.  indptr,
+    # indices and the rhs are those of the COO reference bit for bit, A is
+    # its own transpose bit for bit, and batches of 7 elements give the same
+    # A bit for bit: each entry is added in the class order of the elements
+    prob = example(ex)
+    kind = TestNorm.QUASI_OPTIMAL
+    mesh = initial
+    for _ in range(3):
+        dm = build_dofmap(mesh, p, variant)
+        asm = ElementAssembler(mesh, prob.coeffs, p)
+        F = asm.loads(prob.f, prob.fvec)
+        A, b = assemble_global(mesh, dm, asm, kind, F)
+        A_ref, b_ref = _reference_scatter(dm, asm, kind, F)
+        assert A.has_canonical_format
+        for name in ("indices", "indptr"):
+            assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
+        assert _bitwise_equal(b, b_ref)
+        At = A.T.tocsc()
+        assert all(map(_bitwise_equal, _csc_arrays(At), _csc_arrays(A)))
+        with monkeypatch.context() as m:
+            m.setattr(dpg_solver, "_CHUNK", 7)
+            A7, b7 = assemble_global(mesh, dm, asm, kind, F)
+        assert all(map(_bitwise_equal, _csc_arrays(A7), _csc_arrays(A)))
+        assert _bitwise_equal(b7, b)
+        mesh = refine_uniform(mesh)
+
+
+def test_index_bound_covers_dofs_and_nonzeros(initial, monkeypatch):
+    # the int32 indices of A bound both the DOFs (indices) and the nonzeros
+    # (indptr): ex1/qopt p0 on level 1 has 81 DOFs and 809 nonzeros
+    prob = example(1)
+    dm = build_dofmap(initial, 0)
+    asm = ElementAssembler(initial, prob.coeffs, 0)
+    F = asm.loads(prob.f, prob.fvec)
+    A, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+    assert (A.shape[0], A.nnz) == (81, 809)
+    for bound, match in [(81, "81 DOFs exceed"), (809, "809 nonzeros exceed")]:
+        monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", bound)
+        with pytest.raises(SolverError, match=match + " the int32 indices"):
+            assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+    monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", 810)
+    A1, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+    assert all(map(_bitwise_equal, _csc_arrays(A1), _csc_arrays(A)))
 
 
 def test_error_function_scatter_bitwise(initial, monkeypatch):
