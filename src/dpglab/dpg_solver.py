@@ -37,7 +37,10 @@ trial layout of the solve's :class:`dpglab.spaces.DofMap`.  A solve
 evaluates F once, in batches, and keeps it on its :class:`Solution` with
 its assembler; a solve of the other variant on the same mesh and data can
 take that test space (``assemble_and_solve(..., test_space=solution)``)
-and then evaluates only its own B_c per class.
+and then evaluates only its own B_c per class.  A study level solves the
+larger augmented system first and gives its test space to the standard
+solve (:func:`dpglab.harness.run_convergence_study`), so that no freed
+factor lies in the heap under the largest one.
 
 The discrete Riesz representative of the residual ("error function") is
 eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
@@ -475,9 +478,11 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
     solve then shares its assembler and loads F instead of computing them
-    again, with identical results.  Other data raise ValueError, as do a
-    ``solver_tol`` that is not finite and positive and test degrees too low
-    for the variant (:func:`dpglab.forms._check_test_degrees`).
+    again, with bitwise the results of a standalone solve.  A study's
+    standard solve takes the test space of its augmented solve.  Other data
+    raise ValueError, as do a ``solver_tol`` that is not finite and positive
+    and test degrees too low for the variant
+    (:func:`dpglab.forms._check_test_degrees`).
     """
     _check_solver_tol(solver_tol)
     dofmap = build_dofmap(mesh, p, variant)

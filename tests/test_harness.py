@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from dpglab import harness, postprocess
+from dpglab import dpg_solver, harness, postprocess
 from dpglab.cli import main
 from dpglab.dpg_solver import assemble_and_solve
 from dpglab.forms import ElementAssembler, TestNorm
@@ -152,6 +154,17 @@ def test_config_validation():
     assert cfg.norm is TestNorm.QUASI_OPTIMAL
 
 
+def test_config_rejects_energy_without_standard_solve():
+    # the energy estimator is the error function of the standard solve; an
+    # augmented-only study has none, and used to return energy None per row
+    with pytest.raises(ValueError, match="track_energy needs the standard solve"):
+        StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=0, levels=2,
+                    variant="augmented", track_energy=True)
+    for variant in ("standard", "both"):
+        StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=0, levels=2,
+                    variant=variant, track_energy=True)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
 def test_config_rejects_solver_tol(tol):
     with pytest.raises(ValueError, match="solver tolerance must be finite"):
@@ -269,6 +282,69 @@ def test_study_level_builds_one_test_space(monkeypatch):
     assert all((c == 1).all() for c in loads.values())
     assert [len(r) for r in residuals.values()] == [2, 2]
     assert all(r <= cfg.solver_tol for rs in residuals.values() for r in rs)
+
+
+def _study_trace(cfg, monkeypatch):
+    """Run ``cfg`` and return its table, the DOF count of every
+    factorization per level, and for every factorization whether any
+    Solution, field or mesh of an earlier level was still alive."""
+    levels, ndofs, stale = [], {}, []
+    alive = {}  # level -> weakrefs of its Solutions, fields and meshes
+    factor, solve = dpg_solver._factor, harness.assemble_and_solve
+    project, post, error = harness.l2_project, harness.postprocess_u, harness.l2_error
+
+    def keep(obj):
+        alive.setdefault(levels[-1], []).append(weakref.ref(obj))
+        return obj
+
+    def recording_factor(A):
+        ndofs.setdefault(levels[-1], []).append(A.shape[0])
+        stale.append([level for level, refs in alive.items()
+                      if level < levels[-1] and any(r() is not None for r in refs)])
+        return factor(A)
+
+    def recording_solve(mesh, *args, **kwargs):
+        keep(mesh)
+        return keep(solve(mesh, *args, **kwargs))
+
+    def recording_error(mesh, approx, exact):
+        keep(approx)
+        return error(mesh, approx, exact)
+
+    monkeypatch.setattr(dpg_solver, "_factor", recording_factor)
+    monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
+    monkeypatch.setattr(harness, "l2_project", lambda *a: keep(project(*a)))
+    monkeypatch.setattr(harness, "postprocess_u", lambda *a: keep(post(*a)))
+    monkeypatch.setattr(harness, "l2_error", recording_error)
+    table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
+    monkeypatch.undo()
+    return table, ndofs, stale
+
+
+@pytest.mark.parametrize("ex, norm, p", [(1, TestNorm.QUASI_OPTIMAL, 0),
+                                         (2, TestNorm.SIMPLE, 1)])
+def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch):
+    # a level with both variants factors the larger augmented system first,
+    # and no Solution, field or mesh of a level is alive when the next level
+    # factors: a factor freed before a larger one is built leaves its heap
+    # pages resident, and so would anything a level kept.  The rows are
+    # bitwise those of separate standard and augmented studies
+    kw = dict(example=ex, norm=norm, p=p, levels=3)
+    both, ndofs, stale = _study_trace(
+        StudyConfig(variant="both", track_energy=True, **kw), monkeypatch)
+    assert list(ndofs) == [1, 2, 3]
+    assert all(first > second for first, second in ndofs.values())
+    assert stale == [[]] * 6
+    std, std_ndofs, std_stale = _study_trace(
+        StudyConfig(variant="standard", track_energy=True, **kw), monkeypatch)
+    aug, aug_ndofs, aug_stale = _study_trace(
+        StudyConfig(variant="augmented", **kw), monkeypatch)
+    assert std_ndofs == {level: [n[1]] for level, n in ndofs.items()}
+    assert aug_ndofs == {level: [n[0]] for level, n in ndofs.items()}
+    assert std_stale == aug_stale == [[]] * 3
+    for row, s, a in zip(both.rows, std.rows, aug.rows):
+        assert row == dataclasses.replace(s, err_aug=a.err_aug)
+        assert None not in (row.err_u, row.err_aug, row.energy)
 
 
 def test_cli_study_stdout(capsys):

@@ -628,18 +628,22 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
 @pytest.mark.parametrize("kind", list(TestNorm))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
-    # the augmented solve on the classes and loads F of the standard solve
-    # is the standalone augmented solve, bit for bit
+    # a solve on the classes and loads F of a solve of the other variant is
+    # the standalone solve, bit for bit, in both directions: the study takes
+    # the standard solve's test space from the augmented one
     mesh = refine_uniform(initial)
     prob = example(ex)
-    sol = assemble_and_solve(mesh, prob, p, kind)
-    shared = assemble_and_solve(mesh, prob, p, kind, variant="augmented", test_space=sol)
-    alone = assemble_and_solve(mesh, prob, p, kind, variant="augmented")
-    assert shared.assembler is sol.assembler
-    assert shared.loads is sol.loads
-    assert _bitwise_equal(shared.loads, alone.loads)
-    assert _bitwise_equal(shared.x, alone.x)
-    assert shared.residual == alone.residual
+    alone = {variant: assemble_and_solve(mesh, prob, p, kind, variant=variant)
+             for variant in ("standard", "augmented")}
+    for variant, other in (("augmented", "standard"), ("standard", "augmented")):
+        space = alone[other]
+        shared = assemble_and_solve(mesh, prob, p, kind, variant=variant,
+                                    test_space=space)
+        assert shared.assembler is space.assembler
+        assert shared.loads is space.loads
+        assert _bitwise_equal(shared.loads, alone[variant].loads)
+        assert _bitwise_equal(shared.x, alone[variant].x)
+        assert shared.residual == alone[variant].residual
 
 
 def test_test_space_of_other_data_raises(initial):
