@@ -38,9 +38,24 @@ evaluates F once, in batches, and keeps it on its :class:`Solution` with
 its assembler; a solve of the other variant on the same mesh and data can
 take that test space (``assemble_and_solve(..., test_space=solution)``)
 and then evaluates only its own B_c per class.  A study level solves the
-larger augmented system first and gives its test space to the standard
-solve (:func:`dpglab.harness.run_convergence_study`), so that no freed
-factor lies in the heap under the largest one.
+augmented system first and gives its test space to the standard solve
+(:func:`dpglab.harness.run_convergence_study`).
+
+The augmented variant (u of degree p+1) is solved on the standard DOF map.
+The modal scalar basis is hierarchical, so its u columns past
+scalar_dim(p) are the only ones the standard layout lacks, and they are
+element-local.  The solve minimizes sum_T |y_T - Y_c x_T|^2, so they are
+eliminated exactly, class by class, before the condensation: with the thin
+QR factorization Y_e = Q_e R_e of the extra columns, the other columns are
+projected onto the complement of Q_e, and the projected blocks are
+condensed like any other, with the loads as they are (static condensation;
+N. V. Roberts, Camellia, CAMWA 68, 2014).  On ex1/qopt p0 level 6 the factored system has
+81,921 DOFs instead of 114,689, the standard system's pattern.  After the
+certified solve the extra coefficients are the local least-squares
+solutions x_e = R_e^{-1} Q_e^t (y_T - Y_s x_T), from operators the
+assembly sweep kept, so no second condensation runs.  ``Solution.x`` is
+the full augmented trial vector; ``Solution.residual`` is the backward
+error of the assembled condensed (standard-size) system.
 
 The discrete Riesz representative of the residual ("error function") is
 eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
@@ -168,6 +183,39 @@ def _condense_batch(B, G, F, els, classes):
     # over the batch in Python, so W = L^{-1} comes from an LU solve
     W = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
     return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
+
+
+def _eliminate(Y, y, inv, els, extra: slice):
+    """Eliminate the element-local columns ``extra`` from the whitened class
+    blocks ``Y`` of :func:`_condense_batch`, with the loads ``y``.
+
+    With Y_e the extra columns of a class and Y_s the others, the element's
+    share of the residual, |y_T - Y_s x_T - Y_e x_e|, is least at
+    x_e = R_e^{-1} Q_e^t (y_T - Y_s x_T), Y_e = Q_e R_e the thin QR
+    factorization, and is then |(I - Q_e Q_e^t)(y_T - Y_s x_T)|.  Returns
+    ``(Ys, E, e)``: the projected blocks (I - Q_e Q_e^t) Y_s per class, which
+    condense with the loads y_T as they are (the projector is symmetric and
+    idempotent, so Ys^t y_T is the projected rhs), and E_c = R_e^{-1} Q_e^t Y_s
+    per class and e_T = R_e^{-1} Q_e^t y_T per element, so that
+    x_e = e_T - E_c x_T.
+
+    A class whose R_e has a zero or non-finite diagonal entry, so that Y_e
+    has no full column rank, raises :class:`SolverError` naming the
+    lowest-numbered element of such a class in the batch.
+    """
+    Q, R = np.linalg.qr(Y[:, :, extra])
+    d = np.diagonal(R, axis1=1, axis2=2)
+    bad = np.flatnonzero(~(np.isfinite(d) & (d != 0)).all(axis=1))
+    if len(bad):
+        t = els[np.isin(inv, bad)].min()
+        raise SolverError(f"the extra u columns of element {t} are rank deficient; "
+                          "check coefficients and quadrature")
+    Ys = np.delete(Y, extra, axis=2)
+    Qt = np.swapaxes(Q, 1, 2)
+    P = np.linalg.solve(R, Qt)  # R_e^{-1} Q_e^t
+    E, e = P @ Ys, (P[inv] @ y[:, :, None])[:, :, 0]
+    Ys -= Q @ (Qt @ Ys)
+    return Ys, E, e
 
 
 def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
@@ -319,7 +367,8 @@ def _csc_pattern(dofmap: DofMap) -> _CscPattern:
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, F: np.ndarray):
+                    kind: TestNorm, F: np.ndarray, layout: TrialLayout | None = None,
+                    recovery: list | None = None):
     """Assemble the condensed SPD system (CSC matrix, rhs) from the loads
     ``F`` of every element, straight into the canonical CSC arrays.
 
@@ -330,10 +379,19 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     formed and nothing is sorted; only the skeleton-skeleton entries are
     sums, so A is exactly symmetric and the same for any batch size.  One
     ``bincount`` sums the rhs.
+
+    B is assembled against ``layout`` (default: ``dofmap.layout``).  The u
+    columns it has beyond ``dofmap.layout`` are element-local; they are
+    eliminated class by class (:func:`_eliminate`) before the condensation,
+    so the system has the DOFs of ``dofmap``, and ``recovery``, a list,
+    receives ``(els, E, inv, e)`` per batch, from which
+    :func:`_recover_extra` finds the eliminated coefficients.
     """
     n = dofmap.total
     if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
+    layout = dofmap.layout if layout is None else layout
+    extra = slice(dofmap.layout.nu, layout.nu)
     pattern = _csc_pattern(dofmap)
     # one slot past the end takes the entries of the boundary DOFs
     data = np.zeros(pattern.nnz + 1)
@@ -342,7 +400,10 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     ridx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
     rvals = np.empty(len(ridx))
     rpos = 0
-    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
+    for els, Y, y, inv in _condensed(asm, layout, kind, F):
+        if extra.stop > extra.start:
+            Y, E, e = _eliminate(Y, y, inv, els, extra)
+            recovery.append((els, E, inv, e))
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
@@ -357,6 +418,26 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
         indices[pos.reshape(S.shape)] = rows[els][:, :, None]
     A = sp.csc_matrix((data[:-1], indices[:-1], pattern.indptr), shape=(n, n))
     return A, np.bincount(ridx, rvals, minlength=n)
+
+
+def _recover_extra(system: DofMap, dofmap: DofMap, x: np.ndarray,
+                   recovery: list) -> np.ndarray:
+    """The trial vector of ``dofmap`` from the solution ``x`` of the system
+    on ``system`` that :func:`assemble_global` assembled with the u columns
+    of ``dofmap.layout`` beyond ``system.layout`` eliminated: every DOF of
+    ``system`` is read from ``x``, and the eliminated coefficients are the
+    local least-squares solutions x_e = e_T - E_c x_T of its ``recovery``."""
+    nu, lay = system.layout.nu, dofmap.layout
+    x_T = system.local_vector(x)
+    local = np.empty((len(x_T), lay.total))
+    local[:, :nu] = x_T[:, :nu]
+    local[:, lay.nu:] = x_T[:, nu:]
+    for els, E, inv, e in recovery:
+        local[els, nu:lay.nu] = e - (E[inv] @ x_T[els][:, :, None])[:, :, 0]
+    keep = dofmap.gather >= 0
+    out = np.empty(dofmap.total)
+    out[dofmap.gather[keep]] = local[keep]
+    return out
 
 
 def _factor(A):
@@ -475,6 +556,14 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
                        test_space: Solution | None = None) -> Solution:
     """Solve the practical DPG system for ``problem`` on ``mesh``.
 
+    The standard variant solves the system of its own DOF map.  The
+    augmented variant assembles B against its layout, with u of degree p+1,
+    but solves on the standard DOF map: the extra u coefficients are
+    eliminated per class and recovered per element by a local least-squares
+    solve (see the module doc).  Its ``Solution.x`` is the full augmented
+    trial vector, and its ``residual`` certifies the backward error of the
+    assembled condensed system.
+
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
     solve then shares its assembler and loads F instead of computing them
@@ -499,8 +588,14 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
         F = _loads(asm, problem.f, problem.fvec)
     else:
         F = test_space.loads
-    A, b = assemble_global(mesh, dofmap, asm, kind, F)
+    # the augmented variant's extra u coefficients are eliminated per class,
+    # so its system has the standard DOFs and pattern
+    system = dofmap if variant == "standard" else build_dofmap(mesh, p)
+    recovery = []
+    A, b = assemble_global(mesh, system, asm, kind, F, dofmap.layout, recovery)
     x, res = _solve_spd(A, b, solver_tol)
+    if system is not dofmap:
+        x = _recover_extra(system, dofmap, x, recovery)
     return Solution(mesh=mesh, problem=problem, dofmap=dofmap, p=p, kind=kind,
                     assembler=asm, loads=F, x=x, residual=res)
 

@@ -149,9 +149,9 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
         check_problem_alignment(problem, mesh, p, config.k1, config.k2)
         row = ErrorRow(level=level, n_triangles=mesh.n_triangles)
         try:
-            # the larger augmented system is solved first, and the standard
-            # solve takes its test space: a factor freed before a larger one
-            # is built leaves its heap pages resident under it
+            # the augmented system is solved first, and the standard solve
+            # takes its test space; both factor a system of the standard DOF
+            # map, as the augmented solve eliminates its extra u coefficients
             sol_aug = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,

@@ -123,7 +123,9 @@ class DofMap:
     field blocks L+U holds 2,407,982 entries instead of 3,250,026 on ex1/qopt
     p0 level 6 and 7,495,220 instead of 9,057,814 on ex1/simple p2 level 5;
     on ex1/qopt, p 0-3 and both variants it is 0.74-0.96x at every level
-    >= 3 and 1.01-1.03x only on the 64-triangle level 2.
+    >= 3 and 1.01-1.03x only on the 64-triangle level 2.  (That range was
+    measured when the augmented variant factored its own DOF map; it now
+    eliminates its extra u coefficients and factors the standard one.)
     Read field values through :attr:`gather`, which maps the element-local
     columns of every element to global DOFs, never by position in a block.
     """

@@ -15,7 +15,7 @@ from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
 from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
 from dpglab.problems import example
-from dpglab.spaces import CoefficientVector, l2_project
+from dpglab.spaces import CoefficientVector, build_dofmap, l2_project
 
 
 @pytest.fixture(scope="module")
@@ -285,10 +285,11 @@ def test_study_level_builds_one_test_space(monkeypatch):
 
 
 def _study_trace(cfg, monkeypatch):
-    """Run ``cfg`` and return its table, the DOF count of every
-    factorization per level, and for every factorization whether any
-    Solution, field or mesh of an earlier level was still alive."""
-    levels, ndofs, stale = [], {}, []
+    """Run ``cfg`` and return its table, the variant of the solve and the
+    DOF count of every factorization per level, the standard DOF count of
+    every level, and for every factorization whether any Solution, field or
+    mesh of an earlier level was still alive."""
+    levels, ndofs, totals, stale, variant = [], {}, {}, [], []
     alive = {}  # level -> weakrefs of its Solutions, fields and meshes
     factor, solve = dpg_solver._factor, harness.assemble_and_solve
     project, post, error = harness.l2_project, harness.postprocess_u, harness.l2_error
@@ -298,14 +299,16 @@ def _study_trace(cfg, monkeypatch):
         return obj
 
     def recording_factor(A):
-        ndofs.setdefault(levels[-1], []).append(A.shape[0])
+        ndofs.setdefault(levels[-1], []).append((variant[-1], A.shape[0]))
         stale.append([level for level, refs in alive.items()
                       if level < levels[-1] and any(r() is not None for r in refs)])
         return factor(A)
 
-    def recording_solve(mesh, *args, **kwargs):
+    def recording_solve(mesh, problem, p, *args, **kwargs):
         keep(mesh)
-        return keep(solve(mesh, *args, **kwargs))
+        variant.append(kwargs["variant"])
+        totals[levels[-1]] = build_dofmap(mesh, p).total
+        return keep(solve(mesh, problem, p, *args, **kwargs))
 
     def recording_error(mesh, approx, exact):
         keep(approx)
@@ -318,26 +321,28 @@ def _study_trace(cfg, monkeypatch):
     monkeypatch.setattr(harness, "l2_error", recording_error)
     table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
     monkeypatch.undo()
-    return table, ndofs, stale
+    return table, ndofs, totals, stale
 
 
 @pytest.mark.parametrize("ex, norm, p", [(1, TestNorm.QUASI_OPTIMAL, 0),
                                          (2, TestNorm.SIMPLE, 1)])
 def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch):
-    # a level with both variants factors the larger augmented system first,
-    # and no Solution, field or mesh of a level is alive when the next level
-    # factors: a factor freed before a larger one is built leaves its heap
-    # pages resident, and so would anything a level kept.  The rows are
-    # bitwise those of separate standard and augmented studies
+    # a level with both variants factors the augmented system first, both
+    # systems have the standard DOFs (the augmented solve eliminates its
+    # extra u coefficients per class), and no Solution, field or mesh of a
+    # level is alive when the next level factors: anything a level kept
+    # would leave its heap pages resident under the next factor.  The rows
+    # are bitwise those of separate standard and augmented studies
     kw = dict(example=ex, norm=norm, p=p, levels=3)
-    both, ndofs, stale = _study_trace(
+    both, ndofs, totals, stale = _study_trace(
         StudyConfig(variant="both", track_energy=True, **kw), monkeypatch)
     assert list(ndofs) == [1, 2, 3]
-    assert all(first > second for first, second in ndofs.values())
+    assert ndofs == {level: [("augmented", n), ("standard", n)]
+                     for level, n in totals.items()}
     assert stale == [[]] * 6
-    std, std_ndofs, std_stale = _study_trace(
+    std, std_ndofs, _, std_stale = _study_trace(
         StudyConfig(variant="standard", track_energy=True, **kw), monkeypatch)
-    aug, aug_ndofs, aug_stale = _study_trace(
+    aug, aug_ndofs, _, aug_stale = _study_trace(
         StudyConfig(variant="augmented", **kw), monkeypatch)
     assert std_ndofs == {level: [n[1]] for level, n in ndofs.items()}
     assert aug_ndofs == {level: [n[0]] for level, n in ndofs.items()}

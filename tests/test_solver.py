@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 import dpglab
 from dpglab import dpg_solver
 from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
-                               _factor, _solve_spd, assemble_and_solve,
+                               _eliminate, _factor, _solve_spd, assemble_and_solve,
                                assemble_global, error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
@@ -78,6 +78,38 @@ def test_condense_rejects_indefinite_gram():
     with pytest.raises(SolverError, match="element 7 is not SPD"):
         _condense_batch(np.stack([B] * 4), Gs, np.zeros((4, 4)),
                         np.array([9, 8, 3, 7]), np.array([5, 2, 5, 2]))
+
+
+def test_eliminate_rejects_rank_deficient_extra_columns():
+    # column 1 is eliminated; it is zero in class 2 (elements 8 and 7), so
+    # its R_e has a zero diagonal and the lowest element of that class is
+    # named, not one of class 5, whose column is fine
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((2, 6, 4))
+    Y[0, :, 1] = 0.0
+    els, inv = np.array([9, 8, 3, 7]), np.array([1, 0, 1, 0])
+    y = rng.standard_normal((4, 6))
+    with pytest.raises(SolverError, match="extra u columns of element 7 are rank deficient"):
+        _eliminate(Y, y, inv, els, slice(1, 2))
+    Y[0, 0, 1] = np.nan
+    with pytest.raises(SolverError, match="element 7 are rank deficient"):
+        _eliminate(Y, y, inv, els, slice(1, 2))
+    # with the column restored, the condensed blocks are the Schur
+    # complements of the extra column, and x_e = e_T - E_c x_T is the local
+    # least-squares solution
+    Y[0, :, 1] = rng.standard_normal(6)
+    Ys, E, e = _eliminate(Y, y, inv, els, slice(1, 2))
+    x_T = rng.standard_normal((4, 3))
+    x_e = e - (E[inv] @ x_T[:, :, None])[:, :, 0]
+    for t in range(4):
+        Yt = Y[inv[t]]
+        Y_s, Y_e = np.delete(Yt, 1, axis=1), Yt[:, 1:2]
+        schur = Y_s.T @ Y_s - Y_s.T @ Y_e @ np.linalg.solve(Y_e.T @ Y_e, Y_e.T @ Y_s)
+        rhs = Y_s.T @ y[t] - Y_s.T @ Y_e @ np.linalg.solve(Y_e.T @ Y_e, Y_e.T @ y[t])
+        assert np.allclose(Ys[inv[t]].T @ Ys[inv[t]], schur, rtol=1e-12, atol=1e-13)
+        assert np.allclose(Ys[inv[t]].T @ y[t], rhs, rtol=1e-12, atol=1e-13)
+        want = np.linalg.lstsq(Y_e, y[t] - Y_s @ x_T[t], rcond=None)[0]
+        assert np.allclose(x_e[t], want, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
@@ -389,23 +421,28 @@ def test_error_function_against_dense_oracle(initial):
 
 
 def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
+    # the augmented variant eliminates its extra u columns batch by batch,
+    # and recovers them from what each batch kept
     mesh = refine_uniform(refine_uniform(initial))  # 256 elements, one chunk
     prob = example(1)
     dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
     F = asm.loads(prob.f, prob.fvec)
-    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
-
-    def run():
-        A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F)
-        return A, b, error_function(mesh, prob, sol).element_norms
-
-    A1, b1, e1 = run()
-    monkeypatch.setattr(dpg_solver, "_CHUNK", 7)
-    A7, b7, e7 = run()
-    assert abs(A7 - A1).max() <= 1e-14 * abs(A1).max()
-    assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
-    assert np.abs(e7 - e1).max() <= 1e-14 * e1.max()
+    default = dpg_solver._CHUNK
+    for variant in ("standard", "augmented"):
+        layout = build_dofmap(mesh, 1, variant).layout
+        runs = []
+        for chunk in (default, 7):
+            monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
+            sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
+                                     variant=variant)
+            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F, layout, [])
+            runs.append((A, b, error_function(mesh, prob, sol).element_norms, sol.x))
+        (A1, b1, e1, x1), (A7, b7, e7, x7) = runs
+        assert abs(A7 - A1).max() <= 1e-14 * abs(A1).max()
+        assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
+        assert np.abs(e7 - e1).max() <= 1e-14 * e1.max()
+        assert np.abs(x7 - x1).max() <= 1e-12 * np.abs(x1).max()
 
 
 @pytest.mark.parametrize("chunk", [512, 7])
@@ -644,6 +681,45 @@ def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
         assert _bitwise_equal(shared.loads, alone[variant].loads)
         assert _bitwise_equal(shared.x, alone[variant].x)
         assert shared.residual == alone[variant].residual
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("kind", list(TestNorm))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, kind, p):
+    # the augmented solve factors the standard system's pattern: its extra u
+    # coefficients are eliminated per class and recovered per element, and
+    # its x solves the full augmented system assembled on the augmented
+    # DofMap, to its backward error and to the full solve's x
+    mesh = refine_uniform(initial)
+    prob = example(ex)
+    factored = []
+    factor = dpg_solver._factor
+
+    def recording_factor(A):
+        factored.append(A)
+        return factor(A)
+
+    monkeypatch.setattr(dpg_solver, "_factor", recording_factor)
+    sol = assemble_and_solve(mesh, prob, p, kind, variant="augmented")
+    std = assemble_and_solve(mesh, prob, p, kind, test_space=sol)
+    monkeypatch.undo()
+    aug, stdA = factored
+    assert aug.shape == stdA.shape == (std.dofmap.total,) * 2
+    assert _bitwise_equal(aug.indptr, stdA.indptr)
+    assert _bitwise_equal(aug.indices, stdA.indices)
+
+    A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads)
+    assert A.shape == (sol.dofmap.total,) * 2 == (len(sol.x),) * 2
+    x, _ = _solve_spd(A, b, 1e-12)
+    assert np.linalg.norm(sol.x - x) <= 1e-10 * np.linalg.norm(x)
+    anorm = abs(A).sum(axis=1).max()
+    backward = np.linalg.norm(b - A @ sol.x) / (anorm * np.linalg.norm(sol.x)
+                                                + np.linalg.norm(b))
+    assert sol.residual <= 1e-12 and backward <= 1e-12
+
+    ee = error_function(mesh, prob, sol)
+    assert np.abs(ee.orth_residual).max() <= 1e-9 * ee.rhs_norm
 
 
 def test_test_space_of_other_data_raises(initial):
