@@ -17,9 +17,13 @@ equal on every element of a class of the solve's assembler (see
 inverted once per class: the gradient table is one matmul of the reference
 gradients with the class's inverse transposed Jacobian, as in
 :meth:`dpglab.mesh.Mesh.map_points`.  The right-hand side pulls the drive
-back to the reference element, so all elements share one GEMM against the
-reference gradients, and each element's coefficients are its class's
-inverse applied to its right-hand side.
+back to the reference element, so the elements of a batch share one GEMM
+against the reference gradients, and each element's coefficients are its
+class's inverse applied to its right-hand side.  The elements are taken
+``_CHUNK`` at a time, as in the load assembly: the mapped points, the
+coefficients, u_h, sigma_h and the drive exist for one batch only, and
+besides the per-class tables only per-element coefficient vectors span the
+mesh.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dpg_solver import Solution, SolverError
+from .forms import _CHUNK
 from .mesh import Mesh
 from .refelem import scalar_tables, scalar_values, triangle_quadrature
-from .spaces import CoefficientVector, broken_eval
+from .spaces import CoefficientVector
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -60,21 +65,6 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     nq, n = Pg.shape[:2]
     sdet = np.sqrt(mesh.dets)
 
-    # u_h, sigma_h and the drive at the quadrature points, one component
-    # plane (e, 2, Q) per vector field
-    u = solution.u
-    uh = broken_eval(u, rule.points)
-    sh = (solution.sigma @ scalar_values(p, rule.points).T) / sdet[:, None, None]
-
-    X = mesh.map_points(rule.points)
-    flat = X.reshape(-1, 2)
-    C = np.asarray(problem.coeffs.matrix(flat)).reshape(nt, nq, 2, 2).transpose(0, 2, 3, 1)
-    beta = np.asarray(problem.coeffs.advection(flat)).reshape(nt, nq, 2).transpose(0, 2, 1)
-    g = -sh
-    if problem.fvec is not None:
-        g += np.asarray(problem.fvec(flat)).reshape(nt, nq, 2).transpose(0, 2, 1)
-    drive = C[:, :, 0] * g[:, None, 0] + C[:, :, 1] * g[:, None, 1] + beta * uh[:, None]
-
     # bordered matrix [[K, c], [c^t, 0]] per class, c_i = int_T phi_i
     classes, firsts = solution.assembler.classes, solution.assembler._firsts
     Gp = Pg[None] @ np.swapaxes(mesh.inv_ts[firsts], 1, 2)[:, None]  # (c, Q, n, 2)
@@ -87,17 +77,41 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     Minv = np.linalg.inv(M)
     ok &= np.isfinite(Minv).all(axis=(1, 2))
 
-    # right-hand side: the drive pulled back by inv_t^t, one GEMM over all
-    # elements against the weighted reference gradients; then the mean of u_h
-    ref = np.swapaxes(mesh.inv_ts, 1, 2) @ drive  # (e, 2, Q)
-    b = np.empty((nt, n + 1))
-    b[:, :n] = ref.reshape(nt, -1) @ (w[:, None, None] * Pg).transpose(2, 0, 1).reshape(-1, n)
-    b[:, :n] *= sdet[:, None]
-    b[:, n] = u.by_element()[:, 0] * sdet / _SQRT2  # element mean of u_h (orthonormal basis)
-    bad = ~(ok[classes] & np.isfinite(b).all(axis=1))
-    if bad.any():
-        raise SolverError(f"postprocessing of element {np.flatnonzero(bad)[0]}: "
-                          "non-finite drive or bordered factor; check the problem "
-                          "data and the solution")
-    sol = np.einsum("eij,ej->ei", Minv[classes, :n], b)
+    uh_cv = solution.u
+    u = uh_cv.by_element()
+    sigma = solution.sigma
+    Uv = scalar_values(uh_cv.degree, rule.points)
+    Sv = scalar_values(p, rule.points)
+    WPg = (w[:, None, None] * Pg).transpose(2, 0, 1).reshape(-1, n)
+    sol = np.empty((nt, n))
+    for lo in range(0, nt, _CHUNK):
+        els = slice(lo, lo + _CHUNK)
+        sd = sdet[els]
+        # u_h, sigma_h and the drive at the quadrature points, one component
+        # plane (e, 2, Q) per vector field
+        uh = (u[els] @ Uv.T) / sd[:, None]
+        sh = (sigma[els] @ Sv.T) / sd[:, None, None]
+        flat = mesh.map_points(rule.points, els).reshape(-1, 2)
+        C = np.asarray(problem.coeffs.matrix(flat)).reshape(-1, nq, 2, 2).transpose(0, 2, 3, 1)
+        beta = np.asarray(problem.coeffs.advection(flat)).reshape(-1, nq, 2).transpose(0, 2, 1)
+        g = -sh
+        if problem.fvec is not None:
+            g += np.asarray(problem.fvec(flat)).reshape(-1, nq, 2).transpose(0, 2, 1)
+        drive = C[:, :, 0] * g[:, None, 0] + C[:, :, 1] * g[:, None, 1] + beta * uh[:, None]
+
+        # right-hand side: the drive pulled back by inv_t^t, one GEMM over the
+        # batch against the weighted reference gradients; then the mean of u_h
+        ref = np.swapaxes(mesh.inv_ts[els], 1, 2) @ drive  # (e, 2, Q)
+        b = np.empty((len(sd), n + 1))
+        b[:, :n] = ref.reshape(len(sd), -1) @ WPg
+        b[:, :n] *= sd[:, None]
+        b[:, n] = u[els, 0] * sd / _SQRT2  # element mean of u_h (orthonormal basis)
+        # the batches ascend, so the first failing batch holds the lowest
+        # failing element
+        bad = ~(ok[classes[els]] & np.isfinite(b).all(axis=1))
+        if bad.any():
+            raise SolverError(f"postprocessing of element {lo + np.flatnonzero(bad)[0]}: "
+                              "non-finite drive or bordered factor; check the problem "
+                              "data and the solution")
+        sol[els] = np.einsum("eij,ej->ei", Minv[classes[els], :n], b)
     return CoefficientVector(sol.ravel(), mesh, p + 1)

@@ -1,9 +1,11 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dpglab import postprocess
 from dpglab.dpg_solver import Solution, SolverError, assemble_and_solve
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
@@ -132,14 +134,19 @@ def _dense_oracle(mesh, problem, sol):
     return out
 
 
-def _assert_matches_oracle(mesh, problem, sol):
-    got = postprocess_u(mesh, problem, sol).by_element()
+def _assert_matches_oracle(mesh, problem, sol, monkeypatch):
+    # in the default batches and in batches of 7 elements, which cut across
+    # the classes and leave a ragged last batch
     want = _dense_oracle(mesh, problem, sol)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for chunk in (postprocess._CHUNK, 7):
+        monkeypatch.setattr(postprocess, "_CHUNK", chunk)
+        got = postprocess_u(mesh, problem, sol).by_element()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_variable_coefficients_against_dense_oracle(initial):
-    # x-dependent C(x) and beta(x): every element is a class of its own
+def test_variable_coefficients_against_dense_oracle(initial, monkeypatch):
+    # x-dependent C(x) and beta(x): every element is a class of its own; in
+    # batches of 7 the 64 elements make 10 batches, the last one ragged
     def matrix(x):
         C = np.empty((len(x), 2, 2))
         C[:, 0, 0] = 2.0 + x[:, 0]
@@ -158,24 +165,24 @@ def test_variable_coefficients_against_dense_oracle(initial):
     sol = _manual_solution(mesh, p, rng.standard_normal((mesh.n_triangles, 6)),
                            rng.standard_normal((mesh.n_triangles, 2, 6)), prob)
     assert sol.assembler.classes.max() + 1 == mesh.n_triangles
-    _assert_matches_oracle(mesh, prob, sol)
+    _assert_matches_oracle(mesh, prob, sol, monkeypatch)
 
 
-def test_shared_classes_against_dense_oracle(initial):
+def test_shared_classes_against_dense_oracle(initial, monkeypatch):
     # example 1 on level 3: 256 elements in 106 classes
     mesh = refine_uniform(refine_uniform(initial))
     prob = example(1)
     sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL, variant="augmented")
     assert sol.assembler.classes.max() + 1 == 106
-    _assert_matches_oracle(mesh, prob, sol)
+    _assert_matches_oracle(mesh, prob, sol, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
-def test_example2_against_dense_oracle(initial, p):
+def test_example2_against_dense_oracle(initial, monkeypatch, p):
     mesh = refine_uniform(initial)
     prob = example(2)
     sol = assemble_and_solve(mesh, prob, p, TestNorm.QUASI_OPTIMAL)
-    _assert_matches_oracle(mesh, prob, sol)
+    _assert_matches_oracle(mesh, prob, sol, monkeypatch)
 
 
 def test_foreign_mesh_raises(initial):
@@ -195,8 +202,9 @@ def test_foreign_mesh_raises(initial):
             postprocess_u(other, prob, sol)
 
 
-def test_non_finite_drive_raises(initial):
-    # fvec is NaN on {x > 0.9}: the lowest element reaching there is named
+def test_non_finite_drive_raises(initial, monkeypatch):
+    # fvec is NaN on {x > 0.9}: the lowest element reaching there is named,
+    # in the default batches and in batches of 7
     mesh = refine_uniform(initial)
     prob = example(1)
     sol = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL)
@@ -205,8 +213,11 @@ def test_non_finite_drive_raises(initial):
         return np.where((x[:, 0] > 0.9)[:, None], np.nan, prob.fvec(x))
 
     lowest = np.flatnonzero(mesh.vertices[mesh.triangles][:, :, 0].max(axis=1) > 0.9)[0]
-    with pytest.raises(SolverError, match=rf"postprocessing of element {lowest}\b"):
-        postprocess_u(mesh, dataclasses.replace(prob, fvec=fvec), sol)
+    assert lowest >= 7  # past the first batch of 7
+    for chunk in (postprocess._CHUNK, 7):
+        monkeypatch.setattr(postprocess, "_CHUNK", chunk)
+        with pytest.raises(SolverError, match=rf"postprocessing of element {lowest}\b"):
+            postprocess_u(mesh, dataclasses.replace(prob, fvec=fvec), sol)
 
 
 def test_non_finite_bordered_factor_raises():
@@ -221,3 +232,28 @@ def test_non_finite_bordered_factor_raises():
     with pytest.raises(SolverError, match=re.escape("postprocessing of element 1:")), \
             np.errstate(over="ignore", invalid="ignore"):
         postprocess_u(mesh, prob, sol)
+
+
+def test_postprocess_memory(initial):
+    # ex1 level 6, p = 0, random coefficients (no global solve): the traced
+    # peak stays below the bytes of one whole-mesh (nt, 2, 2, Q) array of C
+    # at the postprocess rule, 12.5 MiB at Q = 25.  Measured: 56.1 MiB when
+    # the whole mesh was evaluated at once, 3.5 MiB batch by batch
+    mesh = initial
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+    assert mesh.n_triangles == 16384
+    prob = example(1)
+    rng = np.random.default_rng(11)
+    sol = _manual_solution(mesh, 0, rng.standard_normal((mesh.n_triangles, 1)),
+                           rng.standard_normal((mesh.n_triangles, 2, 1)), prob)
+    nq = len(triangle_quadrature(postprocess._postprocess_exactness(0)).weights)
+    whole_mesh_C = mesh.n_triangles * 2 * 2 * nq * 8
+    tracemalloc.start()
+    try:
+        post = postprocess_u(mesh, prob, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(post.data).all()
+    assert peak < whole_mesh_C
