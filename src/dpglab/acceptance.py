@@ -210,7 +210,7 @@ def _prop_zero_data():
     worst = 0.0
     for kind in TestNorm:
         sol = assemble_and_solve(mesh, problem, p=1, kind=kind)
-        worst = max(worst, float(np.abs(sol.x).max()))
+        worst = max(worst, float(np.abs(sol.local_trial()).max()))
     return worst <= 1e-10, f"zero data -> zero solution, max |coef| {worst:.2e}"
 
 

@@ -10,26 +10,35 @@ broken test space.  B_T and G_T are equal on every element of a class (see
 elements class by class: it factors each class's G_c = L_c L_c^t by Cholesky
 (the factorization is also the SPD check), forms W_c = L_c^{-1} and the
 whitened class block Y_c = W_c B_c, and whitens the loads per element,
-y_T = W_c F_T.  Then S_T = Y_c^t Y_c and r_T = Y_c^t y_T.  Batches are taken
-in class order, so a batch holds few classes.  Summing S_T, r_T over
-elements gives a sparse symmetric positive definite system for all trial
-DOFs (field DOFs couple to the traces of their own element; trace DOFs couple
-neighbours).  The homogeneous Dirichlet condition holds by construction:
-boundary trace DOFs of the scalar field never exist.  The field DOFs being
-element-local, every entry in a field row or column comes from one element
-and only skeleton-skeleton entries are sums; so the canonical CSC pattern
-and the place of each element entry in it follow from the DOF map and the
-skeleton incidence, and the condensed blocks are added straight into the
-CSC arrays, with no triplets and no sort (on example 1, simple norm, p=2,
-level 5 the assembly peaks at 1.8 times the bytes of the returned matrix;
-triplets and their COO conversion took 2.6 times).
+y_T = W_c F_T.  Then S_T = Y_c^t Y_c and r_T = Y_c^t y_T, and the solve
+minimizes sum_T |y_T - Y_c x_T|^2.  Batches are taken in class order, so a
+batch holds few classes.
 
-The global system is solved one way only: a SuperLU factorization of the
+Only the skeleton couples elements: u and sigma live in broken spaces, so
+their columns Y_f of each class block are element-local and are eliminated
+exactly, class by class, before anything is assembled (static condensation;
+N. V. Roberts, Camellia, CAMWA 68, 2014).  With the thin QR factorization
+Y_f = Q_f R_f, the skeleton columns are projected onto the complement of
+Q_f, and the projected blocks condense with the loads as they are; this is
+the least-squares view of DPG (Demkowicz and Gopalakrishnan, An overview of
+the DPG method, 2014), conditioned like Y, not like Y^t Y.  Summed over
+elements they give a sparse symmetric positive definite system for the
+skeleton DOFs of the :class:`dpglab.spaces.DofMap`, and after the solve each
+element's field coefficients are its local least-squares solution
+x_f = R_f^{-1} Q_f^t (y_T - Y_s x_s), from operators the assembly kept.  Both
+trial variants take this one path; the augmented one (u of degree p+1) only
+has more field columns.  The homogeneous Dirichlet condition holds by
+construction: boundary trace DOFs of the scalar field never exist.  The
+canonical CSC pattern of the skeleton system and the place of each element
+entry in it follow from the skeleton incidence, and the condensed blocks are
+added straight into the CSC arrays, with no triplets and no sort.
+
+The skeleton system is solved one way only: a SuperLU factorization of the
 assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
 diagonal pivots), and iterative refinement until the normwise backward
-error of the assembled matrix is below the solver tolerance.  A solve that
-fails to factor or to certify raises :class:`SolverError`; there is no
-fallback.
+error of the assembled matrix is below the solver tolerance;
+``Solution.residual`` is that backward error.  A solve that fails to factor
+or to certify raises :class:`SolverError`; there is no fallback.
 
 The test space of a mesh, the assembler and the loads F_T, depends on
 neither the trial variant nor the test norm; B_c is assembled against the
@@ -41,36 +50,20 @@ and then evaluates only its own B_c per class.  A study level solves the
 augmented system first and gives its test space to the standard solve
 (:func:`dpglab.harness.run_convergence_study`).
 
-The augmented variant (u of degree p+1) is solved on the standard DOF map.
-The modal scalar basis is hierarchical, so its u columns past
-scalar_dim(p) are the only ones the standard layout lacks, and they are
-element-local.  The solve minimizes sum_T |y_T - Y_c x_T|^2, so they are
-eliminated exactly, class by class, before the condensation: with the thin
-QR factorization Y_e = Q_e R_e of the extra columns, the other columns are
-projected onto the complement of Q_e, and the projected blocks are
-condensed like any other, with the loads as they are (static condensation;
-N. V. Roberts, Camellia, CAMWA 68, 2014).  On ex1/qopt p0 level 6 the factored system has
-81,921 DOFs instead of 114,689, the standard system's pattern.  After the
-certified solve the extra coefficients are the local least-squares
-solutions x_e = R_e^{-1} Q_e^t (y_T - Y_s x_T), from operators the
-assembly sweep kept, so no second condensation runs.  ``Solution.x`` is
-the full augmented trial vector; ``Solution.residual`` is the backward
-error of the assembled condensed (standard-size) system.
-
 The discrete Riesz representative of the residual ("error function") is
 eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
-condenses with the assembler and the loads of the solve, so it sees the
-same test space, quadrature and load, and with z_T = y_T - Y_c u_T its test
-norm is |z_T| (the energy error estimator of Carstensen, Demkowicz and
+condenses again with the assembler and the loads of the solve, so it sees
+the same test space, quadrature and load, and with z_T = y_T - Y_c u_T its
+test norm is |z_T| (the energy error estimator of Carstensen, Demkowicz and
 Gopalakrishnan, SIAM J. Numer. Anal. 52, 2014), and B_T^t eps_T = Y_c^t z_T
-summed over elements reproduces the algebraic residual (Galerkin
-orthogonality).
+reproduces the algebraic residual of every trial DOF (Galerkin
+orthogonality): summed over elements in the skeleton rows, element by
+element in the field rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,36 +106,36 @@ class Solution:
     kind: TestNorm
     assembler: ElementAssembler = field(repr=False)
     loads: np.ndarray = field(repr=False)  # (nt, n_test) F of every element
-    x: np.ndarray = field(repr=False)  # full trial coefficient vector
+    x: np.ndarray = field(repr=False)  # skeleton coefficients, numbered by dofmap
+    fields: np.ndarray = field(repr=False)  # (nt, nu + 2 ns) u, then sigma, per element
     residual: float = 0.0
 
     @property
     def u(self) -> CoefficientVector:
         lay = self.dofmap.layout
-        g = self.dofmap.gather[:, lay.u0:lay.u0 + lay.nu]
-        return CoefficientVector(self.x[g].ravel(), self.mesh, lay.pu)
+        return CoefficientVector(self.fields[:, :lay.nu].ravel(), self.mesh, lay.pu)
 
     @property
     def sigma(self) -> np.ndarray:
         """(nt, 2, ns) component coefficients."""
         lay = self.dofmap.layout
-        g = self.dofmap.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]
-        return self.x[g].reshape(self.mesh.n_triangles, 2, lay.ns)
+        return self.fields[:, lay.nu:].reshape(self.mesh.n_triangles, 2, lay.ns)
 
     def local_trial(self) -> np.ndarray:
         """(nt, n_local) element trial vectors; boundary traces are zero."""
-        return self.dofmap.local_vector(self.x)
+        return np.concatenate([self.fields, self.dofmap.local_vector(self.x)], axis=1)
 
 
 @dataclass
 class EnergyError:
     """Element norms of the error function and their total, plus the
-    assembled Galerkin orthogonality residual sum_T B_T^t eps_T."""
+    Galerkin orthogonality residual B^t eps of every trial DOF: the
+    assembled skeleton rows, then the field rows of each element in turn."""
 
     element_norms: np.ndarray  # (nt,)
     total: float
     orth_residual: np.ndarray = field(repr=False)
-    rhs_norm: float
+    rhs_norm: float  # norm of B^t G^{-1} F over the same rows
 
 
 def gram_cholesky(G):
@@ -154,6 +147,14 @@ def gram_cholesky(G):
     except np.linalg.LinAlgError:
         return None
     return L if np.isfinite(L).all() else None
+
+
+def _class_failure(els, inv, bad, what: str) -> SolverError:
+    """The error naming the lowest-numbered element of ``els`` whose class
+    (``inv``, the position of each element's class in the batch) is one of
+    ``bad``; ``what`` says what failed, with ``{t}`` for the element."""
+    t = els[np.isin(inv, bad)].min()
+    return SolverError(what.format(t=t) + "; check coefficients and quadrature")
 
 
 def _condense_batch(B, G, F, els, classes):
@@ -176,46 +177,43 @@ def _condense_batch(B, G, F, els, classes):
     L = gram_cholesky(Gc)
     if L is None:
         bad = [c for c, g in enumerate(Gc) if gram_cholesky(g) is None]
-        t = els[np.isin(inv, bad)].min()
-        raise SolverError(f"Gram matrix of element {t} is not SPD; "
-                          "check coefficients and quadrature")
+        raise _class_failure(els, inv, bad, "Gram matrix of element {t} is not SPD")
     # numpy has no batched triangular solve; scipy's solve_triangular loops
     # over the batch in Python, so W = L^{-1} comes from an LU solve
     W = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
     return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
 
 
-def _eliminate(Y, y, inv, els, extra: slice):
-    """Eliminate the element-local columns ``extra`` from the whitened class
-    blocks ``Y`` of :func:`_condense_batch`, with the loads ``y``.
+def _eliminate(Y, y, inv, els, nf: int):
+    """Eliminate the element-local field columns, the first ``nf``, from the
+    whitened class blocks ``Y`` of :func:`_condense_batch`, with the loads
+    ``y``.
 
-    With Y_e the extra columns of a class and Y_s the others, the element's
-    share of the residual, |y_T - Y_s x_T - Y_e x_e|, is least at
-    x_e = R_e^{-1} Q_e^t (y_T - Y_s x_T), Y_e = Q_e R_e the thin QR
-    factorization, and is then |(I - Q_e Q_e^t)(y_T - Y_s x_T)|.  Returns
-    ``(Ys, E, e)``: the projected blocks (I - Q_e Q_e^t) Y_s per class, which
+    With Y_f the field columns of a class and Y_s its skeleton columns, the
+    element's share of the residual, |y_T - Y_s x_s - Y_f x_f|, is least at
+    x_f = R_f^{-1} Q_f^t (y_T - Y_s x_s), Y_f = Q_f R_f the thin QR
+    factorization, and is then |(I - Q_f Q_f^t)(y_T - Y_s x_s)|.  Returns
+    ``(Ys, E, e)``: the projected blocks (I - Q_f Q_f^t) Y_s per class, which
     condense with the loads y_T as they are (the projector is symmetric and
-    idempotent, so Ys^t y_T is the projected rhs), and E_c = R_e^{-1} Q_e^t Y_s
-    per class and e_T = R_e^{-1} Q_e^t y_T per element, so that
-    x_e = e_T - E_c x_T.
+    idempotent, so Ys^t y_T is the projected rhs), and E_c = R_f^{-1} Q_f^t Y_s
+    per class and e_T = R_f^{-1} Q_f^t y_T per element, so that
+    x_f = e_T - E_c x_s.
 
-    A class whose R_e has a zero or non-finite diagonal entry, so that Y_e
+    A class whose R_f has a zero or non-finite diagonal entry, so that Y_f
     has no full column rank, raises :class:`SolverError` naming the
     lowest-numbered element of such a class in the batch.
     """
-    Q, R = np.linalg.qr(Y[:, :, extra])
+    Ys = Y[:, :, nf:]
+    Q, R = np.linalg.qr(Y[:, :, :nf])
     d = np.diagonal(R, axis1=1, axis2=2)
     bad = np.flatnonzero(~(np.isfinite(d) & (d != 0)).all(axis=1))
     if len(bad):
-        t = els[np.isin(inv, bad)].min()
-        raise SolverError(f"the extra u columns of element {t} are rank deficient; "
-                          "check coefficients and quadrature")
-    Ys = np.delete(Y, extra, axis=2)
+        raise _class_failure(els, inv, bad,
+                             "field columns of element {t} are rank deficient")
     Qt = np.swapaxes(Q, 1, 2)
-    P = np.linalg.solve(R, Qt)  # R_e^{-1} Q_e^t
+    P = np.linalg.solve(R, Qt)  # R_f^{-1} Q_f^t
     E, e = P @ Ys, (P[inv] @ y[:, :, None])[:, :, 0]
-    Ys -= Q @ (Qt @ Ys)
-    return Ys, E, e
+    return Ys - Q @ (Qt @ Ys), E, e
 
 
 def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
@@ -242,167 +240,75 @@ def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
                                     F[els], els, asm.classes[els])
 
 
-class _CscPattern(NamedTuple):
-    """The canonical CSC pattern of the condensed matrix, and where each
-    element's local entries go in its ``data`` (see :func:`_csc_pattern`)."""
+def _csc_pattern(dofmap: DofMap):
+    """The canonical CSC pattern of the skeleton system and the place of
+    every element entry in it: ``(indptr, pos)``, with pos[t, i, j] (int32)
+    the place in ``data`` of the entry in row gather[t, i] and column
+    gather[t, j]; the entries of boundary DOFs go to ``nnz``.
 
-    indptr: np.ndarray  # (n + 1,) int32
-    table: np.ndarray  # (nt, nf + 2 nk + nl) column starts and row offsets
-    skel: np.ndarray  # (nt, nk * nk) int32 positions of skeleton-skeleton entries
-    first: np.ndarray  # (nl * nl,) the two terms of each local entry's
-    second: np.ndarray  # position, as columns of ``table`` and then ``skel``
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    def positions(self, els) -> np.ndarray:
-        """(len(els), nl * nl) positions in ``data`` of the local entries of
-        the elements ``els``, row by row; entries of boundary DOFs go to
-        ``nnz``."""
-        t = np.concatenate([self.table[els], self.skel[els]], axis=1)
-        pos = np.take(t, self.first, axis=1)
-        pos += np.take(t, self.second, axis=1)
-        return np.minimum(pos, self.nnz, out=pos)
-
-
-def _csc_pattern(dofmap: DofMap) -> _CscPattern:
-    """The pattern of sum_T S_T scattered through ``dofmap.gather``, in
-    canonical CSC form (rows ascending in each column, no duplicates), and
-    where every element's entries go in it.
-
-    u and sigma are element-local and numbered before the skeleton, and the
-    u and sigma DOFs of an element ascend with its local columns from one
-    field slot of the DofMap.  So a field column of element e holds the kept
-    DOFs of e: its nf = nu + 2 ns field DOFs in local order, then its kept
-    skeleton DOFs in ascending order.  A skeleton column c holds the u rows
-    of the m_c elements that share c, in slot order, then their sigma rows in
-    slot order, then the skeleton rows that share an element with c: column
-    c of the pattern of E_s^t E_s, with E_s the incidence of the field slots
-    and the kept skeleton DOFs.  The position of each skeleton pair in that
-    pattern is read off E_s^t E_s with its data set to 0, 1, ..., nnz_s - 1.
-
-    Each element's row of ``table`` holds the starts F of its field columns,
-    the starts U of its u rows and S of its sigma rows in its skeleton
-    columns, and the offsets R of its local DOFs in its field columns (u and
-    sigma DOFs at 0 .. nf-1); its row of ``skel`` the positions of its
-    skeleton-skeleton entries.  Entry (i, j) of the element is at the sum of
-    the two values of these rows, joined, that ``first`` and ``second``
-    name.  The starts of a boundary column and the offsets of a boundary row
-    are nnz, so every entry of a boundary DOF sums to nnz or beyond.
+    The pattern is that of E^t E, with E the incidence of the elements and
+    their kept skeleton DOFs.  E^t E is symmetric, so its sorted CSR arrays
+    are its CSC arrays, and with its data set to 0, 1, ..., nnz - 1 a lookup
+    of a DOF pair reads the place of its entry.  The pairs are looked up
+    ``_LOOKUPS`` at a time.
     """
     g = dofmap.gather
-    lay = dofmap.layout
-    nt, nl = g.shape
-    nf = lay.uh0  # u, sigma_x and sigma_y lead the local columns
-    off = dofmap.offsets["uhat"]  # the first skeleton DOF
-    n = dofmap.total
-    gk = g[:, nf:]
-    nk = nl - nf
-    keep = gk >= 0
-    c = np.where(keep, gk - off, 0)
-    # E_s, one row per slot, holds 0 .. k-1 in the order of its entries; its
-    # CSC copy lists the slots of each column in ascending order, so where
-    # an entry lands there is the rank of its slot among those of its column
-    order = np.argsort(g[:, lay.u0])  # the elements in slot order
-    ko, co = keep[order], c[order]
-    k = np.count_nonzero(ko)
-    E = sp.csr_matrix((np.arange(k, dtype=np.int32), co[ko],
-                       np.r_[0, np.cumsum(ko.sum(axis=1))]), shape=(nt, n - off))
-    Ec = E.tocsc()
-    landed = np.empty(k, dtype=np.int64)
-    landed[Ec.data] = np.arange(k)
-    qo = np.zeros((nt, nk), dtype=np.int64)
-    qo[ko] = landed - Ec.indptr[co[ko]]
-    q = np.empty_like(qo)
-    q[order] = qo
-    m = np.diff(Ec.indptr)[c]  # elements that share each skeleton DOF
-    E.data[:] = Ec.data[:] = 1
-    Ps = Ec.T @ E  # symmetric: its CSR arrays are its CSC arrays
-    Ps.sort_indices()
-
-    length = np.empty(n, dtype=np.int64)
-    length[g[:, :nf]] = nf + np.count_nonzero(keep, axis=1)[:, None]
-    length[off:] = np.diff(Ec.indptr) * nf + np.diff(Ps.indptr)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(length, out=indptr[1:])
-    nnz = int(indptr[-1])
+    nt, nk = g.shape
+    keep = g >= 0
+    E = sp.csr_matrix((np.ones(np.count_nonzero(keep), dtype=np.int32), g[keep],
+                       np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1))]),
+                      shape=(nt, dofmap.total))
+    P = E.T.tocsr() @ E
+    P.sort_indices()
+    nnz = P.nnz
     if nnz >= _INDEX_BOUND:
         raise SolverError(f"{nnz} nonzeros exceed the int32 indices of the assembly")
-
-    F, U, S, R, K = np.cumsum([0, nf, nk, nk, nl])
-    table = np.empty((nt, K), dtype=np.int64)
-    col = np.where(keep, indptr[off + c], nnz)
-    table[:, F:U] = indptr[g[:, :nf]]
-    table[:, U:S] = col + q * lay.nu
-    table[:, S:R] = col + m * lay.nu + q * 2 * lay.ns
-    rank = table[:, R:K]
-    rank[:, :nf] = np.arange(nf)
-    np.put_along_axis(rank[:, nf:], np.argsort(np.where(keep, gk, n), axis=1),
-                      nf + np.arange(nk), axis=1)
-    rank[:, nf:][~keep] = nnz
-    # skeleton column c: m_c nu u rows, m_c 2 ns sigma rows, then Ps[:, c]
-    start = col + m * nf - Ps.indptr[c]
-    Ps.data = np.arange(Ps.nnz, dtype=np.int32)
-    c32 = c.astype(np.int32)  # the index type of Ps, so sampling copies no index
-    skel = np.empty((nt, nk, nk), dtype=np.int32)
+    P.data = np.arange(nnz, dtype=np.int32)
+    c = np.where(keep, g, 0).astype(P.indices.dtype)  # so sampling copies no index
+    pos = np.empty((nt, nk, nk), dtype=np.int32)
     step = max(1, _LOOKUPS // nk**2)
     for lo in range(0, nt, step):
-        cs = c32[lo:lo + step]
+        cs = c[lo:lo + step]
         pair = (len(cs), nk, nk)
-        found = np.asarray(Ps[np.broadcast_to(cs[:, None, :], pair).ravel(),
-                              np.broadcast_to(cs[:, :, None], pair).ravel()])
-        skel[lo:lo + step] = np.minimum(found.reshape(pair) + start[lo:lo + step, None, :],
-                                        nnz)
-    skel[~keep] = nnz
-
-    # which two values of an element's joined rows sum to the position of (i, j)
-    i, j = np.indices((nl, nl))
-    first = np.select([j < nf, i < lay.nu, i < nf], [F + j, U + j - nf, S + j - nf],
-                      K + (i - nf) * nk + j - nf)
-    second = np.select([j < nf, i < lay.nu, i < nf], [R + i, R + i, R + i - lay.nu], R)
-    return _CscPattern(indptr=indptr.astype(np.int32), table=table,
-                       skel=skel.reshape(nt, -1), first=first.ravel(),
-                       second=second.ravel())
+        # P[c_j, c_i] is the CSC place of the entry in row c_i, column c_j
+        pos[lo:lo + step] = np.asarray(P[np.broadcast_to(cs[:, None, :], pair).ravel(),
+                                         np.broadcast_to(cs[:, :, None], pair).ravel()]
+                                       ).reshape(pair)
+    pos[~keep] = nnz
+    np.swapaxes(pos, 1, 2)[~keep] = nnz
+    return P.indptr.astype(np.int32), pos
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, F: np.ndarray, layout: TrialLayout | None = None,
-                    recovery: list | None = None):
-    """Assemble the condensed SPD system (CSC matrix, rhs) from the loads
-    ``F`` of every element, straight into the canonical CSC arrays.
+                    kind: TestNorm, F: np.ndarray, recovery: list | None = None):
+    """Assemble the skeleton system (CSC matrix, rhs) from the loads ``F``
+    of every element, straight into the canonical CSC arrays.
 
-    The pattern and the place of each element's entries in it come from
-    ``dofmap.gather`` (:func:`_csc_pattern`).  Each batch of condensed
-    elements adds its S_T into ``data`` with one ``np.add.at``, in batch
-    order, and writes the row indices at the same places.  No triplet is
-    formed and nothing is sorted; only the skeleton-skeleton entries are
-    sums, so A is exactly symmetric and the same for any batch size.  One
-    ``bincount`` sums the rhs.
-
-    B is assembled against ``layout`` (default: ``dofmap.layout``).  The u
-    columns it has beyond ``dofmap.layout`` are element-local; they are
-    eliminated class by class (:func:`_eliminate`) before the condensation,
-    so the system has the DOFs of ``dofmap``, and ``recovery``, a list,
-    receives ``(els, E, inv, e)`` per batch, from which
-    :func:`_recover_extra` finds the eliminated coefficients.
+    B is assembled against ``dofmap.layout``; each batch of condensed
+    elements has its field columns eliminated class by class
+    (:func:`_eliminate`), and adds its projected S_T into ``data`` with one
+    ``np.add.at``, in batch order, writing the row indices at the same
+    places (:func:`_csc_pattern`).  No triplet is formed and nothing is
+    sorted; A is exactly symmetric and the same for any batch size.  One
+    ``bincount`` sums the rhs.  ``recovery``, a list, receives
+    ``(els, E, inv, e)`` per batch, from which :func:`_recover` finds the
+    field coefficients.
     """
     n = dofmap.total
     if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
-    layout = dofmap.layout if layout is None else layout
-    extra = slice(dofmap.layout.nu, layout.nu)
-    pattern = _csc_pattern(dofmap)
+    indptr, positions = _csc_pattern(dofmap)
+    nnz = int(indptr[-1])
     # one slot past the end takes the entries of the boundary DOFs
-    data = np.zeros(pattern.nnz + 1)
-    indices = np.empty(pattern.nnz + 1, dtype=np.int32)
+    data = np.zeros(nnz + 1)
+    indices = np.empty(nnz + 1, dtype=np.int32)
     rows = dofmap.gather.astype(np.int32)
     ridx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
     rvals = np.empty(len(ridx))
     rpos = 0
-    for els, Y, y, inv in _condensed(asm, layout, kind, F):
-        if extra.stop > extra.start:
-            Y, E, e = _eliminate(Y, y, inv, els, extra)
+    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
+        Y, E, e = _eliminate(Y, y, inv, els, dofmap.layout.uh0)
+        if recovery is not None:
             recovery.append((els, E, inv, e))
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
@@ -413,31 +319,22 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
         ridx[rpos:rpos + k] = g[kept]
         rvals[rpos:rpos + k] = r[kept]
         rpos += k
-        pos = pattern.positions(els)
+        pos = positions[els]
         np.add.at(data, pos.ravel(), S.ravel())
-        indices[pos.reshape(S.shape)] = rows[els][:, :, None]
-    A = sp.csc_matrix((data[:-1], indices[:-1], pattern.indptr), shape=(n, n))
+        indices[pos] = rows[els][:, :, None]
+    A = sp.csc_matrix((data[:-1], indices[:-1], indptr), shape=(n, n))
     return A, np.bincount(ridx, rvals, minlength=n)
 
 
-def _recover_extra(system: DofMap, dofmap: DofMap, x: np.ndarray,
-                   recovery: list) -> np.ndarray:
-    """The trial vector of ``dofmap`` from the solution ``x`` of the system
-    on ``system`` that :func:`assemble_global` assembled with the u columns
-    of ``dofmap.layout`` beyond ``system.layout`` eliminated: every DOF of
-    ``system`` is read from ``x``, and the eliminated coefficients are the
-    local least-squares solutions x_e = e_T - E_c x_T of its ``recovery``."""
-    nu, lay = system.layout.nu, dofmap.layout
-    x_T = system.local_vector(x)
-    local = np.empty((len(x_T), lay.total))
-    local[:, :nu] = x_T[:, :nu]
-    local[:, lay.nu:] = x_T[:, nu:]
+def _recover(dofmap: DofMap, x: np.ndarray, recovery: list) -> np.ndarray:
+    """The field coefficients of every element, (nt, nf), from the solution
+    ``x`` of the skeleton system that :func:`assemble_global` assembled with
+    ``recovery``: the local least-squares solutions x_f = e_T - E_c x_s."""
+    x_s = dofmap.local_vector(x)
+    fields = np.empty((len(x_s), dofmap.layout.uh0))
     for els, E, inv, e in recovery:
-        local[els, nu:lay.nu] = e - (E[inv] @ x_T[els][:, :, None])[:, :, 0]
-    keep = dofmap.gather >= 0
-    out = np.empty(dofmap.total)
-    out[dofmap.gather[keep]] = local[keep]
-    return out
+        fields[els] = e - (E[inv] @ x_s[els][:, :, None])[:, :, 0]
+    return fields
 
 
 def _factor(A):
@@ -461,11 +358,12 @@ def _factor(A):
     supernodes of these element-block systems are a few columns wide.  A
     panel costs a dense n x panel_size work array plus index arrays of that
     shape, about 300-400 bytes per row held through the whole numeric
-    factorization.  On ex1/qopt p0 level 6 (81,921 DOFs) the factor's peak
-    memory growth falls from 61.6 to 33.8 MiB and its time from 0.23 to
+    factorization.  On the field-and-skeleton system that ex1/qopt p0
+    level 6 factored before the fields were eliminated, the factor's peak
+    memory growth fell from 61.6 to 33.8 MiB and its time from 0.23 to
     0.12 s, with the same ordering, the same pivots and 175 fewer L+U
-    entries.  On the eight systems (p 0-3) of the factor table in
-    ``BENCH_15.json`` the peak falls by 23-46 % and the time by 18-47 %.
+    entries; on the eight systems (p 0-3) of the factor table in
+    ``BENCH_15.json`` the peak fell by 23-46 % and the time by 18-47 %.
     """
     if np.any(A.diagonal() <= 0):
         raise SolverError("condensed matrix has non-positive diagonal entries "
@@ -556,13 +454,11 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
                        test_space: Solution | None = None) -> Solution:
     """Solve the practical DPG system for ``problem`` on ``mesh``.
 
-    The standard variant solves the system of its own DOF map.  The
-    augmented variant assembles B against its layout, with u of degree p+1,
-    but solves on the standard DOF map: the extra u coefficients are
-    eliminated per class and recovered per element by a local least-squares
-    solve (see the module doc).  Its ``Solution.x`` is the full augmented
-    trial vector, and its ``residual`` certifies the backward error of the
-    assembled condensed system.
+    Both variants eliminate their field coefficients per class, solve the
+    skeleton system of their DOF map and recover the fields per element by
+    a local least-squares solve (see the module doc); the augmented variant
+    has u of degree p+1.  ``Solution.residual`` certifies the backward error
+    of the assembled skeleton system.
 
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
@@ -588,16 +484,12 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
         F = _loads(asm, problem.f, problem.fvec)
     else:
         F = test_space.loads
-    # the augmented variant's extra u coefficients are eliminated per class,
-    # so its system has the standard DOFs and pattern
-    system = dofmap if variant == "standard" else build_dofmap(mesh, p)
     recovery = []
-    A, b = assemble_global(mesh, system, asm, kind, F, dofmap.layout, recovery)
+    A, b = assemble_global(mesh, dofmap, asm, kind, F, recovery)
     x, res = _solve_spd(A, b, solver_tol)
-    if system is not dofmap:
-        x = _recover_extra(system, dofmap, x, recovery)
     return Solution(mesh=mesh, problem=problem, dofmap=dofmap, p=p, kind=kind,
-                    assembler=asm, loads=F, x=x, residual=res)
+                    assembler=asm, loads=F, x=x, fields=_recover(dofmap, x, recovery),
+                    residual=res)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
@@ -605,15 +497,20 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
 
     Condenses with the assembler and the loads F of ``solution``, so the
     test space, the quadrature, the coefficients and the load are those of
-    the solve.  ``mesh`` and ``problem`` must be the ones the solve was
-    given; other objects raise ValueError.
+    the solve; it does not reuse the solve's elimination, so its Galerkin
+    orthogonality residual checks the skeleton solve and the field recovery
+    alike.  ``mesh`` and ``problem`` must be the ones the solve was given;
+    other objects raise ValueError.
     """
     _check_data(solution, mesh, problem, "error_function")
     dofmap = solution.dofmap
+    nf = dofmap.layout.uh0
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
-    # kept DOF, orthogonality and rhs entries of every element, in batch
-    # order; one bincount per vector sums them as np.add.at would
+    # field rows of every element; kept skeleton DOF, orthogonality and rhs
+    # entries of every element, in batch order, which one bincount per
+    # vector sums as np.add.at would
+    orth_f, rhs_f = np.empty((2, mesh.n_triangles, nf))
     idx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
     orth, rhs = np.empty(len(idx)), np.empty(len(idx))
     pos = 0
@@ -622,15 +519,19 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
         Yt = np.swapaxes(Y, 1, 2)[inv]
+        Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
+        orth_f[els], rhs_f[els] = Ytz[:, :nf], Yty[:, :nf]
         g = dofmap.gather[els]
         keep = g >= 0
         k = np.count_nonzero(keep)
         idx[pos:pos + k] = g[keep]
-        orth[pos:pos + k] = (Yt @ z[:, :, None])[:, :, 0][keep]
-        rhs[pos:pos + k] = (Yt @ y[:, :, None])[:, :, 0][keep]
+        orth[pos:pos + k] = Ytz[:, nf:][keep]
+        rhs[pos:pos + k] = Yty[:, nf:][keep]
         pos += k
     n = dofmap.total
+    rhs = np.concatenate([np.bincount(idx, rhs, minlength=n), rhs_f.ravel()])
     return EnergyError(element_norms=np.sqrt(norms2),
                        total=float(np.sqrt(norms2.sum())),
-                       orth_residual=np.bincount(idx, orth, minlength=n),
-                       rhs_norm=float(np.linalg.norm(np.bincount(idx, rhs, minlength=n))))
+                       orth_residual=np.concatenate([np.bincount(idx, orth, minlength=n),
+                                                     orth_f.ravel()]),
+                       rhs_norm=float(np.linalg.norm(rhs)))

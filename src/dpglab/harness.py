@@ -15,7 +15,6 @@ error measurement cannot inherit an assembly shortcut.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -150,8 +149,8 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
         row = ErrorRow(level=level, n_triangles=mesh.n_triangles)
         try:
             # the augmented system is solved first, and the standard solve
-            # takes its test space; both factor a system of the standard DOF
-            # map, as the augmented solve eliminates its extra u coefficients
+            # takes its test space; both factor the same skeleton system
+            # pattern, as both eliminate their element-local fields
             sol_aug = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,
@@ -204,16 +203,18 @@ def emit_table(table: ErrorTable, fmt: str = "csv") -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _emit_csv(table: ErrorTable) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
+def _row_cells(table: ErrorTable):
+    """The cells of each row of ``table``: p, #T, then every error and its
+    rate."""
     for row, rates in zip(table.rows, table.rates()):
         cells = [str(table.p), str(row.n_triangles)]
         for err, rt in zip(row.errors(), rates):
-            cells.append(fmt_err(err))
-            cells.append(fmt_rate(rt))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+            cells += [fmt_err(err), fmt_rate(rt)]
+        yield cells
+
+
+def _emit_csv(table: ErrorTable) -> str:
+    return CSV_HEADER + "\n" + "".join(",".join(cells) + "\n" for cells in _row_cells(table))
 
 
 def _emit_markdown(table: ErrorTable) -> str:
@@ -221,11 +222,5 @@ def _emit_markdown(table: ErrorTable) -> str:
             "err_aug", "rate", "err_post", "rate"]
     lines = ["| " + " | ".join(head) + " |",
              "|" + "|".join(["---"] * len(head)) + "|"]
-    for row, rates in zip(table.rows, table.rates()):
-        cells = [str(table.p), str(row.n_triangles)]
-        for err, rt in zip(row.errors(), rates):
-            cells.append(fmt_err(err))
-            cells.append(fmt_rate(rt))
-        lines.append("| " + " | ".join(cells) + " |")
+    lines += ["| " + " | ".join(cells) + " |" for cells in _row_cells(table)]
     return "\n".join(lines) + "\n"
-

@@ -21,9 +21,10 @@ back to the reference element, so the elements of a batch share one GEMM
 against the reference gradients, and each element's coefficients are its
 class's inverse applied to its right-hand side.  The elements are taken
 ``_CHUNK`` at a time, as in the load assembly: the mapped points, the
-coefficients, u_h, sigma_h and the drive exist for one batch only, and
-besides the per-class tables only per-element coefficient vectors span the
-mesh.
+coefficients, u_h, sigma_h and the drive exist for one batch only.  The
+classes are taken ``_CHUNK`` at a time as well, so with x-dependent
+coefficients, one class per element, only the bordered inverses and
+per-element coefficient vectors span the mesh.
 """
 
 from __future__ import annotations
@@ -65,17 +66,24 @@ def postprocess_u(mesh: Mesh, problem, solution: Solution) -> CoefficientVector:
     nq, n = Pg.shape[:2]
     sdet = np.sqrt(mesh.dets)
 
-    # bordered matrix [[K, c], [c^t, 0]] per class, c_i = int_T phi_i
+    # bordered matrix [[K, c], [c^t, 0]] per class, c_i = int_T phi_i, formed
+    # _CHUNK classes at a time: with one class per element the gradient
+    # tables would otherwise span the mesh
     classes, firsts = solution.assembler.classes, solution.assembler._firsts
-    Gp = Pg[None] @ np.swapaxes(mesh.inv_ts[firsts], 1, 2)[:, None]  # (c, Q, n, 2)
-    Gw = (np.sqrt(w)[:, None, None] * Gp).swapaxes(2, 3).reshape(len(firsts), -1, n)
-    M = np.zeros((len(firsts), n + 1, n + 1))
-    M[:, :n, :n] = np.swapaxes(Gw, 1, 2) @ Gw
-    M[:, n, 0] = M[:, 0, n] = sdet[firsts] / _SQRT2
-    ok = np.isfinite(M).all(axis=(1, 2))
-    M[~ok] = np.eye(n + 1)  # flagged already; LAPACK gets finite input only
-    Minv = np.linalg.inv(M)
-    ok &= np.isfinite(Minv).all(axis=(1, 2))
+    Minv = np.empty((len(firsts), n + 1, n + 1))
+    ok = np.empty(len(firsts), dtype=bool)
+    for lo in range(0, len(firsts), _CHUNK):
+        cls = slice(lo, lo + _CHUNK)
+        f = firsts[cls]
+        Gp = Pg[None] @ np.swapaxes(mesh.inv_ts[f], 1, 2)[:, None]  # (c, Q, n, 2)
+        Gw = (np.sqrt(w)[:, None, None] * Gp).swapaxes(2, 3).reshape(len(f), -1, n)
+        M = np.zeros((len(f), n + 1, n + 1))
+        M[:, :n, :n] = np.swapaxes(Gw, 1, 2) @ Gw
+        M[:, n, 0] = M[:, 0, n] = sdet[f] / _SQRT2
+        ok[cls] = np.isfinite(M).all(axis=(1, 2))
+        M[~ok[cls]] = np.eye(n + 1)  # flagged already; LAPACK gets finite input only
+        Minv[cls] = np.linalg.inv(M)
+        ok[cls] &= np.isfinite(Minv[cls]).all(axis=(1, 2))
 
     uh_cv = solution.u
     u = uh_cv.by_element()

@@ -14,8 +14,9 @@ B against the layout it is given:
   an L2(E)-orthonormal Legendre basis of the lo->hi edge parameter; assembly
   applies the orientation sign n_T . n_E.
 
-Boundary ``uhat`` DOFs do not exist (homogeneous Dirichlet data); gather
-entries for them are -1.
+Only ``uhat`` and ``sighat`` are numbered globally (:class:`DofMap`); u
+and sigma are element-local.  Boundary ``uhat`` DOFs do not exist
+(homogeneous Dirichlet data); gather entries for them are -1.
 
 :func:`rt_interpolate` keeps one coefficient row per element in the
 Piola-mapped spanning set of RT^p (:func:`dpglab.refelem.rt_span`); one
@@ -112,22 +113,15 @@ def broken_eval(cv: CoefficientVector, ref_points: np.ndarray) -> np.ndarray:
 
 
 class DofMap:
-    """Deterministic global numbering of the four trial fields.
+    """Deterministic global numbering of the skeleton trial DOFs.
 
-    The blocks follow each other as u, sigma, uhat, sighat (:attr:`offsets`).
-    Inside the u and the sigma block the field DOFs of element e form slot
-    nt-1-e, so the elements run in descending order; the skeleton DOFs
-    follow the interior vertex, interior edge and edge ids.  The order inside
-    a block changes no number the solver computes beyond rounding, but it
-    sets the tie-breaks of SuperLU's minimum-degree ordering: with descending
-    field blocks L+U holds 2,407,982 entries instead of 3,250,026 on ex1/qopt
-    p0 level 6 and 7,495,220 instead of 9,057,814 on ex1/simple p2 level 5;
-    on ex1/qopt, p 0-3 and both variants it is 0.74-0.96x at every level
-    >= 3 and 1.01-1.03x only on the 64-triangle level 2.  (That range was
-    measured when the augmented variant factored its own DOF map; it now
-    eliminates its extra u coefficients and factors the standard one.)
-    Read field values through :attr:`gather`, which maps the element-local
-    columns of every element to global DOFs, never by position in a block.
+    u and sigma live in broken spaces: their coefficients belong to one
+    element each, and the solve eliminates them element by element (see
+    :mod:`dpglab.dpg_solver`).  Only the traces couple elements, so only
+    they are numbered: the interior uhat DOFs first, by interior vertex id
+    and then p per interior edge id, then the sighat DOFs, p+1 per edge id.
+    :attr:`gather` maps the skeleton columns of every element (its local
+    columns from ``layout.uh0`` on) to global DOFs.
     """
 
     def __init__(self, mesh: Mesh, p: int, variant: str = "standard"):
@@ -137,47 +131,30 @@ class DofMap:
         self.p = p
         self.layout = trial_layout(p, variant)
         lay = self.layout
-        nt, ne = mesh.n_triangles, mesh.n_edges
+        nt = mesh.n_triangles
 
         iv = mesh.interior_vertex_ids()
         ie = mesh.interior_edge_ids()
         self.n_interior_vertices = int((iv >= 0).sum())
         self.n_interior_edges = int((ie >= 0).sum())
-
-        self.n_u = nt * lay.nu
-        self.n_sigma = 2 * nt * lay.ns
         self.n_uhat = self.n_interior_vertices + p * self.n_interior_edges
-        self.n_sighat = (p + 1) * ne
-        self.offsets = {
-            "u": 0,
-            "sigma": self.n_u,
-            "uhat": self.n_u + self.n_sigma,
-            "sighat": self.n_u + self.n_sigma + self.n_uhat,
-        }
-        self.total = self.n_u + self.n_sigma + self.n_uhat + self.n_sighat
+        self.n_sighat = (p + 1) * mesh.n_edges
+        self.total = self.n_uhat + self.n_sighat
 
-        gather = np.empty((nt, lay.total), dtype=np.int64)
-        slot = np.arange(nt - 1, -1, -1)[:, None]  # field blocks in descending element order
-        gather[:, lay.u0:lay.u0 + lay.nu] = slot * lay.nu + np.arange(lay.nu)
-        base_s = self.offsets["sigma"] + slot * 2 * lay.ns
-        gather[:, lay.sx0:lay.sx0 + 2 * lay.ns] = base_s + np.arange(2 * lay.ns)
-
-        off_uh, off_sh = self.offsets["uhat"], self.offsets["sighat"]
-        vert_ids = iv[mesh.triangles]
-        gather[:, lay.uh0:lay.uh0 + 3] = np.where(vert_ids >= 0, off_uh + vert_ids, -1)
+        gather = np.empty((nt, lay.total - lay.uh0), dtype=np.int64)
+        gather[:, :3] = iv[mesh.triangles]
         for j in range(3):
-            eid = ie[mesh.tri_edges[:, j]]
-            base = off_uh + self.n_interior_vertices + eid[:, None] * p
-            gather[:, lay.uhat_cols(j)[1:-1]] = np.where(eid[:, None] >= 0,
-                                                         base + np.arange(p), -1)
-            gather[:, lay.sighat_cols(j)] = \
-                off_sh + mesh.tri_edges[:, j:j + 1] * (p + 1) + np.arange(p + 1)
+            eid = ie[mesh.tri_edges[:, j]][:, None]
+            gather[:, lay.uhat_cols(j)[1:-1] - lay.uh0] = np.where(
+                eid >= 0, self.n_interior_vertices + eid * p + np.arange(p), -1)
+            gather[:, lay.sighat_cols(j) - lay.uh0] = \
+                self.n_uhat + mesh.tri_edges[:, j:j + 1] * (p + 1) + np.arange(p + 1)
         gather.setflags(write=False)
         self.gather = gather
 
     def local_vector(self, x: np.ndarray) -> np.ndarray:
-        """Gather a global vector to (nt, n_local); absent boundary-uhat DOFs
-        contribute zero."""
+        """Gather a global vector to (nt, n_skeleton_local); absent
+        boundary-uhat DOFs contribute zero."""
         g = self.gather
         return np.where(g >= 0, x[np.clip(g, 0, None)], 0.0)
 

@@ -286,7 +286,7 @@ def test_study_level_builds_one_test_space(monkeypatch):
 
 def _study_trace(cfg, monkeypatch):
     """Run ``cfg`` and return its table, the variant of the solve and the
-    DOF count of every factorization per level, the standard DOF count of
+    DOF count of every factorization per level, the skeleton DOF count of
     every level, and for every factorization whether any Solution, field or
     mesh of an earlier level was still alive."""
     levels, ndofs, totals, stale, variant = [], {}, {}, [], []
@@ -328,8 +328,8 @@ def _study_trace(cfg, monkeypatch):
                                          (2, TestNorm.SIMPLE, 1)])
 def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch):
     # a level with both variants factors the augmented system first, both
-    # systems have the standard DOFs (the augmented solve eliminates its
-    # extra u coefficients per class), and no Solution, field or mesh of a
+    # systems have the skeleton DOFs (both variants eliminate their
+    # element-local fields per class), and no Solution, field or mesh of a
     # level is alive when the next level factors: anything a level kept
     # would leave its heap pages resident under the next factor.  The rows
     # are bitwise those of separate standard and augmented studies

@@ -23,14 +23,12 @@ def initial():
 
 def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, problem):
     dm = build_dofmap(mesh, p)
-    lay = dm.layout
-    x = np.zeros(dm.total)
-    x[dm.gather[:, lay.u0:lay.u0 + lay.nu]] = u_coeffs
-    x[dm.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]] = sigma_coeffs.reshape(mesh.n_triangles, -1)
+    fields = np.concatenate([u_coeffs, sigma_coeffs.reshape(mesh.n_triangles, -1)], axis=1)
     asm = ElementAssembler(mesh, problem.coeffs, p)
     return Solution(mesh=mesh, problem=problem, dofmap=dm, p=p,
                     kind=TestNorm.QUASI_OPTIMAL, assembler=asm,
-                    loads=asm.loads(problem.f, problem.fvec), x=x)
+                    loads=asm.loads(problem.f, problem.fvec), x=np.zeros(dm.total),
+                    fields=fields)
 
 
 def _plain_problem(u, grad_u, laplace_u):
@@ -144,9 +142,9 @@ def _assert_matches_oracle(mesh, problem, sol, monkeypatch):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_variable_coefficients_against_dense_oracle(initial, monkeypatch):
-    # x-dependent C(x) and beta(x): every element is a class of its own; in
-    # batches of 7 the 64 elements make 10 batches, the last one ragged
+def _variable_problem():
+    """Example 2 with x-dependent SPD C(x), beta(x) and fvec: every element
+    is a class of its own."""
     def matrix(x):
         C = np.empty((len(x), 2, 2))
         C[:, 0, 0] = 2.0 + x[:, 0]
@@ -157,8 +155,14 @@ def test_variable_coefficients_against_dense_oracle(initial, monkeypatch):
     coeffs = Coefficients(matrix=matrix,
                           advection=lambda x: np.column_stack([1.0 + x[:, 1], -x[:, 0]]),
                           reaction=lambda x: np.full(len(x), 0.5))
-    prob = dataclasses.replace(example(2), coeffs=coeffs,
+    return dataclasses.replace(example(2), coeffs=coeffs,
                                fvec=lambda x: np.column_stack([x[:, 1], np.cos(x[:, 0])]))
+
+
+def test_variable_coefficients_against_dense_oracle(initial, monkeypatch):
+    # x-dependent C(x) and beta(x): every element is a class of its own; in
+    # batches of 7 the 64 elements make 10 batches, the last one ragged
+    prob = _variable_problem()
     mesh = refine_uniform(initial)
     rng = np.random.default_rng(5)
     p = 2
@@ -237,23 +241,27 @@ def test_non_finite_bordered_factor_raises():
 def test_postprocess_memory(initial):
     # ex1 level 6, p = 0, random coefficients (no global solve): the traced
     # peak stays below the bytes of one whole-mesh (nt, 2, 2, Q) array of C
-    # at the postprocess rule, 12.5 MiB at Q = 25.  Measured: 56.1 MiB when
-    # the whole mesh was evaluated at once, 3.5 MiB batch by batch
+    # at the postprocess rule, 12.5 MiB at Q = 25, both with example 1's 144
+    # classes and with x-dependent C and beta, one class per element.
+    # Measured: 56.1 MiB when the whole mesh was evaluated at once, 3.5 MiB
+    # batch by batch; with one class per element, 56.4 MiB when the
+    # bordered matrices of all classes were formed at once
     mesh = initial
     for _ in range(5):
         mesh = refine_uniform(mesh)
     assert mesh.n_triangles == 16384
-    prob = example(1)
-    rng = np.random.default_rng(11)
-    sol = _manual_solution(mesh, 0, rng.standard_normal((mesh.n_triangles, 1)),
-                           rng.standard_normal((mesh.n_triangles, 2, 1)), prob)
     nq = len(triangle_quadrature(postprocess._postprocess_exactness(0)).weights)
     whole_mesh_C = mesh.n_triangles * 2 * 2 * nq * 8
-    tracemalloc.start()
-    try:
-        post = postprocess_u(mesh, prob, sol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(post.data).all()
-    assert peak < whole_mesh_C
+    rng = np.random.default_rng(11)
+    for prob, n_classes in ((example(1), 144), (_variable_problem(), mesh.n_triangles)):
+        sol = _manual_solution(mesh, 0, rng.standard_normal((mesh.n_triangles, 1)),
+                               rng.standard_normal((mesh.n_triangles, 2, 1)), prob)
+        assert sol.assembler.classes.max() + 1 == n_classes
+        tracemalloc.start()
+        try:
+            post = postprocess_u(mesh, prob, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(post.data).all()
+        assert peak < whole_mesh_C

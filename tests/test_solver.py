@@ -7,14 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import dpglab
 from dpglab import dpg_solver
 from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
-                               _eliminate, _factor, _solve_spd, assemble_and_solve,
-                               assemble_global, error_function)
+                               _eliminate, _factor, _recover, _solve_spd,
+                               assemble_and_solve, assemble_global, error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
@@ -81,42 +82,42 @@ def test_condense_rejects_indefinite_gram():
 
 
 def test_eliminate_rejects_rank_deficient_extra_columns():
-    # column 1 is eliminated; it is zero in class 2 (elements 8 and 7), so
-    # its R_e has a zero diagonal and the lowest element of that class is
-    # named, not one of class 5, whose column is fine
+    # the first two columns are the field block; its column 1 is zero in
+    # class 2 (elements 8 and 7), so its R_f has a zero diagonal and the
+    # lowest element of that class is named, not one of class 5, whose field
+    # block is fine
     rng = np.random.default_rng(3)
-    Y = rng.standard_normal((2, 6, 4))
+    Y = rng.standard_normal((2, 7, 5))
     Y[0, :, 1] = 0.0
     els, inv = np.array([9, 8, 3, 7]), np.array([1, 0, 1, 0])
-    y = rng.standard_normal((4, 6))
-    with pytest.raises(SolverError, match="extra u columns of element 7 are rank deficient"):
-        _eliminate(Y, y, inv, els, slice(1, 2))
+    y = rng.standard_normal((4, 7))
+    with pytest.raises(SolverError, match="field columns of element 7 are rank deficient"):
+        _eliminate(Y, y, inv, els, 2)
     Y[0, 0, 1] = np.nan
     with pytest.raises(SolverError, match="element 7 are rank deficient"):
-        _eliminate(Y, y, inv, els, slice(1, 2))
+        _eliminate(Y, y, inv, els, 2)
     # with the column restored, the condensed blocks are the Schur
-    # complements of the extra column, and x_e = e_T - E_c x_T is the local
+    # complements of the field block, and x_f = e_T - E_c x_s is the local
     # least-squares solution
-    Y[0, :, 1] = rng.standard_normal(6)
-    Ys, E, e = _eliminate(Y, y, inv, els, slice(1, 2))
-    x_T = rng.standard_normal((4, 3))
-    x_e = e - (E[inv] @ x_T[:, :, None])[:, :, 0]
+    Y[0, :, 1] = rng.standard_normal(7)
+    Ys, E, e = _eliminate(Y, y, inv, els, 2)
+    x_s = rng.standard_normal((4, 3))
+    x_f = e - (E[inv] @ x_s[:, :, None])[:, :, 0]
     for t in range(4):
-        Yt = Y[inv[t]]
-        Y_s, Y_e = np.delete(Yt, 1, axis=1), Yt[:, 1:2]
-        schur = Y_s.T @ Y_s - Y_s.T @ Y_e @ np.linalg.solve(Y_e.T @ Y_e, Y_e.T @ Y_s)
-        rhs = Y_s.T @ y[t] - Y_s.T @ Y_e @ np.linalg.solve(Y_e.T @ Y_e, Y_e.T @ y[t])
+        Y_f, Y_s = Y[inv[t], :, :2], Y[inv[t], :, 2:]
+        schur = Y_s.T @ Y_s - Y_s.T @ Y_f @ np.linalg.solve(Y_f.T @ Y_f, Y_f.T @ Y_s)
+        rhs = Y_s.T @ y[t] - Y_s.T @ Y_f @ np.linalg.solve(Y_f.T @ Y_f, Y_f.T @ y[t])
         assert np.allclose(Ys[inv[t]].T @ Ys[inv[t]], schur, rtol=1e-12, atol=1e-13)
         assert np.allclose(Ys[inv[t]].T @ y[t], rhs, rtol=1e-12, atol=1e-13)
-        want = np.linalg.lstsq(Y_e, y[t] - Y_s @ x_T[t], rcond=None)[0]
-        assert np.allclose(x_e[t], want, rtol=1e-12, atol=1e-14)
+        want = np.linalg.lstsq(Y_f, y[t] - Y_s @ x_s[t], rcond=None)[0]
+        assert np.allclose(x_f[t], want, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
 def test_zero_data_gives_zero_solution(initial, kind):
     mesh = refine_uniform(initial)
     sol = assemble_and_solve(mesh, zero_data_problem(), p=1, kind=kind)
-    assert np.abs(sol.x).max() <= 1e-10
+    assert np.abs(sol.local_trial()).max() <= 1e-10
 
 
 def test_global_matrix_symmetric_positive_definite(initial):
@@ -131,18 +132,20 @@ def test_global_matrix_symmetric_positive_definite(initial):
 
 
 def test_solution_fields_and_bc(initial):
+    # the factored system has the skeleton DOFs only; the fields are
+    # element-local, (nt, nu + 2 ns)
     prob = example(2)
     sol = assemble_and_solve(initial, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
     dm = sol.dofmap
-    assert sol.u.data.size == dm.n_u
+    assert sol.u.data.size == initial.n_triangles * dm.layout.nu
     assert sol.sigma.shape == (initial.n_triangles, 2, 3)
-    assert sol.x.size == dm.n_u + dm.n_sigma + dm.n_uhat + dm.n_sighat
-    assert np.all(np.isfinite(sol.x))
+    assert sol.fields.shape == (initial.n_triangles, dm.layout.uh0)
+    assert sol.x.size == dm.n_uhat + dm.n_sighat == dm.total
+    assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.fields))
     # boundary uhat DOFs are structurally absent: gathered local vector
     # carries zeros on boundary trace columns
     loc = sol.local_trial()
-    g = dm.gather
-    assert np.all(loc[g == -1] == 0.0)
+    assert np.all(loc[:, dm.layout.uh0:][dm.gather == -1] == 0.0)
 
 
 def test_determinism_bitwise(initial):
@@ -150,7 +153,7 @@ def test_determinism_bitwise(initial):
     mesh = refine_uniform(initial)
     a = assemble_and_solve(mesh, prob, p=0, kind=TestNorm.SIMPLE)
     b = assemble_and_solve(mesh, prob, p=0, kind=TestNorm.SIMPLE)
-    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.local_trial(), b.local_trial())
 
 
 def test_spot_value_example1_qopt_p0(initial):
@@ -290,24 +293,22 @@ def _system(mesh, p, kind, ex=1):
 
 
 def test_factor_fill_stays_small(initial):
-    # minimum-degree ordering in symmetric mode, with the field blocks in
-    # descending element order, gives L+U fill of 1.29 nnz(A) on ex1/simple
-    # p2 level 3 (1.36 with the field blocks in element order); SuperLU's
-    # COLAMD default gives 5.75
+    # minimum-degree ordering in symmetric mode gives L+U fill of 2.14 nnz(A)
+    # on the skeleton system of ex1/simple p2 level 3 (2,049 DOFs, 60,113
+    # nonzeros); SuperLU's COLAMD default gives 5.52
     A, _ = _system(refine_uniform(refine_uniform(initial)), 2, TestNorm.SIMPLE)
     lu = _factor(A)
-    assert lu.L.nnz + lu.U.nnz <= 1.32 * A.nnz
+    assert lu.L.nnz + lu.U.nnz <= 2.2 * A.nnz
 
 
 def test_factor_fill_qopt_p0(initial):
-    # ex1/qopt p0 level 4: 106,374 entries in L+U (136,926 with the field
-    # blocks in element order)
+    # ex1/qopt p0 level 4: 56,419 entries in L+U of the skeleton system
     mesh = initial
     for _ in range(3):
         mesh = refine_uniform(mesh)
     A, _ = _system(mesh, 0, TestNorm.QUASI_OPTIMAL)
     lu = _factor(A)
-    assert lu.L.nnz + lu.U.nnz <= 110_000
+    assert lu.L.nnz + lu.U.nnz <= 60_000
 
 
 def test_solve_spd_restores_assembled_matrix(initial, monkeypatch):
@@ -368,19 +369,21 @@ def test_power_of_two_scaling_changes_no_bit(initial):
 
 @pytest.mark.parametrize("variant", ["standard", "augmented"])
 def test_solution_fields_read_through_gather(initial, variant):
-    # the field blocks are numbered in descending element order; u and sigma
-    # are read through the gather, so they come out in element order
+    # the element trial vectors are the recovered fields, in element order,
+    # then the skeleton solution read through the gather; u and sigma are
+    # their field columns
     sol = assemble_and_solve(refine_uniform(initial), example(1), p=1,
                              variant=variant)
     dm, lay = sol.dofmap, sol.dofmap.layout
     nt = sol.mesh.n_triangles
-    u_cols = dm.gather[:, lay.u0:lay.u0 + lay.nu]
-    assert np.array_equal(u_cols[:, 0], (nt - 1 - np.arange(nt)) * lay.nu)
-    assert _bitwise_equal(sol.u.by_element(), sol.x[u_cols])
-    sig_cols = dm.gather[:, lay.sx0:lay.sx0 + 2 * lay.ns]
-    assert _bitwise_equal(sol.sigma.reshape(nt, -1), sol.x[sig_cols])
+    loc = sol.local_trial()
+    assert loc.shape == (nt, lay.total)
+    assert _bitwise_equal(loc[:, :lay.uh0], sol.fields)
+    keep = dm.gather >= 0
+    assert _bitwise_equal(loc[:, lay.uh0:][keep], sol.x[dm.gather[keep]])
+    assert _bitwise_equal(sol.u.by_element(), loc[:, lay.u0:lay.u0 + lay.nu])
     assert _bitwise_equal(sol.sigma.reshape(nt, -1),
-                          sol.local_trial()[:, lay.sx0:lay.sx0 + 2 * lay.ns])
+                          loc[:, lay.sx0:lay.sx0 + 2 * lay.ns])
 
 
 def test_solve_spd_rejects_non_finite_system():
@@ -421,23 +424,23 @@ def test_error_function_against_dense_oracle(initial):
 
 
 def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
-    # the augmented variant eliminates its extra u columns batch by batch,
-    # and recovers them from what each batch kept
+    # both variants eliminate their field columns batch by batch, and
+    # recover them from what each batch kept
     mesh = refine_uniform(refine_uniform(initial))  # 256 elements, one chunk
     prob = example(1)
-    dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
     F = asm.loads(prob.f, prob.fvec)
     default = dpg_solver._CHUNK
     for variant in ("standard", "augmented"):
-        layout = build_dofmap(mesh, 1, variant).layout
+        dm = build_dofmap(mesh, 1, variant)
         runs = []
         for chunk in (default, 7):
             monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
             sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
                                      variant=variant)
-            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F, layout, [])
-            runs.append((A, b, error_function(mesh, prob, sol).element_norms, sol.x))
+            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+            runs.append((A, b, error_function(mesh, prob, sol).element_norms,
+                         sol.local_trial()))
         (A1, b1, e1, x1), (A7, b7, e7, x7) = runs
         assert abs(A7 - A1).max() <= 1e-14 * abs(A1).max()
         assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
@@ -468,10 +471,45 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
                             asm.loads(lambda x: np.zeros(len(x)), None))
 
 
+def _full_system(sol):
+    """The condensed system of all trial DOFs of the solve ``sol``,
+    sum_T B_T^t G_T^{-1} [B_T | F_T] scattered densely, and the solve's full
+    trial vector: the fields of element t at DOFs t nf ... (t + 1) nf - 1,
+    then the skeleton DOFs of ``sol.dofmap``."""
+    asm, dm = sol.assembler, sol.dofmap
+    nt, nf = sol.fields.shape
+    B = asm.b_matrices(layout=dm.layout)
+    BF = np.concatenate([B, sol.loads[:, :, None]], axis=2)
+    SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(sol.kind), BF)
+    dofs = np.concatenate([np.arange(nt * nf).reshape(nt, nf),
+                           np.where(dm.gather >= 0, nt * nf + dm.gather, -1)], axis=1)
+    n = nt * nf + dm.total
+    A, b = np.zeros((n, n)), np.zeros(n)
+    for g, sr in zip(dofs, SR):
+        keep = np.flatnonzero(g >= 0)
+        A[np.ix_(g[keep], g[keep])] += sr[np.ix_(keep, keep)]
+        b[g[keep]] += sr[keep, -1]
+    return A, b, np.concatenate([sol.fields.ravel(), sol.x])
+
+
+def _assert_solves_full_system(sol):
+    """The solve's full trial vector solves the full system of
+    :func:`_full_system` to a backward error <= 1e-12 and matches its dense
+    solve to 1e-10."""
+    A, b, x = _full_system(sol)
+    anorm = np.abs(A).sum(axis=1).max()
+    backward = np.linalg.norm(b - A @ x) / (anorm * np.linalg.norm(x) + np.linalg.norm(b))
+    assert sol.residual <= 1e-12 and backward <= 1e-12
+    want = scipy.linalg.solve(A, b, assume_a="pos")
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_variable_coefficients_against_dense_oracle(initial):
-    # the condensed system is sum_T B^t G^{-1} [B | F] scattered densely, both
-    # for x-dependent SPD C(x) and beta(x), where every element is a class of
-    # its own, and for example 1's coefficients, where classes are shared
+    # the skeleton system is the Schur complement of the field block of the
+    # full system sum_T B^t G^{-1} [B | F], scattered densely, and the solve
+    # solves the full system; both for x-dependent SPD C(x) and beta(x),
+    # where every element is a class of its own, and for example 1's
+    # coefficients, where classes are shared
     def matrix(x):
         C = np.empty((len(x), 2, 2))
         C[:, 0, 0] = 2.0 + x[:, 0]
@@ -484,20 +522,17 @@ def test_variable_coefficients_against_dense_oracle(initial):
                             reaction=lambda x: np.full(len(x), 0.5))
     mesh = refine_uniform(initial)
     prob = example(1)
-    dm = build_dofmap(mesh, 1)
     for coeffs, n_classes in ((variable, mesh.n_triangles), (prob.coeffs, 40)):
-        asm = ElementAssembler(mesh, coeffs, 1)
-        assert asm.classes.max() + 1 == n_classes
         for kind in TestNorm:
-            A, b = assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec))
-            B = asm.b_matrices()
-            BF = np.concatenate([B, asm.loads(prob.f, prob.fvec)[:, :, None]], axis=2)
-            SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(kind), BF)
-            A_want, b_want = np.zeros((dm.total, dm.total)), np.zeros(dm.total)
-            for g, sr in zip(dm.gather, SR):
-                keep = np.flatnonzero(g >= 0)
-                A_want[np.ix_(g[keep], g[keep])] += sr[np.ix_(keep, keep)]
-                b_want[g[keep]] += sr[keep, -1]
+            sol = assemble_and_solve(mesh, dataclasses.replace(prob, coeffs=coeffs), 1, kind)
+            assert sol.assembler.classes.max() + 1 == n_classes
+            _assert_solves_full_system(sol)
+            A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads)
+            full, rhs, _ = _full_system(sol)
+            f = sol.fields.size
+            Aff_fs = np.linalg.solve(full[:f, :f], full[:f, f:])
+            A_want = full[f:, f:] - full[f:, :f] @ Aff_fs
+            b_want = rhs[f:] - Aff_fs.T @ rhs[:f]
             assert np.abs(A.toarray() - A_want).max() <= 1e-12 * np.abs(A_want).max()
             assert np.abs(b - b_want).max() <= 1e-12 * np.abs(b_want).max()
 
@@ -512,19 +547,21 @@ def test_error_function_uses_the_solve_quadrature(initial):
     dm = build_dofmap(mesh, 1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
     F = asm.loads(prob.f, prob.fvec)
-    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, F), 1e-12)
+    recovery = []
+    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, F, recovery), 1e-12)
     sol = Solution(mesh=mesh, problem=prob, dofmap=dm, p=1, kind=kind, assembler=asm,
-                   loads=F, x=x, residual=res)
+                   loads=F, x=x, fields=_recover(dm, x, recovery), residual=res)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
 
 
 def _reference_scatter(dofmap, asm, kind, F):
-    """The condensed system scattered from growing lists of triplets into a
+    """The skeleton system scattered from growing lists of triplets into a
     COO matrix, and the rhs by np.add.at, batch by batch."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.total)
     for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
+        Y = _eliminate(Y, y, inv, els, dofmap.layout.uh0)[0]
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]
         r = (Yt[inv] @ y[:, :, None])[:, :, 0]
@@ -545,13 +582,14 @@ def _bitwise_equal(a, b):
 
 
 def _add_at_reference(dofmap, asm, kind, F, ref):
-    """The values of the condensed matrix added by np.add.at into the CSC
+    """The values of the skeleton matrix added by np.add.at into the CSC
     pattern of ``ref``, batch after batch in the order of the condensation;
     each entry's place is looked up by its row and column."""
     place = ref.copy()
     place.data = np.arange(ref.nnz)
     data = np.zeros(ref.nnz)
-    for els, Y, _, inv in _condensed(asm, dofmap.layout, kind, F):
+    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
+        Y = _eliminate(Y, y, inv, els, dofmap.layout.uh0)[0]
         S = (np.swapaxes(Y, 1, 2) @ Y)[inv]
         g = dofmap.gather[els]
         ok = (g >= 0)[:, :, None] & (g >= 0)[:, None, :]
@@ -562,9 +600,10 @@ def _add_at_reference(dofmap, asm, kind, F, ref):
 
 
 def test_assembly_memory_and_bitwise_triplets(initial):
-    # ex1/simple p2 on level 5: the peak of the assembly stays within 2x the
-    # returned CSC matrix (1.80x measured; triplet arrays and their COO
-    # conversion took 2.6x, lists of int64 triplet arrays 5x).  indptr,
+    # ex1/simple p2 on level 5: the traced peak of the assembly stays below
+    # 54 MiB (45.1 MiB measured, of which 11.7 MiB are the returned CSC
+    # matrix and most of the rest one batch's B and Gram matrices; int64
+    # triplets of the 1.33 M element entries would add 30 MiB).  indptr,
     # indices and the rhs equal the COO reference of the triplets bit for
     # bit; SciPy sums the duplicates of the COO matrix in its own order, so
     # the values equal np.add.at of the same batches into that pattern
@@ -582,7 +621,7 @@ def test_assembly_memory_and_bitwise_triplets(initial):
     finally:
         tracemalloc.stop()
     assert A.format == "csc" and A.indices.dtype == np.int32
-    assert peak <= 2 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert peak <= 54 * 2**20
     A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, F)
     for name in ("indices", "indptr"):
         assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
@@ -594,7 +633,8 @@ def test_assembly_memory_and_bitwise_triplets(initial):
 @pytest.mark.parametrize("p", range(4))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
-    # levels 1-3; on level 1 every element has a boundary vertex.  indptr,
+    # levels 1-3; on level 1 every element has a boundary vertex.  Both
+    # variants assemble a skeleton system of the same DOFs.  indptr,
     # indices and the rhs are those of the COO reference bit for bit, A is
     # its own transpose bit for bit, and batches of 7 elements give the same
     # A bit for bit: each entry is added in the class order of the elements
@@ -623,40 +663,46 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
 
 def test_index_bound_covers_dofs_and_nonzeros(initial, monkeypatch):
     # the int32 indices of A bound both the DOFs (indices) and the nonzeros
-    # (indptr): ex1/qopt p0 on level 1 has 81 DOFs and 809 nonzeros
+    # (indptr): ex1/qopt p0 on level 1 has 33 skeleton DOFs and 233 nonzeros
     prob = example(1)
     dm = build_dofmap(initial, 0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
     F = asm.loads(prob.f, prob.fvec)
     A, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
-    assert (A.shape[0], A.nnz) == (81, 809)
-    for bound, match in [(81, "81 DOFs exceed"), (809, "809 nonzeros exceed")]:
+    assert (A.shape[0], A.nnz) == (33, 233)
+    for bound, match in [(33, "33 DOFs exceed"), (233, "233 nonzeros exceed")]:
         monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", bound)
         with pytest.raises(SolverError, match=match + " the int32 indices"):
             assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
-    monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", 810)
+    monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", 234)
     A1, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
     assert all(map(_bitwise_equal, _csc_arrays(A1), _csc_arrays(A)))
 
 
 def test_error_function_scatter_bitwise(initial, monkeypatch):
-    # the orthogonality and rhs vectors equal np.add.at scatters bit for bit,
-    # also across several batches
+    # the skeleton rows of the orthogonality and rhs vectors equal np.add.at
+    # scatters bit for bit, also across several batches; the field rows
+    # follow, element by element
     mesh = refine_uniform(initial)
     prob = example(2)
     monkeypatch.setattr(dpg_solver, "_CHUNK", 7)
     sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
     ee = error_function(mesh, prob, sol)
-    orth, rhs = np.zeros(sol.dofmap.total), np.zeros(sol.dofmap.total)
+    n, nf = sol.dofmap.total, sol.dofmap.layout.uh0
+    orth = np.zeros(n + sol.fields.size)
+    rhs = np.zeros_like(orth)
     u_loc = sol.local_trial()
     for els, Y, y, inv in _condensed(sol.assembler, sol.dofmap.layout, sol.kind,
                                      sol.loads):
         z = y - (Y[inv] @ u_loc[els][:, :, None])[:, :, 0]
         Yt = np.swapaxes(Y, 1, 2)[inv]
+        Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
         g = sol.dofmap.gather[els]
         keep = g >= 0
-        np.add.at(orth, g[keep], (Yt @ z[:, :, None])[:, :, 0][keep])
-        np.add.at(rhs, g[keep], (Yt @ y[:, :, None])[:, :, 0][keep])
+        np.add.at(orth, g[keep], Ytz[:, nf:][keep])
+        np.add.at(rhs, g[keep], Yty[:, nf:][keep])
+        field_rows = n + els[:, None] * nf + np.arange(nf)
+        orth[field_rows], rhs[field_rows] = Ytz[:, :nf], Yty[:, :nf]
     assert _bitwise_equal(ee.orth_residual, orth)
     assert ee.rhs_norm == float(np.linalg.norm(rhs))
 
@@ -680,6 +726,7 @@ def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
         assert shared.loads is space.loads
         assert _bitwise_equal(shared.loads, alone[variant].loads)
         assert _bitwise_equal(shared.x, alone[variant].x)
+        assert _bitwise_equal(shared.fields, alone[variant].fields)
         assert shared.residual == alone[variant].residual
 
 
@@ -687,10 +734,11 @@ def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
 @pytest.mark.parametrize("kind", list(TestNorm))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, kind, p):
-    # the augmented solve factors the standard system's pattern: its extra u
+    # both variants factor the same skeleton pattern: their field
     # coefficients are eliminated per class and recovered per element, and
-    # its x solves the full augmented system assembled on the augmented
-    # DofMap, to its backward error and to the full solve's x
+    # the full trial vector solves the full system of all trial DOFs,
+    # assembled densely, to its backward error and to its dense solve; the
+    # error function's orthogonality covers the field rows as well
     mesh = refine_uniform(initial)
     prob = example(ex)
     factored = []
@@ -708,18 +756,10 @@ def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, 
     assert aug.shape == stdA.shape == (std.dofmap.total,) * 2
     assert _bitwise_equal(aug.indptr, stdA.indptr)
     assert _bitwise_equal(aug.indices, stdA.indices)
-
-    A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads)
-    assert A.shape == (sol.dofmap.total,) * 2 == (len(sol.x),) * 2
-    x, _ = _solve_spd(A, b, 1e-12)
-    assert np.linalg.norm(sol.x - x) <= 1e-10 * np.linalg.norm(x)
-    anorm = abs(A).sum(axis=1).max()
-    backward = np.linalg.norm(b - A @ sol.x) / (anorm * np.linalg.norm(sol.x)
-                                                + np.linalg.norm(b))
-    assert sol.residual <= 1e-12 and backward <= 1e-12
-
-    ee = error_function(mesh, prob, sol)
-    assert np.abs(ee.orth_residual).max() <= 1e-9 * ee.rhs_norm
+    for solution in (sol, std):
+        _assert_solves_full_system(solution)
+        ee = error_function(mesh, prob, solution)
+        assert np.abs(ee.orth_residual).max() <= 1e-9 * ee.rhs_norm
 
 
 def test_test_space_of_other_data_raises(initial):
@@ -744,7 +784,7 @@ def test_test_space_of_other_data_raises(initial):
     # the default test degrees spelled out, and another test norm, share it
     other = assemble_and_solve(**{**same, "kind": TestNorm.SIMPLE, "k1": 3, "k2": 3})
     alone = assemble_and_solve(mesh, prob, 1, TestNorm.SIMPLE, variant="augmented")
-    assert _bitwise_equal(other.x, alone.x)
+    assert _bitwise_equal(other.local_trial(), alone.local_trial())
 
 
 def test_error_function_rejects_other_problem(initial):

@@ -14,20 +14,23 @@ def initial():
 
 
 def test_dofmap_counts_initial_p0(initial):
+    # only the skeleton is numbered: u and sigma are element-local
     dm = build_dofmap(initial, 0)
-    assert dm.n_u == 16
-    assert dm.n_sigma == 32
     assert dm.n_uhat == 5  # 13 vertices - 8 boundary, no edge nodes at p=0
     assert dm.n_sighat == 28
-    assert dm.total == 81
+    assert dm.total == 33
+    assert dm.gather.shape == (16, 6)
+    assert (dm.layout.nu, dm.layout.ns, dm.layout.uh0) == (1, 1, 3)
 
 
 def test_dofmap_counts_augmented(initial):
+    # the augmented variant has more element-local u columns and the same
+    # skeleton numbering
     dm = build_dofmap(initial, 0, variant="augmented")
-    assert dm.n_u == 48  # broken P^1
-    assert dm.n_sigma == 32
+    assert (dm.layout.nu, dm.layout.ns, dm.layout.uh0) == (3, 1, 5)  # broken P^1
     assert dm.n_uhat == 5
     assert dm.n_sighat == 28
+    assert np.array_equal(dm.gather, build_dofmap(initial, 0).gather)
 
 
 def test_sighat_count_p1(initial):
@@ -43,14 +46,14 @@ def test_uhat_gather_structure(initial):
     iv = initial.interior_vertex_ids()
     for t in range(initial.n_triangles):
         for loc, v in enumerate(initial.triangles[t]):
-            g = dm.gather[t, lay.uh0 + loc]
+            g = dm.gather[t, loc]
             if initial.boundary_vertex[v]:
                 assert g == -1
             else:
-                assert g == dm.offsets["uhat"] + iv[v]
+                assert g == iv[v]
         for j in range(3):
             e = initial.tri_edges[t, j]
-            cols = dm.gather[t, lay.uh0 + 3 + j * p: lay.uh0 + 3 + (j + 1) * p]
+            cols = dm.gather[t, lay.uhat_cols(j)[1:-1] - lay.uh0]
             if initial.boundary_edge[e]:
                 assert np.all(cols == -1)
             else:
