@@ -31,7 +31,10 @@ has more field columns.  The homogeneous Dirichlet condition holds by
 construction: boundary trace DOFs of the scalar field never exist.  The
 canonical CSC pattern of the skeleton system and the place of each element
 entry in it follow from the skeleton incidence, and the condensed blocks are
-added straight into the CSC arrays, with no triplets and no sort.
+added straight into the CSC arrays, with no triplets and no sort.  Every
+skeleton vector is scattered and gathered one way: through the gather of
+the DOF map into a vector with one slot past the end, where the gather
+entry -1 of a boundary trace DOF lands (it reads zero there).
 
 The skeleton system is solved one way only: a SuperLU factorization of the
 assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
@@ -242,8 +245,8 @@ def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
 
 def _csc_pattern(dofmap: DofMap):
     """The canonical CSC pattern of the skeleton system and the place of
-    every element entry in it: ``(indptr, pos)``, with pos[t, i, j] (int32)
-    the place in ``data`` of the entry in row gather[t, i] and column
+    every element entry in it: ``(indptr, indices, pos)``, with pos[t, i, j]
+    (int32) the place in ``data`` of the entry in row gather[t, i] and column
     gather[t, j]; the entries of boundary DOFs go to ``nnz``.
 
     The pattern is that of E^t E, with E the incidence of the elements and
@@ -276,54 +279,40 @@ def _csc_pattern(dofmap: DofMap):
                                        ).reshape(pair)
     pos[~keep] = nnz
     np.swapaxes(pos, 1, 2)[~keep] = nnz
-    return P.indptr.astype(np.int32), pos
+    return P.indptr.astype(np.int32), P.indices.astype(np.int32, copy=False), pos
 
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, F: np.ndarray, recovery: list | None = None):
+                    kind: TestNorm, F: np.ndarray, recovery: list):
     """Assemble the skeleton system (CSC matrix, rhs) from the loads ``F``
-    of every element, straight into the canonical CSC arrays.
+    of every element, straight into the canonical CSC arrays of
+    :func:`_csc_pattern`.
 
     B is assembled against ``dofmap.layout``; each batch of condensed
     elements has its field columns eliminated class by class
-    (:func:`_eliminate`), and adds its projected S_T into ``data`` with one
-    ``np.add.at``, in batch order, writing the row indices at the same
-    places (:func:`_csc_pattern`).  No triplet is formed and nothing is
-    sorted; A is exactly symmetric and the same for any batch size.  One
-    ``bincount`` sums the rhs.  ``recovery``, a list, receives
-    ``(els, E, inv, e)`` per batch, from which :func:`_recover` finds the
-    field coefficients.
+    (:func:`_eliminate`), and adds its projected S_T into ``data`` and its
+    r_T into the rhs with one ``np.add.at`` each, in batch order.  Both
+    arrays have one slot past the end, which takes the entries of the
+    boundary DOFs: their places are ``nnz`` and their gather entries -1.  No
+    triplet is formed, no index is written and nothing is sorted; A is
+    exactly symmetric and the same for any batch size.  ``recovery``, a
+    list, receives ``(els, E, inv, e)`` per batch, from which
+    :func:`_recover` finds the field coefficients.
     """
     n = dofmap.total
     if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
-    indptr, positions = _csc_pattern(dofmap)
-    nnz = int(indptr[-1])
-    # one slot past the end takes the entries of the boundary DOFs
-    data = np.zeros(nnz + 1)
-    indices = np.empty(nnz + 1, dtype=np.int32)
-    rows = dofmap.gather.astype(np.int32)
-    ridx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
-    rvals = np.empty(len(ridx))
-    rpos = 0
+    indptr, indices, positions = _csc_pattern(dofmap)
+    data = np.zeros(len(indices) + 1)
+    b = np.zeros(n + 1)
     for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
         Y, E, e = _eliminate(Y, y, inv, els, dofmap.layout.uh0)
-        if recovery is not None:
-            recovery.append((els, E, inv, e))
+        recovery.append((els, E, inv, e))
         Yt = np.swapaxes(Y, 1, 2)
         S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
-        r = (Yt[inv] @ y[:, :, None])[:, :, 0]
-        g = dofmap.gather[els]
-        kept = g >= 0
-        k = np.count_nonzero(kept)
-        ridx[rpos:rpos + k] = g[kept]
-        rvals[rpos:rpos + k] = r[kept]
-        rpos += k
-        pos = positions[els]
-        np.add.at(data, pos.ravel(), S.ravel())
-        indices[pos] = rows[els][:, :, None]
-    A = sp.csc_matrix((data[:-1], indices[:-1], indptr), shape=(n, n))
-    return A, np.bincount(ridx, rvals, minlength=n)
+        np.add.at(data, positions[els].ravel(), S.ravel())
+        np.add.at(b, dofmap.gather[els].ravel(), (Yt[inv] @ y[:, :, None]).ravel())
+    return sp.csc_matrix((data[:-1], indices, indptr), shape=(n, n)), b[:-1]
 
 
 def _recover(dofmap: DofMap, x: np.ndarray, recovery: list) -> np.ndarray:
@@ -499,21 +488,20 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     test space, the quadrature, the coefficients and the load are those of
     the solve; it does not reuse the solve's elimination, so its Galerkin
     orthogonality residual checks the skeleton solve and the field recovery
-    alike.  ``mesh`` and ``problem`` must be the ones the solve was given;
-    other objects raise ValueError.
+    alike.  Its skeleton rows are summed batch by batch with ``np.add.at``
+    into a vector with a boundary slot past the end, as
+    :func:`assemble_global` sums the rhs.  ``mesh`` and ``problem`` must be
+    the ones the solve was given; other objects raise ValueError.
     """
     _check_data(solution, mesh, problem, "error_function")
     dofmap = solution.dofmap
     nf = dofmap.layout.uh0
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
-    # field rows of every element; kept skeleton DOF, orthogonality and rhs
-    # entries of every element, in batch order, which one bincount per
-    # vector sums as np.add.at would
+    # skeleton rows, summed as in assemble_global (boundary entries into the
+    # last slot), and the field rows of every element
+    orth_s, rhs_s = np.zeros((2, dofmap.total + 1))
     orth_f, rhs_f = np.empty((2, mesh.n_triangles, nf))
-    idx = np.empty(np.count_nonzero(dofmap.gather >= 0), dtype=np.int64)
-    orth, rhs = np.empty(len(idx)), np.empty(len(idx))
-    pos = 0
     for els, Y, y, inv in _condensed(solution.assembler, dofmap.layout,
                                      solution.kind, solution.loads):
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
@@ -521,17 +509,11 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
         Yt = np.swapaxes(Y, 1, 2)[inv]
         Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
         orth_f[els], rhs_f[els] = Ytz[:, :nf], Yty[:, :nf]
-        g = dofmap.gather[els]
-        keep = g >= 0
-        k = np.count_nonzero(keep)
-        idx[pos:pos + k] = g[keep]
-        orth[pos:pos + k] = Ytz[:, nf:][keep]
-        rhs[pos:pos + k] = Yty[:, nf:][keep]
-        pos += k
-    n = dofmap.total
-    rhs = np.concatenate([np.bincount(idx, rhs, minlength=n), rhs_f.ravel()])
+        g = dofmap.gather[els].ravel()
+        np.add.at(orth_s, g, Ytz[:, nf:].ravel())
+        np.add.at(rhs_s, g, Yty[:, nf:].ravel())
+    rhs = np.concatenate([rhs_s[:-1], rhs_f.ravel()])
     return EnergyError(element_norms=np.sqrt(norms2),
                        total=float(np.sqrt(norms2.sum())),
-                       orth_residual=np.concatenate([np.bincount(idx, orth, minlength=n),
-                                                     orth_f.ravel()]),
+                       orth_residual=np.concatenate([orth_s[:-1], orth_f.ravel()]),
                        rhs_norm=float(np.linalg.norm(rhs)))

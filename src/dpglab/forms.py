@@ -57,7 +57,7 @@ from .mesh import Mesh
 from .refelem import (edge_quadrature, lagrange_1d, legendre_orthonormal_1d,
                       ref_edge_points, scalar_tables, scalar_values,
                       triangle_quadrature)
-from .spaces import TrialLayout, trial_layout
+from .spaces import TrialLayout
 
 # elements per batch of the class key here and of the loads and the
 # condensation in dpglab.dpg_solver; bounds the point values, the per-element
@@ -348,14 +348,14 @@ class ElementAssembler:
         raise ValueError(f"unknown test norm kind {kind!r}")
 
     # -- B -----------------------------------------------------------------
-    def b_matrices(self, elements=None, layout: TrialLayout | None = None) -> np.ndarray:
-        """B of each requested element against the trial ``layout`` (default:
-        the standard layout of degree p), evaluated once per element class."""
-        lay = trial_layout(self.p) if layout is None else layout
+    def b_matrices(self, elements, layout: TrialLayout) -> np.ndarray:
+        """B of each of the ``elements`` against the trial ``layout``,
+        evaluated once per element class."""
+        lay = layout
         if lay.p != self.p:
             raise ValueError(f"trial layout of degree {lay.p} for an assembler "
                              f"of degree {self.p}")
-        els, inverse = self._representatives(self._all(elements))
+        els, inverse = self._representatives(np.asarray(elements))
         sdet = np.sqrt(self.mesh.dets[els])
 
         B = np.zeros((len(els), self.n_test, lay.total))

@@ -26,17 +26,11 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array
         Counterclockwise vertex indices; a flipped triangle raises.
-    level : int
-        Refinement level, 1 for the initial mesh.
-    parent : (nt,) int array, optional
-        Index of the parent triangle on the previous level.
     """
 
-    def __init__(self, vertices, triangles, level: int = 1, parent=None):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.level = int(level)
-        self.parent = None if parent is None else np.asarray(parent, dtype=np.int64)
 
         tri_xy = self.vertices[self.triangles]  # (nt, 3, 2)
         d1 = tri_xy[:, 1] - tri_xy[:, 0]
@@ -55,11 +49,10 @@ class Mesh:
         inv_t[:, 1, 0] = -d2[:, 0]
         inv_t[:, 1, 1] = d1[:, 0]
         self.inv_ts = inv_t / det[:, None, None]
-        self.areas = 0.5 * det
 
         self._build_skeleton_arrays(tri_xy)
         for arr in (self.vertices, self.triangles, self.jacobians, self.dets,
-                    self.shifts, self.inv_ts, self.areas, self.edges,
+                    self.shifts, self.inv_ts, self.edges,
                     self.tri_edges, self.tri_edge_signs, self.tri_edge_flip,
                     self.tri_edge_lengths, self.tri_edge_normals,
                     self.edge_tris, self.edge_normals, self.edge_lengths,
@@ -165,7 +158,7 @@ def build_initial_mesh() -> Mesh:
             ur = ul + 1
             c = 9 + 2 * j + i
             triangles += [(ll, lr, c), (lr, ur, c), (ur, ul, c), (ul, ll, c)]
-    return Mesh(vertices, np.array(triangles), level=1)
+    return Mesh(vertices, np.array(triangles))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -196,5 +189,4 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         np.column_stack([m_ab, m_bc, c]),
         np.column_stack([m_ab, c, m_ca]),
     ], axis=1).reshape(-1, 3)
-    parent = np.repeat(np.arange(mesh.n_triangles), 4)
-    return Mesh(vertices, children, level=mesh.level + 1, parent=parent)
+    return Mesh(vertices, children)

@@ -41,7 +41,7 @@ def test_testnorm_parsing():
 
 def test_b_zero_action(initial):
     prob = example(1)
-    B = ElementAssembler(initial, prob.coeffs, 1).b_matrices(np.array([0]))[0]
+    B = ElementAssembler(initial, prob.coeffs, 1).b_matrices(np.array([0]), trial_layout(1))[0]
     assert np.abs(B @ np.zeros(B.shape[1])).max() == 0.0
 
 
@@ -53,7 +53,7 @@ def test_b_constant_test_function_row(initial):
     p = 1
     t = 3
     asm = ElementAssembler(initial, coeffs, p)
-    B = asm.b_matrices(np.array([t]))[0]
+    B = asm.b_matrices(np.array([t]), trial_layout(p))[0]
     det = initial.dets[t]
     # expansion of the constant 1 in the scaled orthonormal test basis
     c = np.zeros(asm.n_test)
@@ -170,7 +170,7 @@ def test_indefinite_matrix_raises_naming_element(initial, kind):
     asm = ElementAssembler(initial, coeffs, 0)
     with pytest.raises(SolverError, match="Gram matrix of element 0 is not SPD"):
         assemble_global(initial, build_dofmap(initial, 0), asm, kind,
-                        asm.loads(lambda x: np.zeros(len(x)), None))
+                        asm.loads(lambda x: np.zeros(len(x)), None), [])
 
 
 def _anisotropic_solution(gamma):
@@ -221,7 +221,7 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
         asm = ElementAssembler(level3, coeffs, p)
         lay, w = trial_layout(p, "augmented"), asm.rule.weights
         U, S = (scalar_values(d, asm.rule.points) for d in (p + 1, p))
-        B = asm.b_matrices(layout=lay)
+        B = asm.b_matrices(np.arange(level3.n_triangles), lay)
         F = asm.loads(f, fvec)
         for t in range(level3.n_triangles):
             def to_phys(ref):
@@ -267,8 +267,9 @@ def test_one_assembler_serves_both_layouts(level3, ex, p):
     assert level3.tri_edge_flip.any()
     asm = ElementAssembler(level3, example(ex).coeffs, p)
     std, aug = trial_layout(p), trial_layout(p, "augmented")
-    Bs = asm.b_matrices(layout=std)
-    Ba = asm.b_matrices(layout=aug)
+    els = np.arange(level3.n_triangles)
+    Bs = asm.b_matrices(els, std)
+    Ba = asm.b_matrices(els, aug)
     assert Bs.shape[2] == std.total and Ba.shape[2] == aug.total
     assert Ba[:, :, aug.sx0:].tobytes() == Bs[:, :, std.sx0:].tobytes()
     us, ua = Bs[:, :, :std.nu], Ba[:, :, :std.nu]
@@ -276,9 +277,8 @@ def test_one_assembler_serves_both_layouts(level3, ex, p):
         assert ua.tobytes() == us.tobytes()
     else:
         assert np.abs(ua - us).max() <= 4e-16 * np.abs(us).max()
-    assert asm.b_matrices().tobytes() == Bs.tobytes()  # the default layout
     with pytest.raises(ValueError, match="trial layout of degree"):
-        asm.b_matrices(layout=trial_layout(p + 1))
+        asm.b_matrices(els, trial_layout(p + 1))
 
 
 def test_qopt_scalar_block_equals_simple_when_unreactive(initial):
@@ -308,7 +308,7 @@ def test_element_b_rank_structure(initial):
     mesh = refine_uniform(initial)
     for p, kdim in ((0, 1), (1, 2)):
         asm = ElementAssembler(mesh, prob.coeffs, p)
-        B = asm.b_matrices()
+        B = asm.b_matrices(np.arange(mesh.n_triangles), trial_layout(p))
         sv = np.linalg.svd(B, compute_uv=False)
         assert (sv[:, -kdim - 1] > 1e-10 * sv[:, 0]).all()
         assert (sv[:, -kdim] < 1e-12 * sv[:, 0]).all()
@@ -319,14 +319,14 @@ def test_element_b_rank_structure(initial):
     reactive = np.flatnonzero((centroids[:, 1] <= centroids[:, 0])
                               & (centroids[:, 1] <= 1 - centroids[:, 0]))
     asm = ElementAssembler(initial, prob1.coeffs, 1)
-    sv = np.linalg.svd(asm.b_matrices(reactive), compute_uv=False)
+    sv = np.linalg.svd(asm.b_matrices(reactive, trial_layout(1)), compute_uv=False)
     assert (sv[:, -1] > 1e-10 * sv[:, 0]).all()
 
 
 def test_element_schur_positive_semidefinite(initial):
     prob = example(2)
     asm = ElementAssembler(initial, prob.coeffs, 1)
-    B = asm.b_matrices()
+    B = asm.b_matrices(np.arange(initial.n_triangles), trial_layout(1))
     G = asm.gram(TestNorm.QUASI_OPTIMAL)
     X = np.linalg.solve(G, B)
     S = np.einsum("eij,eik->ejk", B, X)

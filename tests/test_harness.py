@@ -64,7 +64,7 @@ def test_l2_error_rejects_field_of_other_mesh(initial):
     # the same mesh rotated by 90 degrees about (1/2, 1/2): same sizes, other
     # points, so the field's coefficients do not belong to it
     rotated = Mesh(np.column_stack([1.0 - mesh.vertices[:, 1], mesh.vertices[:, 0]]),
-                   mesh.triangles, level=mesh.level)
+                   mesh.triangles)
     for other in (rotated, refine_uniform(mesh)):
         with pytest.raises(ValueError, match="l2_error needs the mesh the field lives on"):
             l2_error(other, cv, f)

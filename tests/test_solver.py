@@ -125,7 +125,7 @@ def test_global_matrix_symmetric_positive_definite(initial):
     dm = build_dofmap(initial, 0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
     A, b = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL,
-                           asm.loads(prob.f, prob.fvec))
+                           asm.loads(prob.f, prob.fvec), [])
     dense = A.toarray()
     assert np.array_equal(dense, dense.T)
     np.linalg.cholesky(dense)  # raises if not SPD
@@ -289,7 +289,7 @@ def _system(mesh, p, kind, ex=1):
     prob = example(ex)
     dm = build_dofmap(mesh, p)
     asm = ElementAssembler(mesh, prob.coeffs, p)
-    return assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec))
+    return assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec), [])
 
 
 def test_factor_fill_stays_small(initial):
@@ -416,7 +416,7 @@ def test_error_function_against_dense_oracle(initial):
     sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
     ee = error_function(mesh, prob, sol)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
-    B = asm.b_matrices()
+    B = asm.b_matrices(np.arange(mesh.n_triangles), sol.dofmap.layout)
     G = asm.gram(TestNorm.QUASI_OPTIMAL)
     r = asm.loads(prob.f, prob.fvec) - np.einsum("eij,ej->ei", B, sol.local_trial())
     want = np.sqrt(np.einsum("ei,ei->e", r, np.linalg.solve(G, r[:, :, None])[:, :, 0]))
@@ -438,7 +438,7 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
             monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
             sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
                                      variant=variant)
-            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
             runs.append((A, b, error_function(mesh, prob, sol).element_norms,
                          sol.local_trial()))
         (A1, b1, e1, x1), (A7, b7, e7, x7) = runs
@@ -468,7 +468,7 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
         asm = ElementAssembler(mesh, coeffs, 0)
         with pytest.raises(SolverError, match="Gram matrix of element 16 is not SPD"):
             assemble_global(mesh, build_dofmap(mesh, 0), asm, kind,
-                            asm.loads(lambda x: np.zeros(len(x)), None))
+                            asm.loads(lambda x: np.zeros(len(x)), None), [])
 
 
 def _full_system(sol):
@@ -478,7 +478,7 @@ def _full_system(sol):
     then the skeleton DOFs of ``sol.dofmap``."""
     asm, dm = sol.assembler, sol.dofmap
     nt, nf = sol.fields.shape
-    B = asm.b_matrices(layout=dm.layout)
+    B = asm.b_matrices(np.arange(nt), dm.layout)
     BF = np.concatenate([B, sol.loads[:, :, None]], axis=2)
     SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(sol.kind), BF)
     dofs = np.concatenate([np.arange(nt * nf).reshape(nt, nf),
@@ -527,7 +527,7 @@ def test_variable_coefficients_against_dense_oracle(initial):
             sol = assemble_and_solve(mesh, dataclasses.replace(prob, coeffs=coeffs), 1, kind)
             assert sol.assembler.classes.max() + 1 == n_classes
             _assert_solves_full_system(sol)
-            A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads)
+            A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads, [])
             full, rhs, _ = _full_system(sol)
             f = sol.fields.size
             Aff_fs = np.linalg.solve(full[:f, :f], full[:f, f:])
@@ -600,10 +600,11 @@ def _add_at_reference(dofmap, asm, kind, F, ref):
 
 
 def test_assembly_memory_and_bitwise_triplets(initial):
-    # ex1/simple p2 on level 5: the traced peak of the assembly stays below
-    # 54 MiB (45.1 MiB measured, of which 11.7 MiB are the returned CSC
-    # matrix and most of the rest one batch's B and Gram matrices; int64
-    # triplets of the 1.33 M element entries would add 30 MiB).  indptr,
+    # ex1/simple p2 on level 5: the traced peak of the assembly, with the
+    # recovery data kept, stays below 54 MiB (43.6 MiB measured, of which
+    # 11.7 MiB are the returned CSC matrix and most of the rest one batch's
+    # B and Gram matrices; int64 triplets of the 1.33 M element entries
+    # would add 30 MiB).  indptr,
     # indices and the rhs equal the COO reference of the triplets bit for
     # bit; SciPy sums the duplicates of the COO matrix in its own order, so
     # the values equal np.add.at of the same batches into that pattern
@@ -616,7 +617,7 @@ def test_assembly_memory_and_bitwise_triplets(initial):
     F = asm.loads(prob.f, prob.fvec)
     tracemalloc.start()
     try:
-        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, F)
+        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, F, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -636,8 +637,9 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
     # levels 1-3; on level 1 every element has a boundary vertex.  Both
     # variants assemble a skeleton system of the same DOFs.  indptr,
     # indices and the rhs are those of the COO reference bit for bit, A is
-    # its own transpose bit for bit, and batches of 7 elements give the same
-    # A bit for bit: each entry is added in the class order of the elements
+    # its own transpose bit for bit, and batches of 7 elements with pattern
+    # lookups of 80 pairs (1 or 2 elements at a time) give the same A bit
+    # for bit: each entry is added in the class order of the elements
     prob = example(ex)
     kind = TestNorm.QUASI_OPTIMAL
     mesh = initial
@@ -645,7 +647,7 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
         dm = build_dofmap(mesh, p, variant)
         asm = ElementAssembler(mesh, prob.coeffs, p)
         F = asm.loads(prob.f, prob.fvec)
-        A, b = assemble_global(mesh, dm, asm, kind, F)
+        A, b = assemble_global(mesh, dm, asm, kind, F, [])
         A_ref, b_ref = _reference_scatter(dm, asm, kind, F)
         assert A.has_canonical_format
         for name in ("indices", "indptr"):
@@ -655,7 +657,8 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
         assert all(map(_bitwise_equal, _csc_arrays(At), _csc_arrays(A)))
         with monkeypatch.context() as m:
             m.setattr(dpg_solver, "_CHUNK", 7)
-            A7, b7 = assemble_global(mesh, dm, asm, kind, F)
+            m.setattr(dpg_solver, "_LOOKUPS", 80)
+            A7, b7 = assemble_global(mesh, dm, asm, kind, F, [])
         assert all(map(_bitwise_equal, _csc_arrays(A7), _csc_arrays(A)))
         assert _bitwise_equal(b7, b)
         mesh = refine_uniform(mesh)
@@ -668,14 +671,14 @@ def test_index_bound_covers_dofs_and_nonzeros(initial, monkeypatch):
     dm = build_dofmap(initial, 0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
     F = asm.loads(prob.f, prob.fvec)
-    A, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+    A, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
     assert (A.shape[0], A.nnz) == (33, 233)
     for bound, match in [(33, "33 DOFs exceed"), (233, "233 nonzeros exceed")]:
         monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", bound)
         with pytest.raises(SolverError, match=match + " the int32 indices"):
-            assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+            assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
     monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", 234)
-    A1, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F)
+    A1, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
     assert all(map(_bitwise_equal, _csc_arrays(A1), _csc_arrays(A)))
 
 
@@ -812,7 +815,7 @@ def test_solve_spd_memory(initial):
     prob = example(1)
     dm = build_dofmap(mesh, 2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
-    A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec))
+    A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec), [])
     csc = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
