@@ -15,19 +15,31 @@ minimizes sum_T |y_T - Y_c x_T|^2.  Batches are taken in class order, so a
 batch holds few classes.
 
 Only the skeleton couples elements: u and sigma live in broken spaces, so
-their columns Y_f of each class block are element-local and are eliminated
+their columns of each class block are element-local and are eliminated
 exactly, class by class, before anything is assembled (static condensation;
-N. V. Roberts, Camellia, CAMWA 68, 2014).  With the thin QR factorization
-Y_f = Q_f R_f, the skeleton columns are projected onto the complement of
-Q_f, and the projected blocks condense with the loads as they are; this is
-the least-squares view of DPG (Demkowicz and Gopalakrishnan, An overview of
-the DPG method, 2014), conditioned like Y, not like Y^t Y.  Summed over
-elements they give a sparse symmetric positive definite system for the
-skeleton DOFs of the :class:`dpglab.spaces.DofMap`, and after the solve each
-element's field coefficients are its local least-squares solution
-x_f = R_f^{-1} Q_f^t (y_T - Y_s x_s), from operators the assembly kept.  Both
-trial variants take this one path; the augmented one (u of degree p+1) only
-has more field columns.  The homogeneous Dirichlet condition holds by
+N. V. Roberts, Camellia, CAMWA 68, 2014), in the least-squares view of DPG
+(Demkowicz and Gopalakrishnan, An overview of the DPG method, 2014), which
+is conditioned like Y, not like Y^t Y.  Every solve, of either trial
+variant, whitens B against the augmented layout (u of degree p+1) with its
+columns ordered [u_std | sigma | u_extra | skeleton]: the modal basis is
+hierarchical, so the u columns of the standard variant are the first ones
+of the augmented u, and the p+2 extra columns follow sigma.  One
+Householder QR factorization Y_c = Q_c R_c per class (:func:`_eliminate`)
+and, per element, rho_T = Q_c^t y_T and tau_T = |y_T - Q_c rho_T| serve
+both variants, because |y_T - Y_c x|^2 = |rho_T - R_c x|^2 + tau_T^2 for
+every x.  A variant with nf field columns (the first nf of that order)
+takes the rows of R_c from nf on, restricted to the skeleton columns:
+M_c = R_c[nf:, skel] and g_T = rho_T[nf:]; for the standard variant these
+are p+2 rows more than for the augmented one.  Summed over elements,
+M_c^t M_c and M_c^t g_T give a sparse symmetric positive definite system
+for the skeleton DOFs of the :class:`dpglab.spaces.DofMap`; after the solve
+each element's fields are its local least-squares solution
+x_f = R_ff^{-1} (rho_f - R_fs x_s), and the element's residual
+z_T = y_T - Y_c x_T has the norm |z_T|^2 = |g_T - M_c x_s|^2 + tau_T^2.
+That is the energy error estimator of Carstensen, Demkowicz and
+Gopalakrishnan (SIAM J. Numer. Anal. 52, 2014), the test norm of the Riesz
+representative of the residual on each element
+(``Solution.estimator``).  The homogeneous Dirichlet condition holds by
 construction: boundary trace DOFs of the scalar field never exist.  The
 canonical CSC pattern of the skeleton system and the place of each element
 entry in it follow from the skeleton incidence, and the condensed blocks are
@@ -35,6 +47,16 @@ added straight into the CSC arrays, with no triplets and no sort.  Every
 skeleton vector is scattered and gathered one way: through the gather of
 the DOF map into a vector with one slot past the end, where the gather
 entry -1 of a boundary trace DOF lands (it reads zero there).
+
+A :class:`Solution` keeps its class QR, 8 (c k ncols + nt (k + 1)) bytes
+of floats: per class block R_c, k x ncols with ncols the augmented field
+and skeleton columns and k = min(n_test, ncols), c blocks over the batches
+(a class that spans two batches is kept twice), and per element rho_T
+(k floats) and tau_T (one).  Each batch also keeps its element and class
+indices, 16 bytes per element.  At ex1/qopt p0 level 6 (k = ncols = 11,
+173 blocks) R takes 0.17 MB and rho and tau 1.6 MB; at ex1/simple p2
+level 5 (k = ncols = 40, 149 blocks) 1.9 and 1.3 MB.  With one class per
+element R takes the most: 15.9 MB at p0 level 6 and 52.4 MB at p2 level 5.
 
 The skeleton system is solved one way only: a SuperLU factorization of the
 assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
@@ -44,29 +66,31 @@ error of the assembled matrix is below the solver tolerance;
 or to certify raises :class:`SolverError`; there is no fallback.
 
 The test space of a mesh, the assembler and the loads F_T, depends on
-neither the trial variant nor the test norm; B_c is assembled against the
-trial layout of the solve's :class:`dpglab.spaces.DofMap`.  A solve
-evaluates F once, in batches, and keeps it on its :class:`Solution` with
-its assembler; a solve of the other variant on the same mesh and data can
-take that test space (``assemble_and_solve(..., test_space=solution)``)
-and then evaluates only its own B_c per class.  A study level solves the
-augmented system first and gives its test space to the standard solve
-(:func:`dpglab.harness.run_convergence_study`).
+neither the trial variant nor the test norm.  A solve evaluates F once, in
+batches, and keeps it on its :class:`Solution` with its assembler and its
+class QR.  A solve on the same mesh and data can take that solution as its
+test space (``assemble_and_solve(..., test_space=solution)``): with the
+same test norm it takes the class QR as well and evaluates no B, G or QR at
+all, only its own rows of R, and gets bitwise the result of a standalone
+solve; with another test norm it shares the assembler and loads only.  A
+study level solves the augmented system first and gives it to the standard
+solve as its test space (:func:`dpglab.harness.run_convergence_study`), and
+reads the energy error from the standard solve's estimator.
 
-The discrete Riesz representative of the residual ("error function") is
-eps_T = G_T^{-1} (F_T - B_T u_T).  It is never formed: the error function
-condenses again with the assembler and the loads of the solve, so it sees
-the same test space, quadrature and load, and with z_T = y_T - Y_c u_T its
-test norm is |z_T| (the energy error estimator of Carstensen, Demkowicz and
-Gopalakrishnan, SIAM J. Numer. Anal. 52, 2014), and B_T^t eps_T = Y_c^t z_T
-reproduces the algebraic residual of every trial DOF (Galerkin
-orthogonality): summed over elements in the skeleton rows, element by
-element in the field rows.
+:func:`error_function` is the independent check of that estimator: it
+condenses again with the assembler and the loads of the solve, against the
+solve's own trial layout, and forms z_T = y_T - Y_c u_T from the solve's
+trial vector, so it sees the same test space, quadrature and load.  Its
+element norms are |z_T|, and B_T^t eps_T = Y_c^t z_T, with
+eps_T = G_T^{-1} (F_T - B_T u_T), reproduces the algebraic residual of
+every trial DOF (Galerkin orthogonality): summed over elements in the
+skeleton rows, element by element in the field rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,7 +100,7 @@ from .forms import (_CHUNK, ElementAssembler, TestNorm, _check_test_degrees,
                     _test_degrees)
 from .mesh import Mesh
 from .problems import ProblemSpec
-from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap
+from .spaces import CoefficientVector, DofMap, TrialLayout, build_dofmap, trial_layout
 
 # entries per slice of the loop over the nonzeros of the global matrix that
 # takes its inf-norm in _solve_spd, so that it makes no nnz-length temporary
@@ -97,10 +121,23 @@ class SolverError(RuntimeError):
     """Raised when an element Gram factorization or the global solve fails."""
 
 
+class _ClassQR(NamedTuple):
+    """Householder QR of the whitened class blocks of one batch of elements,
+    columns in the order [u_std | sigma | u_extra | skeleton] (see the module
+    doc), and the whitened loads of its elements in Q's coordinates."""
+
+    els: np.ndarray  # (e,) elements of the batch
+    inv: np.ndarray  # (e,) position of each element's class in R
+    R: np.ndarray  # (c, k, ncols) R_c of each class in the batch
+    rho: np.ndarray  # (e, k) Q_c^t y_T
+    tau: np.ndarray  # (e,) |y_T - Q_c rho_T|
+
+
 @dataclass
 class Solution:
     """Discrete solution of one DPG solve, with the test space it lives in:
-    the assembler (element classes, quadrature) and the loads F."""
+    the assembler (element classes, quadrature), the loads F and the class
+    QR of the whitened blocks (see the module doc for its bytes)."""
 
     mesh: Mesh = field(repr=False)
     problem: ProblemSpec = field(repr=False)
@@ -112,6 +149,8 @@ class Solution:
     x: np.ndarray = field(repr=False)  # skeleton coefficients, numbered by dofmap
     fields: np.ndarray = field(repr=False)  # (nt, nu + 2 ns) u, then sigma, per element
     residual: float = 0.0
+    qr: list = field(default_factory=list, repr=False)  # _ClassQR per batch
+    estimator: np.ndarray | None = field(default=None, repr=False)  # (nt,) |z_T|
 
     @property
     def u(self) -> CoefficientVector:
@@ -123,6 +162,12 @@ class Solution:
         """(nt, 2, ns) component coefficients."""
         lay = self.dofmap.layout
         return self.fields[:, lay.nu:].reshape(self.mesh.n_triangles, 2, lay.ns)
+
+    @property
+    def energy(self) -> float:
+        """The energy error estimator: the test norm of the Riesz
+        representative of the residual, sqrt(sum_T |z_T|^2)."""
+        return float(np.sqrt(np.sum(self.estimator ** 2)))
 
     def local_trial(self) -> np.ndarray:
         """(nt, n_local) element trial vectors; boundary traces are zero."""
@@ -187,36 +232,50 @@ def _condense_batch(B, G, F, els, classes):
     return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
 
 
-def _eliminate(Y, y, inv, els, nf: int):
-    """Eliminate the element-local field columns, the first ``nf``, from the
-    whitened class blocks ``Y`` of :func:`_condense_batch`, with the loads
-    ``y``.
+def _field_columns(layout: TrialLayout) -> np.ndarray:
+    """The column of ``layout`` of each field column of the QR order
+    [u_std | sigma | u_extra]: the u of degree p (ns columns, the degree of
+    sigma), sigma, then the rest of u."""
+    return np.r_[0:layout.ns, layout.nu:layout.uh0, layout.ns:layout.nu]
 
-    With Y_f the field columns of a class and Y_s its skeleton columns, the
-    element's share of the residual, |y_T - Y_s x_s - Y_f x_f|, is least at
-    x_f = R_f^{-1} Q_f^t (y_T - Y_s x_s), Y_f = Q_f R_f the thin QR
-    factorization, and is then |(I - Q_f Q_f^t)(y_T - Y_s x_s)|.  Returns
-    ``(Ys, E, e)``: the projected blocks (I - Q_f Q_f^t) Y_s per class, which
-    condense with the loads y_T as they are (the projector is symmetric and
-    idempotent, so Ys^t y_T is the projected rhs), and E_c = R_f^{-1} Q_f^t Y_s
-    per class and e_T = R_f^{-1} Q_f^t y_T per element, so that
-    x_f = e_T - E_c x_s.
 
-    A class whose R_f has a zero or non-finite diagonal entry, so that Y_f
-    has no full column rank, raises :class:`SolverError` naming the
-    lowest-numbered element of such a class in the batch.
+def _eliminate(Y, y, inv, els) -> _ClassQR:
+    """Householder QR of the whitened class blocks ``Y`` of
+    :func:`_condense_batch`, columns in the QR order, with the loads ``y``
+    of the elements ``els``.
+
+    With Y_c = Q_c R_c the thin factorization, rho_T = Q_c^t y_T and
+    tau_T = |y_T - Q_c rho_T|, the element's share of the residual is
+    |y_T - Y_c x|^2 = |rho_T - R_c x|^2 + tau_T^2 for every trial vector x;
+    :func:`_variant_rows` takes a variant's rows from it.  A rank-deficient
+    column is no error here: only the field columns of the variant that
+    solves must have full rank.
     """
-    Ys = Y[:, :, nf:]
-    Q, R = np.linalg.qr(Y[:, :, :nf])
-    d = np.diagonal(R, axis1=1, axis2=2)
+    Q, R = np.linalg.qr(Y)
+    Qe = Q[inv]
+    rho = (y[:, None, :] @ Qe)[:, 0]
+    tau = np.linalg.norm(y - (Qe @ rho[:, :, None])[:, :, 0], axis=1)
+    return _ClassQR(els, inv, R, rho, tau)
+
+
+def _variant_rows(qr: _ClassQR, nf: int, nk: int):
+    """The rows of a variant with ``nf`` field columns and ``nk`` skeleton
+    columns: M_c = R_c[nf:, skel] per class and g_T = rho_T[nf:] per
+    element, so that the element's residual, minimized over its fields, is
+    |g_T - M_c x_s|^2 + tau_T^2.
+
+    A class whose R_ff = R_c[:nf, :nf] has a zero or non-finite diagonal
+    entry, so that the variant's field columns have no full column rank,
+    raises :class:`SolverError` naming the lowest-numbered element of such a
+    class in the batch.
+    """
+    d = np.diagonal(qr.R[:, :nf, :nf], axis1=1, axis2=2)
     bad = np.flatnonzero(~(np.isfinite(d) & (d != 0)).all(axis=1))
     if len(bad):
-        raise _class_failure(els, inv, bad,
+        raise _class_failure(qr.els, qr.inv, bad,
                              "field columns of element {t} are rank deficient")
-    Qt = np.swapaxes(Q, 1, 2)
-    P = np.linalg.solve(R, Qt)  # R_f^{-1} Q_f^t
-    E, e = P @ Ys, (P[inv] @ y[:, :, None])[:, :, 0]
-    return Ys - Q @ (Qt @ Ys), E, e
+    # contiguous, so that M^t M is evaluated by syrk and exactly symmetric
+    return np.ascontiguousarray(qr.R[:, nf:, -nk:]), qr.rho[:, nf:]
 
 
 def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
@@ -241,6 +300,17 @@ def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
         els = order[lo:lo + _CHUNK]
         yield els, *_condense_batch(asm.b_matrices(els, layout), asm.gram(kind, els),
                                     F[els], els, asm.classes[els])
+
+
+def _class_qr(asm: ElementAssembler, kind: TestNorm, F: np.ndarray):
+    """The :class:`_ClassQR` of every batch of :func:`_condensed`: B against
+    the augmented layout of degree ``asm.p``, its whitened class blocks in
+    the QR order [u_std | sigma | u_extra | skeleton], factored by
+    :func:`_eliminate`."""
+    aug = trial_layout(asm.p, "augmented")
+    order = np.r_[_field_columns(aug), aug.uh0:aug.total]
+    for els, Y, y, inv in _condensed(asm, aug, kind, F):
+        yield _eliminate(Y[:, :, order], y, inv, els)
 
 
 def _csc_pattern(dofmap: DofMap):
@@ -284,46 +354,69 @@ def _csc_pattern(dofmap: DofMap):
 
 def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
                     kind: TestNorm, F: np.ndarray, recovery: list):
-    """Assemble the skeleton system (CSC matrix, rhs) from the loads ``F``
-    of every element, straight into the canonical CSC arrays of
+    """Assemble the skeleton system (CSC matrix, rhs) of the variant of
+    ``dofmap`` straight into the canonical CSC arrays of
     :func:`_csc_pattern`.
 
-    B is assembled against ``dofmap.layout``; each batch of condensed
-    elements has its field columns eliminated class by class
-    (:func:`_eliminate`), and adds its projected S_T into ``data`` and its
-    r_T into the rhs with one ``np.add.at`` each, in batch order.  Both
-    arrays have one slot past the end, which takes the entries of the
-    boundary DOFs: their places are ``nnz`` and their gather entries -1.  No
-    triplet is formed, no index is written and nothing is sorted; A is
-    exactly symmetric and the same for any batch size.  ``recovery``, a
-    list, receives ``(els, E, inv, e)`` per batch, from which
-    :func:`_recover` finds the field coefficients.
+    ``recovery`` is a list of the :class:`_ClassQR` of every batch of
+    :func:`_class_qr`.  When it is empty, the class QR is computed from the
+    loads ``F`` of every element and appended to it; when it holds the
+    class QR of a solve with the same assembler, test norm and loads, the
+    system is assembled from it and nothing is evaluated per element.
+    :func:`_recover` then finds the fields and the estimator from it.
+
+    Each batch adds its M_c^t M_c (:func:`_variant_rows`) per element into
+    ``data`` and its M_c^t g_T into the rhs with one ``np.add.at`` each, in
+    batch order.  Both arrays have one slot past the end, which takes the
+    entries of the boundary DOFs: their places are ``nnz`` and their gather
+    entries -1.  No triplet is formed, no index is written and nothing is
+    sorted; A is exactly symmetric and the same for any batch size.
     """
     n = dofmap.total
     if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
+    if not recovery:
+        recovery.extend(_class_qr(asm, kind, F))
+    # the pattern after the QR sweep, so that its position table and a
+    # batch's B and G matrices are never alive together
     indptr, indices, positions = _csc_pattern(dofmap)
     data = np.zeros(len(indices) + 1)
     b = np.zeros(n + 1)
-    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
-        Y, E, e = _eliminate(Y, y, inv, els, dofmap.layout.uh0)
-        recovery.append((els, E, inv, e))
-        Yt = np.swapaxes(Y, 1, 2)
-        S = (Yt @ Y)[inv]  # exactly symmetric: numpy evaluates Y^t Y by syrk
-        np.add.at(data, positions[els].ravel(), S.ravel())
-        np.add.at(b, dofmap.gather[els].ravel(), (Yt[inv] @ y[:, :, None]).ravel())
+    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
+    for batch in recovery:
+        M, g = _variant_rows(batch, nf, nk)
+        Mt = np.swapaxes(M, 1, 2)
+        S = (Mt @ M)[batch.inv]  # exactly symmetric: numpy evaluates M^t M by syrk
+        np.add.at(data, positions[batch.els].ravel(), S.ravel())
+        np.add.at(b, dofmap.gather[batch.els].ravel(),
+                  (Mt[batch.inv] @ g[:, :, None]).ravel())
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(n, n)), b[:-1]
 
 
-def _recover(dofmap: DofMap, x: np.ndarray, recovery: list) -> np.ndarray:
-    """The field coefficients of every element, (nt, nf), from the solution
-    ``x`` of the skeleton system that :func:`assemble_global` assembled with
-    ``recovery``: the local least-squares solutions x_f = e_T - E_c x_s."""
+def _recover(dofmap: DofMap, x: np.ndarray, qr: list):
+    """The field coefficients of every element, (nt, nf) in the layout of
+    ``dofmap``, and the estimator |z_T| of every element, (nt,), from the
+    solution ``x`` of the skeleton system that :func:`assemble_global`
+    assembled from the class QR ``qr``.
+
+    With r_T = rho_T - R_c[:, skel] x_s, the fields are the local
+    least-squares solution x_f = R_ff^{-1} r_T[:nf], one triangular inverse
+    per class, and |z_T|^2 = |r_T[nf:]|^2 + tau_T^2.
+    """
+    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
     x_s = dofmap.local_vector(x)
-    fields = np.empty((len(x_s), dofmap.layout.uh0))
-    for els, E, inv, e in recovery:
-        fields[els] = e - (E[inv] @ x_s[els][:, :, None])[:, :, 0]
-    return fields
+    x_f = np.empty((len(x_s), nf))  # in the QR order
+    norms2 = np.empty(len(x_s))
+    for els, inv, R, rho, tau in qr:
+        # contiguous before the gather, which then copies whole blocks
+        R_s = np.ascontiguousarray(R[:, :, -nk:])
+        r = rho - (R_s[inv] @ x_s[els][:, :, None])[:, :, 0]
+        # numpy has no batched triangular solve (see _condense_batch)
+        x_f[els] = (np.linalg.inv(R[:, :nf, :nf])[inv] @ r[:, :nf, None])[:, :, 0]
+        norms2[els] = np.einsum("ei,ei->e", r[:, nf:], r[:, nf:]) + tau * tau
+    fields = np.empty_like(x_f)
+    fields[:, _field_columns(dofmap.layout)] = x_f
+    return fields, np.sqrt(norms2)
 
 
 def _factor(A):
@@ -443,20 +536,21 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
                        test_space: Solution | None = None) -> Solution:
     """Solve the practical DPG system for ``problem`` on ``mesh``.
 
-    Both variants eliminate their field coefficients per class, solve the
-    skeleton system of their DOF map and recover the fields per element by
-    a local least-squares solve (see the module doc); the augmented variant
-    has u of degree p+1.  ``Solution.residual`` certifies the backward error
-    of the assembled skeleton system.
+    Both variants take the rows of their field columns from one class QR,
+    solve the skeleton system of their DOF map and recover the fields and
+    the energy error estimator per element by a local least-squares solve
+    (see the module doc); the augmented variant has u of degree p+1.
+    ``Solution.residual`` certifies the backward error of the assembled
+    skeleton system.
 
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree and test degrees, of any variant and test norm; this
     solve then shares its assembler and loads F instead of computing them
-    again, with bitwise the results of a standalone solve.  A study's
-    standard solve takes the test space of its augmented solve.  Other data
-    raise ValueError, as do a ``solver_tol`` that is not finite and positive
-    and test degrees too low for the variant
-    (:func:`dpglab.forms._check_test_degrees`).
+    again, and with the same test norm its class QR as well, with bitwise
+    the results of a standalone solve.  A study's standard solve takes the
+    test space of its augmented solve.  Other data raise ValueError, as do a
+    ``solver_tol`` that is not finite and positive and test degrees too low
+    for the variant (:func:`dpglab.forms._check_test_degrees`).
     """
     _check_solver_tol(solver_tol)
     dofmap = build_dofmap(mesh, p, variant)
@@ -473,12 +567,14 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
         F = _loads(asm, problem.f, problem.fvec)
     else:
         F = test_space.loads
-    recovery = []
-    A, b = assemble_global(mesh, dofmap, asm, kind, F, recovery)
+    # a copy of the list: a test space without a class QR is not filled in
+    qr = list(test_space.qr) if test_space is not None and test_space.kind is kind else []
+    A, b = assemble_global(mesh, dofmap, asm, kind, F, qr)
     x, res = _solve_spd(A, b, solver_tol)
+    fields, estimator = _recover(dofmap, x, qr)
     return Solution(mesh=mesh, problem=problem, dofmap=dofmap, p=p, kind=kind,
-                    assembler=asm, loads=F, x=x, fields=_recover(dofmap, x, recovery),
-                    residual=res)
+                    assembler=asm, loads=F, x=x, fields=fields, residual=res,
+                    qr=qr, estimator=estimator)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
@@ -486,9 +582,9 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
 
     Condenses with the assembler and the loads F of ``solution``, so the
     test space, the quadrature, the coefficients and the load are those of
-    the solve; it does not reuse the solve's elimination, so its Galerkin
-    orthogonality residual checks the skeleton solve and the field recovery
-    alike.  Its skeleton rows are summed batch by batch with ``np.add.at``
+    the solve; it does not reuse the solve's class QR, so its element norms
+    check ``Solution.estimator`` and its Galerkin orthogonality residual
+    checks the skeleton solve and the field recovery alike.  Its skeleton rows are summed batch by batch with ``np.add.at``
     into a vector with a boundary slot past the end, as
     :func:`assemble_global` sums the rhs.  ``mesh`` and ``problem`` must be
     the ones the solve was given; other objects raise ValueError.

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpg_solver import _check_solver_tol, assemble_and_solve, error_function
+from .dpg_solver import _check_solver_tol, assemble_and_solve
 from .forms import TestNorm, _check_test_degrees, _test_degrees, _volume_exactness
 from .mesh import Mesh, build_initial_mesh, refine_uniform
 from .postprocess import _postprocess_exactness, postprocess_u
@@ -167,7 +167,7 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
                 post = postprocess_u(mesh, problem, sol)
                 row.err_post = l2_error(mesh, post, problem.u)
                 if config.track_energy:
-                    row.energy = error_function(mesh, problem, sol).total
+                    row.energy = sol.energy
         except Exception as exc:
             raise type(exc)(f"level {level} (#T={mesh.n_triangles}): {exc}") from exc
         table.rows.append(row)

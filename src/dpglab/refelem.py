@@ -14,6 +14,7 @@ and the points that returns its tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -38,19 +39,27 @@ def scalar_dim(p: int) -> int:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Positive-weight rule; ``points`` are reference coordinates."""
+    """Positive-weight rule; ``points`` are reference coordinates.  The
+    arrays are read-only: a rule is built once per exactness and shared by
+    every caller."""
 
     points: np.ndarray
     weights: np.ndarray
     exactness: int
 
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
+
+@lru_cache(maxsize=None)
 def triangle_quadrature(exactness: int) -> QuadratureRule:
     """Rule exact for all polynomials of total degree <= ``exactness``.
 
     Built as a collapsed tensor Gauss rule on the unit square mapped by
     (a, b) -> (a(1-b), b); the (1-b) Jacobian is absorbed into the weights,
-    so all weights stay positive and any degree is supported.
+    so all weights stay positive and any degree is supported.  Built once
+    per exactness.
     """
     if exactness < 0:
         raise ValueError(f"quadrature exactness must be >= 0, got {exactness}")
@@ -67,8 +76,10 @@ def triangle_quadrature(exactness: int) -> QuadratureRule:
     return QuadratureRule(points, weights, exactness)
 
 
+@lru_cache(maxsize=None)
 def edge_quadrature(exactness: int) -> QuadratureRule:
-    """Gauss rule on the parameter interval [0, 1]."""
+    """Gauss rule on the parameter interval [0, 1], built once per
+    exactness."""
     if exactness < 0:
         raise ValueError(f"quadrature exactness must be >= 0, got {exactness}")
     n = exactness // 2 + 1

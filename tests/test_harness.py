@@ -250,11 +250,26 @@ def test_study_level_builds_one_test_space(monkeypatch):
     # with both variants and the energy error, a level builds the class key
     # once and evaluates F once per element, and solves exactly twice
     # through harness.assemble_and_solve, where the benchmark checks every
-    # solve's backward error
-    levels, keys, loads, residuals = [], {}, {}, {}
+    # solve's backward error.  B and G are evaluated in one sweep: gram and
+    # b_matrices each return one matrix per element per level, and the
+    # energy error is the standard solve's estimator, with no error_function
+    levels, keys, loads, residuals, rows = [], {}, {}, {}, {}
     element_classes = ElementAssembler._element_classes
     element_loads = ElementAssembler.loads
     solve = harness.assemble_and_solve
+
+    def counting(name):
+        method = getattr(ElementAssembler, name)
+
+        def counted(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            count = rows.setdefault(levels[-1], {"gram": 0, "b_matrices": 0})
+            count[name] += len(out)
+            return out
+        return counted
+
+    def no_error_function(*args, **kwargs):
+        raise AssertionError("the study called error_function")
 
     def counting_classes(self):
         keys[levels[-1]] = keys.get(levels[-1], 0) + 1
@@ -273,10 +288,15 @@ def test_study_level_builds_one_test_space(monkeypatch):
     monkeypatch.setattr(ElementAssembler, "_element_classes", counting_classes)
     monkeypatch.setattr(ElementAssembler, "loads", counting_loads)
     monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
+    for name in ("gram", "b_matrices"):
+        monkeypatch.setattr(ElementAssembler, name, counting(name))
+    monkeypatch.setattr(dpg_solver, "error_function", no_error_function)
+    monkeypatch.setattr(harness, "error_function", no_error_function, raising=False)
     cfg = StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=0, levels=2,
                       variant="both", track_energy=True)
     table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
     assert all(None not in (row.err_aug, row.err_post, row.energy) for row in table.rows)
+    assert rows == {1: {"gram": 16, "b_matrices": 16}, 2: {"gram": 64, "b_matrices": 64}}
     assert keys == {1: 1, 2: 1}
     assert [len(c) for c in loads.values()] == [16, 64]
     assert all((c == 1).all() for c in loads.values())

@@ -45,6 +45,22 @@ def test_edge_quadrature():
     assert np.all(rule.weights > 0)
 
 
+@pytest.mark.parametrize("build", [triangle_quadrature, edge_quadrature])
+def test_quadrature_is_built_once_and_read_only(build):
+    # every caller shares the rule of an exactness, so no caller can write
+    # into it; a fresh build is the same rule bit for bit
+    rule = build(7)
+    assert build(7) is rule
+    fresh = build.__wrapped__(7)
+    assert fresh is not rule
+    for name in ("points", "weights"):
+        got, want = getattr(rule, name), getattr(fresh, name)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+
+
 def test_scalar_basis_dimensions_and_constant():
     pts = np.array([[0.3, 0.2], [0.1, 0.7]])
     assert scalar_values(0, pts).shape == (2, scalar_dim(0)) == (2, 1)

@@ -13,9 +13,10 @@ import scipy.sparse.linalg as spla
 
 import dpglab
 from dpglab import dpg_solver
-from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
-                               _eliminate, _factor, _recover, _solve_spd,
-                               assemble_and_solve, assemble_global, error_function)
+from dpglab.dpg_solver import (Solution, SolverError, _class_qr, _condense_batch,
+                               _condensed, _eliminate, _factor, _recover, _solve_spd,
+                               _variant_rows, assemble_and_solve, assemble_global,
+                               error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
@@ -85,32 +86,39 @@ def test_eliminate_rejects_rank_deficient_extra_columns():
     # the first two columns are the field block; its column 1 is zero in
     # class 2 (elements 8 and 7), so its R_f has a zero diagonal and the
     # lowest element of that class is named, not one of class 5, whose field
-    # block is fine
+    # block is fine.  A variant with one field column does not solve for
+    # column 1 and takes it as it is
     rng = np.random.default_rng(3)
     Y = rng.standard_normal((2, 7, 5))
     Y[0, :, 1] = 0.0
     els, inv = np.array([9, 8, 3, 7]), np.array([1, 0, 1, 0])
     y = rng.standard_normal((4, 7))
     with pytest.raises(SolverError, match="field columns of element 7 are rank deficient"):
-        _eliminate(Y, y, inv, els, 2)
+        _variant_rows(_eliminate(Y, y, inv, els), 2, 3)
+    _variant_rows(_eliminate(Y, y, inv, els), 1, 3)
     Y[0, 0, 1] = np.nan
     with pytest.raises(SolverError, match="element 7 are rank deficient"):
-        _eliminate(Y, y, inv, els, 2)
+        _variant_rows(_eliminate(Y, y, inv, els), 2, 3)
     # with the column restored, the condensed blocks are the Schur
-    # complements of the field block, and x_f = e_T - E_c x_s is the local
-    # least-squares solution
+    # complements of the field block, x_f = R_ff^{-1} (rho_f - R_fs x_s) is
+    # the local least-squares solution, and |g_T - M_c x_s|^2 + tau_T^2 is
+    # its squared residual
     Y[0, :, 1] = rng.standard_normal(7)
-    Ys, E, e = _eliminate(Y, y, inv, els, 2)
+    qr = _eliminate(Y, y, inv, els)
+    M, g = _variant_rows(qr, 2, 3)
     x_s = rng.standard_normal((4, 3))
-    x_f = e - (E[inv] @ x_s[:, :, None])[:, :, 0]
     for t in range(4):
-        Y_f, Y_s = Y[inv[t], :, :2], Y[inv[t], :, 2:]
+        Y_f, Y_s, R = Y[inv[t], :, :2], Y[inv[t], :, 2:], qr.R[inv[t]]
         schur = Y_s.T @ Y_s - Y_s.T @ Y_f @ np.linalg.solve(Y_f.T @ Y_f, Y_f.T @ Y_s)
         rhs = Y_s.T @ y[t] - Y_s.T @ Y_f @ np.linalg.solve(Y_f.T @ Y_f, Y_f.T @ y[t])
-        assert np.allclose(Ys[inv[t]].T @ Ys[inv[t]], schur, rtol=1e-12, atol=1e-13)
-        assert np.allclose(Ys[inv[t]].T @ y[t], rhs, rtol=1e-12, atol=1e-13)
+        assert np.allclose(M[inv[t]].T @ M[inv[t]], schur, rtol=1e-12, atol=1e-13)
+        assert np.allclose(M[inv[t]].T @ g[t], rhs, rtol=1e-12, atol=1e-13)
+        x_f = np.linalg.solve(R[:2, :2], qr.rho[t, :2] - R[:2, 2:] @ x_s[t])
         want = np.linalg.lstsq(Y_f, y[t] - Y_s @ x_s[t], rcond=None)[0]
-        assert np.allclose(x_f[t], want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(x_f, want, rtol=1e-12, atol=1e-14)
+        z = y[t] - Y_s @ x_s[t] - Y_f @ want
+        est = np.sum((g[t] - M[inv[t]] @ x_s[t]) ** 2) + qr.tau[t] ** 2
+        assert np.isclose(est, z @ z, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
@@ -549,10 +557,23 @@ def test_error_function_uses_the_solve_quadrature(initial):
     F = asm.loads(prob.f, prob.fvec)
     recovery = []
     x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, F, recovery), 1e-12)
+    fields, estimator = _recover(dm, x, recovery)
     sol = Solution(mesh=mesh, problem=prob, dofmap=dm, p=1, kind=kind, assembler=asm,
-                   loads=F, x=x, fields=_recover(dm, x, recovery), residual=res)
+                   loads=F, x=x, fields=fields, residual=res, qr=recovery,
+                   estimator=estimator)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
+
+
+def _skeleton_blocks(dofmap, asm, kind, F):
+    """Per batch of the condensation, its elements and their condensed
+    skeleton blocks S_T and rhs r_T, from the variant's rows of the class
+    QR."""
+    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
+    for qr in _class_qr(asm, kind, F):
+        M, g = _variant_rows(qr, nf, nk)
+        Mt = np.swapaxes(M, 1, 2)
+        yield qr.els, (Mt @ M)[qr.inv], (Mt[qr.inv] @ g[:, :, None])[:, :, 0]
 
 
 def _reference_scatter(dofmap, asm, kind, F):
@@ -560,11 +581,7 @@ def _reference_scatter(dofmap, asm, kind, F):
     COO matrix, and the rhs by np.add.at, batch by batch."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.total)
-    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
-        Y = _eliminate(Y, y, inv, els, dofmap.layout.uh0)[0]
-        Yt = np.swapaxes(Y, 1, 2)
-        S = (Yt @ Y)[inv]
-        r = (Yt[inv] @ y[:, :, None])[:, :, 0]
+    for els, S, r in _skeleton_blocks(dofmap, asm, kind, F):
         g = dofmap.gather[els]
         keep = g >= 0
         np.add.at(rhs, g[keep], r[keep])
@@ -588,9 +605,7 @@ def _add_at_reference(dofmap, asm, kind, F, ref):
     place = ref.copy()
     place.data = np.arange(ref.nnz)
     data = np.zeros(ref.nnz)
-    for els, Y, y, inv in _condensed(asm, dofmap.layout, kind, F):
-        Y = _eliminate(Y, y, inv, els, dofmap.layout.uh0)[0]
-        S = (np.swapaxes(Y, 1, 2) @ Y)[inv]
+    for els, S, _ in _skeleton_blocks(dofmap, asm, kind, F):
         g = dofmap.gather[els]
         ok = (g >= 0)[:, :, None] & (g >= 0)[:, None, :]
         rows = np.broadcast_to(g[:, :, None], ok.shape)[ok]
@@ -601,9 +616,10 @@ def _add_at_reference(dofmap, asm, kind, F, ref):
 
 def test_assembly_memory_and_bitwise_triplets(initial):
     # ex1/simple p2 on level 5: the traced peak of the assembly, with the
-    # recovery data kept, stays below 54 MiB (43.6 MiB measured, of which
-    # 11.7 MiB are the returned CSC matrix and most of the rest one batch's
-    # B and Gram matrices; int64 triplets of the 1.33 M element entries
+    # class QR kept, stays below 54 MiB (28.0 MiB measured, of which
+    # 11.7 MiB are the returned CSC matrix; the position table is built
+    # after the QR sweep, so it and one batch's B and Gram matrices are
+    # never alive together; int64 triplets of the 1.33 M element entries
     # would add 30 MiB).  indptr,
     # indices and the rhs equal the COO reference of the triplets bit for
     # bit; SciPy sums the duplicates of the COO matrix in its own order, so
@@ -763,6 +779,60 @@ def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, 
         _assert_solves_full_system(solution)
         ee = error_function(mesh, prob, solution)
         assert np.abs(ee.orth_residual).max() <= 1e-9 * ee.rhs_norm
+
+
+@pytest.mark.parametrize("kind", list(TestNorm))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_estimator_matches_error_function(initial, ex, kind):
+    # the estimator of the solve's class QR, |g_T - M_c x_s|^2 + tau_T^2,
+    # against the error function's independent condensation z_T = y_T - Y_c u_T,
+    # for every degree and both variants on levels 2 and 3
+    prob = example(ex)
+    mesh = refine_uniform(initial)
+    for _ in range(2):
+        for p in range(4):
+            for variant in ("standard", "augmented"):
+                sol = assemble_and_solve(mesh, prob, p, kind, variant=variant)
+                ee = error_function(mesh, prob, sol)
+                assert abs(sol.energy - ee.total) <= 1e-8 * ee.total
+                rel = np.abs(sol.estimator - ee.element_norms) / ee.element_norms
+                assert rel.max() <= 1e-6
+        mesh = refine_uniform(mesh)
+
+
+def test_standard_solve_with_k2_of_the_trial_degree(initial):
+    # k2 = p + 1 is allowed for the standard variant but not for the
+    # augmented one: div tau of degree p cannot see the u_extra columns, so
+    # on example 1 the class QR holds them weakly determined.  The standard
+    # solve still certifies and solves its full system; the rank check
+    # covers only the variant's own field columns, so an exactly zero
+    # u_extra pivot raises for the augmented rows only, naming the lowest
+    # element of the class
+    mesh = refine_uniform(initial)
+    prob = example(1)
+    for p in range(4):
+        sol = assemble_and_solve(mesh, prob, p, TestNorm.QUASI_OPTIMAL, k2=p + 1)
+        std, aug = build_dofmap(mesh, p), build_dofmap(mesh, p, "augmented")
+        pivots = np.abs(np.concatenate([np.diagonal(q.R, axis1=1, axis2=2)
+                                        for q in sol.qr]))
+        assert pivots[:, std.layout.uh0:aug.layout.uh0].min() <= 1e-14
+        assert pivots[:, :std.layout.uh0].min() >= 0.5
+        _assert_solves_full_system(sol)
+        ee = error_function(mesh, prob, sol)
+        assert abs(sol.energy - ee.total) <= 1e-8 * ee.total
+        batch = sol.qr[-1]
+        c = batch.inv[len(batch.inv) // 2]
+        R = batch.R.copy()
+        R[c, std.layout.uh0, std.layout.uh0] = 0.0
+        qr = [*sol.qr[:-1], batch._replace(R=R)]
+        args = (mesh, std, sol.assembler, sol.kind, sol.loads)
+        A, b = assemble_global(*args, qr)
+        A0, b0 = assemble_global(*args, list(sol.qr))
+        assert _bitwise_equal(A.data, A0.data) and _bitwise_equal(b, b0)
+        lowest = batch.els[batch.inv == c].min()
+        with pytest.raises(SolverError,
+                           match=f"field columns of element {lowest} are rank deficient"):
+            assemble_global(mesh, aug, *args[2:], qr)
 
 
 def test_test_space_of_other_data_raises(initial):
