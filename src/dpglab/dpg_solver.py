@@ -20,15 +20,15 @@ exactly, class by class, before anything is assembled (static condensation;
 N. V. Roberts, Camellia, CAMWA 68, 2014), in the least-squares view of DPG
 (Demkowicz and Gopalakrishnan, An overview of the DPG method, 2014), which
 is conditioned like Y, not like Y^t Y.  Every solve, of either trial
-variant, whitens B against the augmented layout (u of degree p+1) with its
-columns ordered [u_std | sigma | u_extra | skeleton]: the modal basis is
-hierarchical, so the u columns of the standard variant are the first ones
-of the augmented u, and the p+2 extra columns follow sigma.  One
-Householder QR factorization Y_c = Q_c R_c per class (:func:`_eliminate`)
-and, per element, rho_T = Q_c^t y_T and tau_T = |y_T - Q_c rho_T| serve
-both variants, because |y_T - Y_c x|^2 = |rho_T - R_c x|^2 + tau_T^2 for
-every x.  A variant with nf field columns (the first nf of that order)
-takes the rows of R_c from nf on, restricted to the skeleton columns:
+variant, whitens B against the augmented layout (u of degree p+1), as
+assembled: its columns are ordered [u_p | sigma | u_extra | skeleton]
+(:class:`dpglab.spaces.TrialLayout`), and the standard layout is the same
+without the p+2 u_extra columns.  One Householder QR factorization
+Y_c = Q_c R_c per class (:func:`_eliminate`) and, per element,
+rho_T = Q_c^t y_T and tau_T = |y_T - Q_c rho_T| serve both variants,
+because |y_T - Y_c x|^2 = |rho_T - R_c x|^2 + tau_T^2 for every x.  A
+variant with nf field columns (``layout.uh0``, the first nf columns) takes
+the rows of R_c from nf on, restricted to the skeleton columns:
 M_c = R_c[nf:, skel] and g_T = rho_T[nf:]; for the standard variant these
 are p+2 rows more than for the augmented one.  Summed over elements,
 M_c^t M_c and M_c^t g_T give a sparse symmetric positive definite system
@@ -65,23 +65,24 @@ error of the assembled matrix is below the solver tolerance;
 ``Solution.residual`` is that backward error.  A solve that fails to factor
 or to certify raises :class:`SolverError`; there is no fallback.
 
-The test space of a mesh, the assembler and the loads F_T, depends on
-neither the trial variant nor the test norm.  A solve evaluates F once, in
-batches, and keeps it on its :class:`Solution` with its assembler and its
-class QR.  A solve on the same mesh and data can take that solution as its
-test space (``assemble_and_solve(..., test_space=solution)``): with the
-same test norm it takes the class QR as well and evaluates no B, G or QR at
-all, only its own rows of R, and gets bitwise the result of a standalone
-solve; with another test norm it shares the assembler and loads only.  A
-study level solves the augmented system first and gives it to the standard
-solve as its test space (:func:`dpglab.harness.run_convergence_study`), and
-reads the energy error from the standard solve's estimator.
+The class QR depends on the mesh, the data, the degrees and the test
+norm, not on the trial variant.  A solve evaluates the loads F in batches,
+uses them in its QR sweep and drops them; its :class:`Solution` keeps the
+DOF map, the assembler and the class QR.  A solve on the same mesh, data,
+degrees and test norm can take that solution as its test space
+(``assemble_and_solve(..., test_space=solution)``): it shares all three,
+evaluates no F, B, G or QR at all, only its own rows of R, and gets bitwise
+the result of a standalone solve.  A test space of another test norm raises
+ValueError.  A study level solves the augmented system first and gives it
+to the standard solve as its test space
+(:func:`dpglab.harness.run_convergence_study`), and reads the energy error
+from the standard solve's estimator.
 
 :func:`error_function` is the independent check of that estimator: it
-condenses again with the assembler and the loads of the solve, against the
-solve's own trial layout, and forms z_T = y_T - Y_c u_T from the solve's
-trial vector, so it sees the same test space, quadrature and load.  Its
-element norms are |z_T|, and B_T^t eps_T = Y_c^t z_T, with
+evaluates F again and condenses again with the assembler of the solve,
+against the solve's own trial layout, and forms z_T = y_T - Y_c u_T from
+the solve's trial vector, so it sees the same test space, quadrature and
+load.  Its element norms are |z_T|, and B_T^t eps_T = Y_c^t z_T, with
 eps_T = G_T^{-1} (F_T - B_T u_T), reproduces the algebraic residual of
 every trial DOF (Galerkin orthogonality): summed over elements in the
 skeleton rows, element by element in the field rows.
@@ -123,8 +124,8 @@ class SolverError(RuntimeError):
 
 class _ClassQR(NamedTuple):
     """Householder QR of the whitened class blocks of one batch of elements,
-    columns in the order [u_std | sigma | u_extra | skeleton] (see the module
-    doc), and the whitened loads of its elements in Q's coordinates."""
+    columns in the order of the augmented layout (see the module doc), and
+    the whitened loads of its elements in Q's coordinates."""
 
     els: np.ndarray  # (e,) elements of the batch
     inv: np.ndarray  # (e,) position of each element's class in R
@@ -136,32 +137,35 @@ class _ClassQR(NamedTuple):
 @dataclass
 class Solution:
     """Discrete solution of one DPG solve, with the test space it lives in:
-    the assembler (element classes, quadrature), the loads F and the class
-    QR of the whitened blocks (see the module doc for its bytes)."""
+    the DOF map, the assembler (element classes, quadrature) and the class
+    QR of the whitened blocks (see the module doc for its bytes).  The
+    fields and the element trial vectors are in the column order of
+    ``layout``, the trial layout of the solve's variant."""
 
     mesh: Mesh = field(repr=False)
     problem: ProblemSpec = field(repr=False)
     dofmap: DofMap = field(repr=False)
+    layout: TrialLayout = field(repr=False)
     p: int
     kind: TestNorm
     assembler: ElementAssembler = field(repr=False)
-    loads: np.ndarray = field(repr=False)  # (nt, n_test) F of every element
     x: np.ndarray = field(repr=False)  # skeleton coefficients, numbered by dofmap
-    fields: np.ndarray = field(repr=False)  # (nt, nu + 2 ns) u, then sigma, per element
+    fields: np.ndarray = field(repr=False)  # (nt, layout.uh0) field columns per element
     residual: float = 0.0
     qr: list = field(default_factory=list, repr=False)  # _ClassQR per batch
     estimator: np.ndarray | None = field(default=None, repr=False)  # (nt,) |z_T|
 
     @property
     def u(self) -> CoefficientVector:
-        lay = self.dofmap.layout
-        return CoefficientVector(self.fields[:, :lay.nu].ravel(), self.mesh, lay.pu)
+        lay = self.layout
+        return CoefficientVector(self.fields[:, lay.u_cols].ravel(), self.mesh, lay.pu)
 
     @property
     def sigma(self) -> np.ndarray:
         """(nt, 2, ns) component coefficients."""
-        lay = self.dofmap.layout
-        return self.fields[:, lay.nu:].reshape(self.mesh.n_triangles, 2, lay.ns)
+        lay = self.layout
+        return self.fields[:, lay.sx0:lay.sx0 + 2 * lay.ns].reshape(
+            self.mesh.n_triangles, 2, lay.ns)
 
     @property
     def energy(self) -> float:
@@ -232,17 +236,9 @@ def _condense_batch(B, G, F, els, classes):
     return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
 
 
-def _field_columns(layout: TrialLayout) -> np.ndarray:
-    """The column of ``layout`` of each field column of the QR order
-    [u_std | sigma | u_extra]: the u of degree p (ns columns, the degree of
-    sigma), sigma, then the rest of u."""
-    return np.r_[0:layout.ns, layout.nu:layout.uh0, layout.ns:layout.nu]
-
-
 def _eliminate(Y, y, inv, els) -> _ClassQR:
     """Householder QR of the whitened class blocks ``Y`` of
-    :func:`_condense_batch`, columns in the QR order, with the loads ``y``
-    of the elements ``els``.
+    :func:`_condense_batch`, with the loads ``y`` of the elements ``els``.
 
     With Y_c = Q_c R_c the thin factorization, rho_T = Q_c^t y_T and
     tau_T = |y_T - Q_c rho_T|, the element's share of the residual is
@@ -302,17 +298,6 @@ def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
                                     F[els], els, asm.classes[els])
 
 
-def _class_qr(asm: ElementAssembler, kind: TestNorm, F: np.ndarray):
-    """The :class:`_ClassQR` of every batch of :func:`_condensed`: B against
-    the augmented layout of degree ``asm.p``, its whitened class blocks in
-    the QR order [u_std | sigma | u_extra | skeleton], factored by
-    :func:`_eliminate`."""
-    aug = trial_layout(asm.p, "augmented")
-    order = np.r_[_field_columns(aug), aug.uh0:aug.total]
-    for els, Y, y, inv in _condensed(asm, aug, kind, F):
-        yield _eliminate(Y[:, :, order], y, inv, els)
-
-
 def _csc_pattern(dofmap: DofMap):
     """The canonical CSC pattern of the skeleton system and the place of
     every element entry in it: ``(indptr, indices, pos)``, with pos[t, i, j]
@@ -352,18 +337,12 @@ def _csc_pattern(dofmap: DofMap):
     return P.indptr.astype(np.int32), P.indices.astype(np.int32, copy=False), pos
 
 
-def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
-                    kind: TestNorm, F: np.ndarray, recovery: list):
-    """Assemble the skeleton system (CSC matrix, rhs) of the variant of
-    ``dofmap`` straight into the canonical CSC arrays of
-    :func:`_csc_pattern`.
-
-    ``recovery`` is a list of the :class:`_ClassQR` of every batch of
-    :func:`_class_qr`.  When it is empty, the class QR is computed from the
-    loads ``F`` of every element and appended to it; when it holds the
-    class QR of a solve with the same assembler, test norm and loads, the
-    system is assembled from it and nothing is evaluated per element.
-    :func:`_recover` then finds the fields and the estimator from it.
+def assemble_global(dofmap: DofMap, layout: TrialLayout, qr: list):
+    """Assemble the skeleton system (CSC matrix, rhs) of the variant of the
+    trial ``layout`` from the class QR ``qr``, the :class:`_ClassQR` of
+    every batch, straight into the canonical CSC arrays of
+    :func:`_csc_pattern`.  Nothing is evaluated per element;
+    :func:`_recover` then finds the fields and the estimator from ``qr``.
 
     Each batch adds its M_c^t M_c (:func:`_variant_rows`) per element into
     ``data`` and its M_c^t g_T into the rhs with one ``np.add.at`` each, in
@@ -375,15 +354,11 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     n = dofmap.total
     if n >= _INDEX_BOUND:
         raise SolverError(f"{n} DOFs exceed the int32 indices of the assembly")
-    if not recovery:
-        recovery.extend(_class_qr(asm, kind, F))
-    # the pattern after the QR sweep, so that its position table and a
-    # batch's B and G matrices are never alive together
     indptr, indices, positions = _csc_pattern(dofmap)
     data = np.zeros(len(indices) + 1)
     b = np.zeros(n + 1)
-    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
-    for batch in recovery:
+    nf, nk = layout.uh0, dofmap.gather.shape[1]
+    for batch in qr:
         M, g = _variant_rows(batch, nf, nk)
         Mt = np.swapaxes(M, 1, 2)
         S = (Mt @ M)[batch.inv]  # exactly symmetric: numpy evaluates M^t M by syrk
@@ -393,29 +368,27 @@ def assemble_global(mesh: Mesh, dofmap: DofMap, asm: ElementAssembler,
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(n, n)), b[:-1]
 
 
-def _recover(dofmap: DofMap, x: np.ndarray, qr: list):
-    """The field coefficients of every element, (nt, nf) in the layout of
-    ``dofmap``, and the estimator |z_T| of every element, (nt,), from the
-    solution ``x`` of the skeleton system that :func:`assemble_global`
-    assembled from the class QR ``qr``.
+def _recover(dofmap: DofMap, layout: TrialLayout, x: np.ndarray, qr: list):
+    """The field coefficients of every element, (nt, nf) in the columns of
+    ``layout``, the first nf of the class QR's, and the estimator |z_T| of
+    every element, (nt,), from the solution ``x`` of the skeleton system
+    that :func:`assemble_global` assembled from the class QR ``qr``.
 
     With r_T = rho_T - R_c[:, skel] x_s, the fields are the local
     least-squares solution x_f = R_ff^{-1} r_T[:nf], one triangular inverse
     per class, and |z_T|^2 = |r_T[nf:]|^2 + tau_T^2.
     """
-    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
+    nf, nk = layout.uh0, dofmap.gather.shape[1]
     x_s = dofmap.local_vector(x)
-    x_f = np.empty((len(x_s), nf))  # in the QR order
+    fields = np.empty((len(x_s), nf))
     norms2 = np.empty(len(x_s))
     for els, inv, R, rho, tau in qr:
         # contiguous before the gather, which then copies whole blocks
         R_s = np.ascontiguousarray(R[:, :, -nk:])
         r = rho - (R_s[inv] @ x_s[els][:, :, None])[:, :, 0]
         # numpy has no batched triangular solve (see _condense_batch)
-        x_f[els] = (np.linalg.inv(R[:, :nf, :nf])[inv] @ r[:, :nf, None])[:, :, 0]
+        fields[els] = (np.linalg.inv(R[:, :nf, :nf])[inv] @ r[:, :nf, None])[:, :, 0]
         norms2[els] = np.einsum("ei,ei->e", r[:, nf:], r[:, nf:]) + tau * tau
-    fields = np.empty_like(x_f)
-    fields[:, _field_columns(dofmap.layout)] = x_f
     return fields, np.sqrt(norms2)
 
 
@@ -520,7 +493,7 @@ def _check_solver_tol(tol: float) -> None:
 def _check_data(solution: Solution, mesh: Mesh, problem, caller: str) -> None:
     """Raise ValueError unless ``mesh`` and the coefficients and loads of
     ``problem`` are the objects ``solution`` was computed with: its element
-    classes and its loads F hold for those only."""
+    classes and its class QR hold for those only."""
     if mesh is not solution.mesh:
         raise ValueError(f"{caller} needs the mesh the solution was computed on")
     for name in ("coeffs", "f", "fvec"):
@@ -544,16 +517,16 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     skeleton system.
 
     ``test_space`` is a solve on the same mesh with the same coefficients,
-    load, trial degree and test degrees, of any variant and test norm; this
-    solve then shares its assembler and loads F instead of computing them
-    again, and with the same test norm its class QR as well, with bitwise
-    the results of a standalone solve.  A study's standard solve takes the
-    test space of its augmented solve.  Other data raise ValueError, as do a
-    ``solver_tol`` that is not finite and positive and test degrees too low
-    for the variant (:func:`dpglab.forms._check_test_degrees`).
+    load, trial degree, test degrees and test norm, of either variant; this
+    solve then shares its DOF map, assembler and class QR instead of
+    computing them again, with bitwise the results of a standalone solve.
+    A study's standard solve takes the test space of its augmented solve.
+    Other data raise ValueError, as do a ``solver_tol`` that is not finite
+    and positive and test degrees too low for the variant
+    (:func:`dpglab.forms._check_test_degrees`).
     """
     _check_solver_tol(solver_tol)
-    dofmap = build_dofmap(mesh, p, variant)
+    layout = trial_layout(p, variant)
     if test_space is not None:
         _check_data(test_space, mesh, problem, "test_space")
         asm = test_space.assembler
@@ -561,45 +534,54 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
         if have != want:
             raise ValueError(f"test_space has degrees (p, k1, k2) = {have}; "
                              f"this solve asks for {want}")
-    _check_test_degrees(dofmap.layout, k1, k2)
+        if test_space.kind is not kind:
+            raise ValueError(f"test_space has the {test_space.kind.value} test norm; "
+                             f"this solve asks for {kind.value}")
+    _check_test_degrees(layout, k1, k2)
     if test_space is None:
+        dofmap = build_dofmap(mesh, p)
         asm = ElementAssembler(mesh, problem.coeffs, p, k1, k2)
-        F = _loads(asm, problem.f, problem.fvec)
+        # the sweep drops F and its last batch's B and G before
+        # assemble_global builds the position table of the pattern
+        qr = [_eliminate(Y, y, inv, els) for els, Y, y, inv in
+              _condensed(asm, trial_layout(p, "augmented"), kind,
+                         _loads(asm, problem.f, problem.fvec))]
     else:
-        F = test_space.loads
-    # a copy of the list: a test space without a class QR is not filled in
-    qr = list(test_space.qr) if test_space is not None and test_space.kind is kind else []
-    A, b = assemble_global(mesh, dofmap, asm, kind, F, qr)
+        dofmap, qr = test_space.dofmap, test_space.qr
+    A, b = assemble_global(dofmap, layout, qr)
     x, res = _solve_spd(A, b, solver_tol)
-    fields, estimator = _recover(dofmap, x, qr)
-    return Solution(mesh=mesh, problem=problem, dofmap=dofmap, p=p, kind=kind,
-                    assembler=asm, loads=F, x=x, fields=fields, residual=res,
+    fields, estimator = _recover(dofmap, layout, x, qr)
+    return Solution(mesh=mesh, problem=problem, dofmap=dofmap, layout=layout, p=p,
+                    kind=kind, assembler=asm, x=x, fields=fields, residual=res,
                     qr=qr, estimator=estimator)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     """Test norms of the Riesz representative of the residual, per element.
 
-    Condenses with the assembler and the loads F of ``solution``, so the
-    test space, the quadrature, the coefficients and the load are those of
-    the solve; it does not reuse the solve's class QR, so its element norms
-    check ``Solution.estimator`` and its Galerkin orthogonality residual
-    checks the skeleton solve and the field recovery alike.  Its skeleton rows are summed batch by batch with ``np.add.at``
-    into a vector with a boundary slot past the end, as
-    :func:`assemble_global` sums the rhs.  ``mesh`` and ``problem`` must be
-    the ones the solve was given; other objects raise ValueError.
+    Evaluates the loads F of ``problem`` again and condenses with the
+    assembler of ``solution`` against its trial layout, so the test space,
+    the quadrature, the coefficients and the load are those of the solve.
+    It does not reuse the solve's class QR, so its element norms check
+    ``Solution.estimator`` and its Galerkin orthogonality residual checks
+    the skeleton solve and the field recovery alike.
+
+    Its skeleton rows are summed batch by batch with ``np.add.at`` into a
+    vector with a boundary slot past the end, as :func:`assemble_global`
+    sums the rhs.  ``mesh`` and ``problem`` must be the ones the solve was
+    given; other objects raise ValueError.
     """
     _check_data(solution, mesh, problem, "error_function")
-    dofmap = solution.dofmap
-    nf = dofmap.layout.uh0
+    dofmap, asm = solution.dofmap, solution.assembler
+    nf = solution.layout.uh0
     u_loc_all = solution.local_trial()
     norms2 = np.empty(mesh.n_triangles)
     # skeleton rows, summed as in assemble_global (boundary entries into the
     # last slot), and the field rows of every element
     orth_s, rhs_s = np.zeros((2, dofmap.total + 1))
     orth_f, rhs_f = np.empty((2, mesh.n_triangles, nf))
-    for els, Y, y, inv in _condensed(solution.assembler, dofmap.layout,
-                                     solution.kind, solution.loads):
+    for els, Y, y, inv in _condensed(asm, solution.layout, solution.kind,
+                                     _loads(asm, problem.f, problem.fvec)):
         z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
         Yt = np.swapaxes(Y, 1, 2)[inv]

@@ -37,7 +37,8 @@ mesh, and variable coefficients give one class per element.
 The assembler holds the test space only: the element classes, the
 quadrature and the test tables.  The trial space is the caller's: B is
 assembled against the :class:`dpglab.spaces.TrialLayout` it is given, so
-the standard and the augmented variant share one assembler.
+the standard and the augmented variant share one assembler, and the
+standard B is the augmented B without its u_extra columns.
 
 All bases are scaled by 1 / sqrt(det J) per element, which cancels the
 Jacobian factor in every volume pairing of two scaled functions.  Test rows
@@ -350,7 +351,8 @@ class ElementAssembler:
     # -- B -----------------------------------------------------------------
     def b_matrices(self, elements, layout: TrialLayout) -> np.ndarray:
         """B of each of the ``elements`` against the trial ``layout``,
-        evaluated once per element class."""
+        evaluated once per element class.  One product of the adjoint rows
+        with the u basis of degree ``layout.pu`` fills ``layout.u_cols``."""
         lay = layout
         if lay.p != self.p:
             raise ValueError(f"trial layout of degree {lay.p} for an assembler "
@@ -363,7 +365,7 @@ class ElementAssembler:
         # sigma_y; the rows carry sqrt(w), the tables the other sqrt(w)
         adj = np.swapaxes(self._rows(els).adjoint, 2, 3)
         sw = np.sqrt(self.rule.weights)[:, None]
-        B[:, :, lay.u0:lay.u0 + lay.nu] = adj[:, 0] @ (sw * self.U[:, :lay.nu])
+        B[:, :, lay.u_cols] = adj[:, 0] @ (sw * self.U[:, :lay.nu])
         S = sw * self.U[:, :lay.ns]
         B[:, :, lay.sx0:lay.sx0 + lay.ns] = adj[:, 1] @ S
         B[:, :, lay.sy0:lay.sy0 + lay.ns] = adj[:, 2] @ S

@@ -149,8 +149,9 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
         row = ErrorRow(level=level, n_triangles=mesh.n_triangles)
         try:
             # the augmented system is solved first, and the standard solve
-            # takes its test space; both factor the same skeleton system
-            # pattern, as both eliminate their element-local fields
+            # takes its test space: its DOF map, assembler and class QR;
+            # both factor the same skeleton system pattern, as both
+            # eliminate their element-local fields
             sol_aug = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,

@@ -3,9 +3,14 @@ interpolation.
 
 Trial fields and their element-local column layout, stated once by
 :class:`TrialLayout`; the element assembly in :mod:`dpglab.forms` assembles
-B against the layout it is given:
+B against the layout it is given.  The columns of every layout are ordered
+[u_p | sigma_x | sigma_y | u_extra | uhat | sighat]:
 
-* ``u``: broken scalars, degree p (p+1 for the augmented variant),
+* ``u``: broken scalars, degree p (p+1 for the augmented variant).  The
+  modal basis is hierarchical, so the u of degree p+1 is the u of degree p
+  (its first ``ns`` columns) and the p+2 columns of degree p+1, which the
+  augmented layout places after sigma (``u_extra``); the standard layout
+  is thus the augmented one without its ``u_extra`` columns,
 * ``sigma``: broken vectors, degree p, x-component block then y-component,
 * ``uhat``: skeleton traces of continuous degree-(p+1) functions vanishing on
   the boundary; local columns are the 3 triangle vertices followed by p nodes
@@ -39,7 +44,9 @@ from .refelem import (LOCAL_EDGES, edge_quadrature, legendre_1d, ref_edge_points
 
 @dataclass(frozen=True)
 class TrialLayout:
-    """Element-local trial column layout for degree p."""
+    """Element-local trial column layout for degree p, the one owner of the
+    column order [u_p | sigma_x | sigma_y | u_extra | uhat | sighat] (see
+    the module doc)."""
 
     p: int
     pu: int  # degree of u: p + 1 for the augmented variant, else p
@@ -49,16 +56,18 @@ class TrialLayout:
     n_sighat: int  # 3 * (p + 1)
 
     @property
-    def u0(self) -> int:
-        return 0
+    def u_cols(self) -> np.ndarray:
+        """The columns of the nu u coefficients, in basis order: u_p, then
+        u_extra."""
+        return np.r_[0:self.ns, 3 * self.ns:self.uh0]
 
     @property
     def sx0(self) -> int:
-        return self.nu
+        return self.ns
 
     @property
     def sy0(self) -> int:
-        return self.nu + self.ns
+        return 2 * self.ns
 
     @property
     def uh0(self) -> int:
@@ -123,17 +132,17 @@ class DofMap:
     :mod:`dpglab.dpg_solver`).  Only the traces couple elements, so only
     they are numbered: the interior uhat DOFs first, by interior vertex id
     and then p per interior edge id, then the sighat DOFs, p+1 per edge id.
-    :attr:`gather` maps the skeleton columns of every element (its local
-    columns from ``layout.uh0`` on) to global DOFs.
+    :attr:`gather` maps the skeleton columns of every element (the local
+    columns of a :class:`TrialLayout` from ``uh0`` on, the same for both
+    variants) to global DOFs, so one map serves both.
     """
 
-    def __init__(self, mesh: Mesh, p: int, variant: str = "standard"):
+    def __init__(self, mesh: Mesh, p: int):
         if p < 0:
             raise ValueError("degree must be >= 0")
         self.mesh = mesh
         self.p = p
-        self.layout = trial_layout(p, variant)
-        lay = self.layout
+        lay = trial_layout(p)
         nt = mesh.n_triangles
 
         iv = mesh.interior_vertex_ids()
@@ -161,8 +170,8 @@ class DofMap:
         return np.append(x, 0.0)[self.gather]
 
 
-def build_dofmap(mesh: Mesh, p: int, variant: str = "standard") -> DofMap:
-    return DofMap(mesh, p, variant)
+def build_dofmap(mesh: Mesh, p: int) -> DofMap:
+    return DofMap(mesh, p)
 
 
 def l2_project(mesh: Mesh, p: int, f, exactness: int | None = None):

@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from dpglab import forms
-from dpglab.dpg_solver import SolverError, assemble_global
+from dpglab.dpg_solver import SolverError, assemble_and_solve
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.mesh import build_initial_mesh, refine_uniform
-from dpglab.problems import example
+from dpglab.problems import example, zero_data_problem
 from dpglab.refelem import (LOCAL_EDGES, REF_VERTICES, scalar_tables,
                             scalar_values, triangle_quadrature)
-from dpglab.spaces import build_dofmap, trial_layout
+from dpglab.spaces import trial_layout
 
 # anisotropic SPD diffusion matrix with convection and reaction
 ANISO = dict(C=[[2.0, 0.6], [0.6, 0.5]], beta=(1.0, -0.5), gamma=0.3)
@@ -65,7 +67,7 @@ def test_b_constant_test_function_row(initial):
     psi = scalar_values(p, rule.points)
     # oracle: direct quadrature of <phi_j, 1>_T for the scaled basis
     want_u = np.sqrt(det) * np.einsum("q,qj->j", rule.weights, psi)
-    assert np.allclose(row[lay.u0:lay.u0 + lay.nu], want_u, atol=1e-13)
+    assert np.allclose(row[lay.u_cols], want_u, atol=1e-13)
     assert np.abs(row[lay.sx0:lay.uh0]).max() < 1e-13  # sigma pairs with -grad v
     assert np.abs(row[lay.uh0:lay.sh0]).max() < 1e-13  # uhat pairs with tau.n
     # sighat columns integrate the orthonormal edge basis times the sign
@@ -167,10 +169,9 @@ def test_norms_with_anisotropic_matrix(level3, p):
 def test_indefinite_matrix_raises_naming_element(initial, kind):
     coeffs = Coefficients.constant(C=[[1.0, 2.0], [2.0, 1.0]], beta=ANISO["beta"],
                                    gamma=ANISO["gamma"])
-    asm = ElementAssembler(initial, coeffs, 0)
+    problem = dataclasses.replace(zero_data_problem(), coeffs=coeffs)
     with pytest.raises(SolverError, match="Gram matrix of element 0 is not SPD"):
-        assemble_global(initial, build_dofmap(initial, 0), asm, kind,
-                        asm.loads(lambda x: np.zeros(len(x)), None), [])
+        assemble_and_solve(initial, problem, 0, kind)
 
 
 def _anisotropic_solution(gamma):
@@ -231,7 +232,7 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
             X = to_phys(asm.rule.points)
             sdet = np.sqrt(level3.dets[t])
             x = np.zeros(lay.total)
-            x[lay.u0:lay.u0 + lay.nu] = sdet * (w * u(X)) @ U
+            x[lay.u_cols] = sdet * (w * u(X)) @ U
             x[lay.sx0:lay.sx0 + lay.ns] = sdet * (w * sigma(X)[:, 0]) @ S
             x[lay.sy0:lay.sy0 + lay.ns] = sdet * (w * sigma(X)[:, 1]) @ S
             # uhat: vertex values, then p interior nodes per edge in global order
@@ -259,22 +260,26 @@ def test_b_maps_exact_trial_vector_to_load_anisotropic(level3):
 @pytest.mark.parametrize("p", range(4))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_one_assembler_serves_both_layouts(level3, ex, p):
-    # the augmented B differs from the standard one only by the u columns of
-    # degree p + 1; the sigma, uhat and sighat columns, flipped edges
-    # included, are bitwise equal, and so are the first nu u columns for
-    # p >= 1.  At p = 0 the standard u block is a matrix-vector product,
-    # which rounds differently from the 3-column product.
+    # both layouts order their columns [u_p | sigma | u_extra | skeleton],
+    # so the standard B is the augmented B without its p + 2 u_extra
+    # columns: the sigma, uhat and sighat columns, flipped edges included,
+    # are bitwise equal, and so are the u_p columns for p >= 1.  At p = 0
+    # the standard u block is a matrix-vector product, which rounds
+    # differently from the 3-column product.
     assert level3.tri_edge_flip.any()
     asm = ElementAssembler(level3, example(ex).coeffs, p)
     std, aug = trial_layout(p), trial_layout(p, "augmented")
+    assert (std.sx0, std.sy0, std.uh0) == (aug.sx0, aug.sy0, 3 * aug.ns)
+    assert aug.uh0 - std.uh0 == p + 2
     els = np.arange(level3.n_triangles)
     Bs = asm.b_matrices(els, std)
     Ba = asm.b_matrices(els, aug)
     assert Bs.shape[2] == std.total and Ba.shape[2] == aug.total
-    assert Ba[:, :, aug.sx0:].tobytes() == Bs[:, :, std.sx0:].tobytes()
-    us, ua = Bs[:, :, :std.nu], Ba[:, :, :std.nu]
+    Ba_std = np.delete(Ba, np.arange(std.uh0, aug.uh0), axis=2)
+    assert Ba_std[:, :, std.sx0:].tobytes() == Bs[:, :, std.sx0:].tobytes()
+    us, ua = Bs[:, :, :std.sx0], Ba_std[:, :, :std.sx0]
     if p >= 1:
-        assert ua.tobytes() == us.tobytes()
+        assert Ba_std.tobytes() == Bs.tobytes()
     else:
         assert np.abs(ua - us).max() <= 4e-16 * np.abs(us).max()
     with pytest.raises(ValueError, match="trial layout of degree"):

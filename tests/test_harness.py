@@ -248,15 +248,18 @@ def test_alignment_guard_checks_the_rules_the_level_evaluates(initial, monkeypat
 
 def test_study_level_builds_one_test_space(monkeypatch):
     # with both variants and the energy error, a level builds the class key
-    # once and evaluates F once per element, and solves exactly twice
-    # through harness.assemble_and_solve, where the benchmark checks every
-    # solve's backward error.  B and G are evaluated in one sweep: gram and
-    # b_matrices each return one matrix per element per level, and the
-    # energy error is the standard solve's estimator, with no error_function
-    levels, keys, loads, residuals, rows = [], {}, {}, {}, {}
+    # and the DOF map once and evaluates F once per element, and solves
+    # exactly twice through harness.assemble_and_solve, where the benchmark
+    # checks every solve's backward error.  B and G are evaluated in one
+    # sweep: gram and b_matrices each return one matrix per element per
+    # level, the standard solve shares the augmented solve's DOF map, and
+    # the energy error is the standard solve's estimator, with no
+    # error_function
+    levels, keys, builds, loads, residuals, rows, dofmaps = [], {}, {}, {}, {}, {}, {}
     element_classes = ElementAssembler._element_classes
     element_loads = ElementAssembler.loads
     solve = harness.assemble_and_solve
+    dofmap = dpg_solver.build_dofmap
 
     def counting(name):
         method = getattr(ElementAssembler, name)
@@ -283,8 +286,14 @@ def test_study_level_builds_one_test_space(monkeypatch):
     def recording_solve(*args, **kwargs):
         sol = solve(*args, **kwargs)
         residuals.setdefault(levels[-1], []).append(sol.residual)
+        dofmaps.setdefault(levels[-1], []).append(sol.dofmap)
         return sol
 
+    def counting_dofmap(*args):
+        builds[levels[-1]] = builds.get(levels[-1], 0) + 1
+        return dofmap(*args)
+
+    monkeypatch.setattr(dpg_solver, "build_dofmap", counting_dofmap)
     monkeypatch.setattr(ElementAssembler, "_element_classes", counting_classes)
     monkeypatch.setattr(ElementAssembler, "loads", counting_loads)
     monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
@@ -297,7 +306,8 @@ def test_study_level_builds_one_test_space(monkeypatch):
     table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
     assert all(None not in (row.err_aug, row.err_post, row.energy) for row in table.rows)
     assert rows == {1: {"gram": 16, "b_matrices": 16}, 2: {"gram": 64, "b_matrices": 64}}
-    assert keys == {1: 1, 2: 1}
+    assert keys == builds == {1: 1, 2: 1}
+    assert all(aug is std for aug, std in dofmaps.values())
     assert [len(c) for c in loads.values()] == [16, 64]
     assert all((c == 1).all() for c in loads.values())
     assert [len(r) for r in residuals.values()] == [2, 2]

@@ -13,7 +13,7 @@ from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
 from dpglab.problems import ProblemSpec, derive_data, example
 from dpglab.refelem import scalar_tables, scalar_values, triangle_quadrature
-from dpglab.spaces import build_dofmap, l2_project
+from dpglab.spaces import build_dofmap, l2_project, trial_layout
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +25,8 @@ def _manual_solution(mesh, p, u_coeffs, sigma_coeffs, problem):
     dm = build_dofmap(mesh, p)
     fields = np.concatenate([u_coeffs, sigma_coeffs.reshape(mesh.n_triangles, -1)], axis=1)
     asm = ElementAssembler(mesh, problem.coeffs, p)
-    return Solution(mesh=mesh, problem=problem, dofmap=dm, p=p,
-                    kind=TestNorm.QUASI_OPTIMAL, assembler=asm,
-                    loads=asm.loads(problem.f, problem.fvec), x=np.zeros(dm.total),
+    return Solution(mesh=mesh, problem=problem, dofmap=dm, layout=trial_layout(p), p=p,
+                    kind=TestNorm.QUASI_OPTIMAL, assembler=asm, x=np.zeros(dm.total),
                     fields=fields)
 
 

@@ -13,20 +13,34 @@ import scipy.sparse.linalg as spla
 
 import dpglab
 from dpglab import dpg_solver
-from dpglab.dpg_solver import (Solution, SolverError, _class_qr, _condense_batch,
-                               _condensed, _eliminate, _factor, _recover, _solve_spd,
+from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
+                               _eliminate, _factor, _loads, _recover, _solve_spd,
                                _variant_rows, assemble_and_solve, assemble_global,
                                error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
 from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.problems import example, zero_data_problem
-from dpglab.spaces import build_dofmap, l2_project
+from dpglab.spaces import build_dofmap, l2_project, trial_layout
 
 
 @pytest.fixture(scope="module")
 def initial():
     return build_initial_mesh()
+
+
+def _qr_sweep(asm, kind, F):
+    """The class QR of a solve's sweep: the :class:`_ClassQR` of every batch
+    of B against the augmented layout, as assembled."""
+    return [_eliminate(Y, y, inv, els) for els, Y, y, inv in
+            _condensed(asm, trial_layout(asm.p, "augmented"), kind, F)]
+
+
+def _assemble(mesh, p, kind, asm, F, variant="standard"):
+    """The skeleton system of ``variant`` on ``mesh`` from the class QR of
+    the assembler ``asm`` and the loads ``F``."""
+    return assemble_global(build_dofmap(mesh, p), trial_layout(p, variant),
+                           _qr_sweep(asm, kind, F))
 
 
 def _condense_one(B, G, F):
@@ -130,10 +144,8 @@ def test_zero_data_gives_zero_solution(initial, kind):
 
 def test_global_matrix_symmetric_positive_definite(initial):
     prob = example(1)
-    dm = build_dofmap(initial, 0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
-    A, b = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL,
-                           asm.loads(prob.f, prob.fvec), [])
+    A, b = _assemble(initial, 0, TestNorm.QUASI_OPTIMAL, asm, asm.loads(prob.f, prob.fvec))
     dense = A.toarray()
     assert np.array_equal(dense, dense.T)
     np.linalg.cholesky(dense)  # raises if not SPD
@@ -144,16 +156,16 @@ def test_solution_fields_and_bc(initial):
     # element-local, (nt, nu + 2 ns)
     prob = example(2)
     sol = assemble_and_solve(initial, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
-    dm = sol.dofmap
-    assert sol.u.data.size == initial.n_triangles * dm.layout.nu
+    dm, lay = sol.dofmap, sol.layout
+    assert sol.u.data.size == initial.n_triangles * lay.nu
     assert sol.sigma.shape == (initial.n_triangles, 2, 3)
-    assert sol.fields.shape == (initial.n_triangles, dm.layout.uh0)
+    assert sol.fields.shape == (initial.n_triangles, lay.uh0)
     assert sol.x.size == dm.n_uhat + dm.n_sighat == dm.total
     assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.fields))
     # boundary uhat DOFs are structurally absent: gathered local vector
     # carries zeros on boundary trace columns
     loc = sol.local_trial()
-    assert np.all(loc[:, dm.layout.uh0:][dm.gather == -1] == 0.0)
+    assert np.all(loc[:, lay.uh0:][dm.gather == -1] == 0.0)
 
 
 def test_determinism_bitwise(initial):
@@ -295,9 +307,8 @@ def test_solve_spd_certifies_badly_scaled_matrix():
 
 def _system(mesh, p, kind, ex=1):
     prob = example(ex)
-    dm = build_dofmap(mesh, p)
     asm = ElementAssembler(mesh, prob.coeffs, p)
-    return assemble_global(mesh, dm, asm, kind, asm.loads(prob.f, prob.fvec), [])
+    return _assemble(mesh, p, kind, asm, asm.loads(prob.f, prob.fvec))
 
 
 def test_factor_fill_stays_small(initial):
@@ -378,20 +389,27 @@ def test_power_of_two_scaling_changes_no_bit(initial):
 @pytest.mark.parametrize("variant", ["standard", "augmented"])
 def test_solution_fields_read_through_gather(initial, variant):
     # the element trial vectors are the recovered fields, in element order,
-    # then the skeleton solution read through the gather; u and sigma are
-    # their field columns
+    # then the skeleton solution read through the gather.  Both layouts
+    # order the fields [u_p | sigma_x | sigma_y | u_extra]: u is the first
+    # ns columns, then the u_extra columns after sigma (none for the
+    # standard variant)
     sol = assemble_and_solve(refine_uniform(initial), example(1), p=1,
                              variant=variant)
-    dm, lay = sol.dofmap, sol.dofmap.layout
+    dm, lay = sol.dofmap, sol.layout
+    assert lay == trial_layout(1, variant)
     nt = sol.mesh.n_triangles
     loc = sol.local_trial()
     assert loc.shape == (nt, lay.total)
     assert _bitwise_equal(loc[:, :lay.uh0], sol.fields)
     keep = dm.gather >= 0
     assert _bitwise_equal(loc[:, lay.uh0:][keep], sol.x[dm.gather[keep]])
-    assert _bitwise_equal(sol.u.by_element(), loc[:, lay.u0:lay.u0 + lay.nu])
+    u_extra = loc[:, 3 * lay.ns:lay.uh0]
+    assert u_extra.shape[1] == (3 if variant == "augmented" else 0)  # p + 2
+    assert _bitwise_equal(sol.u.by_element(),
+                          np.concatenate([loc[:, :lay.ns], u_extra], axis=1))
+    assert (lay.sx0, lay.sy0) == (lay.ns, 2 * lay.ns)
     assert _bitwise_equal(sol.sigma.reshape(nt, -1),
-                          loc[:, lay.sx0:lay.sx0 + 2 * lay.ns])
+                          loc[:, lay.sx0:lay.sy0 + lay.ns])
 
 
 def test_solve_spd_rejects_non_finite_system():
@@ -424,7 +442,7 @@ def test_error_function_against_dense_oracle(initial):
     sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
     ee = error_function(mesh, prob, sol)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
-    B = asm.b_matrices(np.arange(mesh.n_triangles), sol.dofmap.layout)
+    B = asm.b_matrices(np.arange(mesh.n_triangles), sol.layout)
     G = asm.gram(TestNorm.QUASI_OPTIMAL)
     r = asm.loads(prob.f, prob.fvec) - np.einsum("eij,ej->ei", B, sol.local_trial())
     want = np.sqrt(np.einsum("ei,ei->e", r, np.linalg.solve(G, r[:, :, None])[:, :, 0]))
@@ -440,13 +458,12 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
     F = asm.loads(prob.f, prob.fvec)
     default = dpg_solver._CHUNK
     for variant in ("standard", "augmented"):
-        dm = build_dofmap(mesh, 1, variant)
         runs = []
         for chunk in (default, 7):
             monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
             sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
                                      variant=variant)
-            A, b = assemble_global(mesh, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
+            A, b = _assemble(mesh, 1, TestNorm.QUASI_OPTIMAL, asm, F, variant)
             runs.append((A, b, error_function(mesh, prob, sol).element_norms,
                          sol.local_trial()))
         (A1, b1, e1, x1), (A7, b7, e7, x7) = runs
@@ -475,8 +492,7 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
     for kind in (TestNorm.STANDARD, TestNorm.QUASI_OPTIMAL):
         asm = ElementAssembler(mesh, coeffs, 0)
         with pytest.raises(SolverError, match="Gram matrix of element 16 is not SPD"):
-            assemble_global(mesh, build_dofmap(mesh, 0), asm, kind,
-                            asm.loads(lambda x: np.zeros(len(x)), None), [])
+            _assemble(mesh, 0, kind, asm, asm.loads(lambda x: np.zeros(len(x)), None))
 
 
 def _full_system(sol):
@@ -486,8 +502,9 @@ def _full_system(sol):
     then the skeleton DOFs of ``sol.dofmap``."""
     asm, dm = sol.assembler, sol.dofmap
     nt, nf = sol.fields.shape
-    B = asm.b_matrices(np.arange(nt), dm.layout)
-    BF = np.concatenate([B, sol.loads[:, :, None]], axis=2)
+    B = asm.b_matrices(np.arange(nt), sol.layout)
+    F = _loads(asm, sol.problem.f, sol.problem.fvec)
+    BF = np.concatenate([B, F[:, :, None]], axis=2)
     SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(sol.kind), BF)
     dofs = np.concatenate([np.arange(nt * nf).reshape(nt, nf),
                            np.where(dm.gather >= 0, nt * nf + dm.gather, -1)], axis=1)
@@ -535,7 +552,7 @@ def test_variable_coefficients_against_dense_oracle(initial):
             sol = assemble_and_solve(mesh, dataclasses.replace(prob, coeffs=coeffs), 1, kind)
             assert sol.assembler.classes.max() + 1 == n_classes
             _assert_solves_full_system(sol)
-            A, b = assemble_global(mesh, sol.dofmap, sol.assembler, kind, sol.loads, [])
+            A, b = assemble_global(sol.dofmap, sol.layout, sol.qr)
             full, rhs, _ = _full_system(sol)
             f = sol.fields.size
             Aff_fs = np.linalg.solve(full[:f, :f], full[:f, f:])
@@ -552,36 +569,35 @@ def test_error_function_uses_the_solve_quadrature(initial):
     mesh = refine_uniform(initial)
     prob = example(1)
     kind = TestNorm.QUASI_OPTIMAL
-    dm = build_dofmap(mesh, 1)
+    dm, lay = build_dofmap(mesh, 1), trial_layout(1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
-    F = asm.loads(prob.f, prob.fvec)
-    recovery = []
-    x, res = _solve_spd(*assemble_global(mesh, dm, asm, kind, F, recovery), 1e-12)
-    fields, estimator = _recover(dm, x, recovery)
-    sol = Solution(mesh=mesh, problem=prob, dofmap=dm, p=1, kind=kind, assembler=asm,
-                   loads=F, x=x, fields=fields, residual=res, qr=recovery,
+    qr = _qr_sweep(asm, kind, _loads(asm, prob.f, prob.fvec))
+    x, res = _solve_spd(*assemble_global(dm, lay, qr), 1e-12)
+    fields, estimator = _recover(dm, lay, x, qr)
+    sol = Solution(mesh=mesh, problem=prob, dofmap=dm, layout=lay, p=1, kind=kind,
+                   assembler=asm, x=x, fields=fields, residual=res, qr=qr,
                    estimator=estimator)
     ee = error_function(mesh, prob, sol)
     assert np.linalg.norm(ee.orth_residual) <= 1e-12 * ee.rhs_norm
 
 
-def _skeleton_blocks(dofmap, asm, kind, F):
-    """Per batch of the condensation, its elements and their condensed
-    skeleton blocks S_T and rhs r_T, from the variant's rows of the class
-    QR."""
-    nf, nk = dofmap.layout.uh0, dofmap.gather.shape[1]
-    for qr in _class_qr(asm, kind, F):
-        M, g = _variant_rows(qr, nf, nk)
+def _skeleton_blocks(dofmap, layout, qr):
+    """Per batch of the class QR ``qr``, its elements and their condensed
+    skeleton blocks S_T and rhs r_T, from the rows of the variant of
+    ``layout``."""
+    nf, nk = layout.uh0, dofmap.gather.shape[1]
+    for batch in qr:
+        M, g = _variant_rows(batch, nf, nk)
         Mt = np.swapaxes(M, 1, 2)
-        yield qr.els, (Mt @ M)[qr.inv], (Mt[qr.inv] @ g[:, :, None])[:, :, 0]
+        yield batch.els, (Mt @ M)[batch.inv], (Mt[batch.inv] @ g[:, :, None])[:, :, 0]
 
 
-def _reference_scatter(dofmap, asm, kind, F):
+def _reference_scatter(dofmap, layout, qr):
     """The skeleton system scattered from growing lists of triplets into a
     COO matrix, and the rhs by np.add.at, batch by batch."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.total)
-    for els, S, r in _skeleton_blocks(dofmap, asm, kind, F):
+    for els, S, r in _skeleton_blocks(dofmap, layout, qr):
         g = dofmap.gather[els]
         keep = g >= 0
         np.add.at(rhs, g[keep], r[keep])
@@ -598,14 +614,14 @@ def _bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _add_at_reference(dofmap, asm, kind, F, ref):
+def _add_at_reference(dofmap, layout, qr, ref):
     """The values of the skeleton matrix added by np.add.at into the CSC
     pattern of ``ref``, batch after batch in the order of the condensation;
     each entry's place is looked up by its row and column."""
     place = ref.copy()
     place.data = np.arange(ref.nnz)
     data = np.zeros(ref.nnz)
-    for els, S, _ in _skeleton_blocks(dofmap, asm, kind, F):
+    for els, S, _ in _skeleton_blocks(dofmap, layout, qr):
         g = dofmap.gather[els]
         ok = (g >= 0)[:, :, None] & (g >= 0)[:, None, :]
         rows = np.broadcast_to(g[:, :, None], ok.shape)[ok]
@@ -615,35 +631,36 @@ def _add_at_reference(dofmap, asm, kind, F, ref):
 
 
 def test_assembly_memory_and_bitwise_triplets(initial):
-    # ex1/simple p2 on level 5: the traced peak of the assembly, with the
-    # class QR kept, stays below 54 MiB (28.0 MiB measured, of which
-    # 11.7 MiB are the returned CSC matrix; the position table is built
-    # after the QR sweep, so it and one batch's B and Gram matrices are
-    # never alive together; int64 triplets of the 1.33 M element entries
-    # would add 30 MiB).  indptr,
-    # indices and the rhs equal the COO reference of the triplets bit for
-    # bit; SciPy sums the duplicates of the COO matrix in its own order, so
-    # the values equal np.add.at of the same batches into that pattern
+    # ex1/simple p2 on level 5: the traced peak of the QR sweep and the
+    # assembly, with the class QR kept, stays below 54 MiB (28.0 MiB
+    # measured, of which 11.7 MiB are the returned CSC matrix; the position
+    # table is built after the QR sweep, so it and one batch's B and Gram
+    # matrices are never alive together; int64 triplets of the 1.33 M
+    # element entries would add 30 MiB).  indptr, indices and the rhs equal
+    # the COO reference of the triplets bit for bit; SciPy sums the
+    # duplicates of the COO matrix in its own order, so the values equal
+    # np.add.at of the same batches into that pattern
     mesh = initial
     for _ in range(4):
         mesh = refine_uniform(mesh)
     prob = example(1)
-    dm = build_dofmap(mesh, 2)
+    dm, lay = build_dofmap(mesh, 2), trial_layout(2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
     F = asm.loads(prob.f, prob.fvec)
     tracemalloc.start()
     try:
-        A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, F, [])
+        qr = _qr_sweep(asm, TestNorm.SIMPLE, F)
+        A, b = assemble_global(dm, lay, qr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert A.format == "csc" and A.indices.dtype == np.int32
     assert peak <= 54 * 2**20
-    A_ref, b_ref = _reference_scatter(dm, asm, TestNorm.SIMPLE, F)
+    A_ref, b_ref = _reference_scatter(dm, lay, qr)
     for name in ("indices", "indptr"):
         assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
     assert _bitwise_equal(b, b_ref)
-    assert _bitwise_equal(A.data, _add_at_reference(dm, asm, TestNorm.SIMPLE, F, A_ref))
+    assert _bitwise_equal(A.data, _add_at_reference(dm, lay, qr, A_ref))
 
 
 @pytest.mark.parametrize("variant", ["standard", "augmented"])
@@ -659,12 +676,14 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
     prob = example(ex)
     kind = TestNorm.QUASI_OPTIMAL
     mesh = initial
+    lay = trial_layout(p, variant)
     for _ in range(3):
-        dm = build_dofmap(mesh, p, variant)
+        dm = build_dofmap(mesh, p)
         asm = ElementAssembler(mesh, prob.coeffs, p)
         F = asm.loads(prob.f, prob.fvec)
-        A, b = assemble_global(mesh, dm, asm, kind, F, [])
-        A_ref, b_ref = _reference_scatter(dm, asm, kind, F)
+        qr = _qr_sweep(asm, kind, F)
+        A, b = assemble_global(dm, lay, qr)
+        A_ref, b_ref = _reference_scatter(dm, lay, qr)
         assert A.has_canonical_format
         for name in ("indices", "indptr"):
             assert _bitwise_equal(getattr(A, name), getattr(A_ref, name))
@@ -674,7 +693,7 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
         with monkeypatch.context() as m:
             m.setattr(dpg_solver, "_CHUNK", 7)
             m.setattr(dpg_solver, "_LOOKUPS", 80)
-            A7, b7 = assemble_global(mesh, dm, asm, kind, F, [])
+            A7, b7 = assemble_global(dm, lay, _qr_sweep(asm, kind, F))
         assert all(map(_bitwise_equal, _csc_arrays(A7), _csc_arrays(A)))
         assert _bitwise_equal(b7, b)
         mesh = refine_uniform(mesh)
@@ -684,17 +703,17 @@ def test_index_bound_covers_dofs_and_nonzeros(initial, monkeypatch):
     # the int32 indices of A bound both the DOFs (indices) and the nonzeros
     # (indptr): ex1/qopt p0 on level 1 has 33 skeleton DOFs and 233 nonzeros
     prob = example(1)
-    dm = build_dofmap(initial, 0)
+    dm, lay = build_dofmap(initial, 0), trial_layout(0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
-    F = asm.loads(prob.f, prob.fvec)
-    A, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
+    qr = _qr_sweep(asm, TestNorm.QUASI_OPTIMAL, asm.loads(prob.f, prob.fvec))
+    A, _ = assemble_global(dm, lay, qr)
     assert (A.shape[0], A.nnz) == (33, 233)
     for bound, match in [(33, "33 DOFs exceed"), (233, "233 nonzeros exceed")]:
         monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", bound)
         with pytest.raises(SolverError, match=match + " the int32 indices"):
-            assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
+            assemble_global(dm, lay, qr)
     monkeypatch.setattr(dpg_solver, "_INDEX_BOUND", 234)
-    A1, _ = assemble_global(initial, dm, asm, TestNorm.QUASI_OPTIMAL, F, [])
+    A1, _ = assemble_global(dm, lay, qr)
     assert all(map(_bitwise_equal, _csc_arrays(A1), _csc_arrays(A)))
 
 
@@ -707,12 +726,12 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
     monkeypatch.setattr(dpg_solver, "_CHUNK", 7)
     sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
     ee = error_function(mesh, prob, sol)
-    n, nf = sol.dofmap.total, sol.dofmap.layout.uh0
+    n, nf = sol.dofmap.total, sol.layout.uh0
     orth = np.zeros(n + sol.fields.size)
     rhs = np.zeros_like(orth)
     u_loc = sol.local_trial()
-    for els, Y, y, inv in _condensed(sol.assembler, sol.dofmap.layout, sol.kind,
-                                     sol.loads):
+    for els, Y, y, inv in _condensed(sol.assembler, sol.layout, sol.kind,
+                                     _loads(sol.assembler, prob.f, prob.fvec)):
         z = y - (Y[inv] @ u_loc[els][:, :, None])[:, :, 0]
         Yt = np.swapaxes(Y, 1, 2)[inv]
         Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
@@ -730,9 +749,9 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
 @pytest.mark.parametrize("kind", list(TestNorm))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
-    # a solve on the classes and loads F of a solve of the other variant is
-    # the standalone solve, bit for bit, in both directions: the study takes
-    # the standard solve's test space from the augmented one
+    # a solve on the DOF map, classes and class QR of a solve of the other
+    # variant is the standalone solve, bit for bit, in both directions: the
+    # study takes the standard solve's test space from the augmented one
     mesh = refine_uniform(initial)
     prob = example(ex)
     alone = {variant: assemble_and_solve(mesh, prob, p, kind, variant=variant)
@@ -742,8 +761,7 @@ def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
         shared = assemble_and_solve(mesh, prob, p, kind, variant=variant,
                                     test_space=space)
         assert shared.assembler is space.assembler
-        assert shared.loads is space.loads
-        assert _bitwise_equal(shared.loads, alone[variant].loads)
+        assert shared.dofmap is space.dofmap and shared.qr is space.qr
         assert _bitwise_equal(shared.x, alone[variant].x)
         assert _bitwise_equal(shared.fields, alone[variant].fields)
         assert shared.residual == alone[variant].residual
@@ -812,27 +830,26 @@ def test_standard_solve_with_k2_of_the_trial_degree(initial):
     prob = example(1)
     for p in range(4):
         sol = assemble_and_solve(mesh, prob, p, TestNorm.QUASI_OPTIMAL, k2=p + 1)
-        std, aug = build_dofmap(mesh, p), build_dofmap(mesh, p, "augmented")
+        std, aug = trial_layout(p), trial_layout(p, "augmented")
         pivots = np.abs(np.concatenate([np.diagonal(q.R, axis1=1, axis2=2)
                                         for q in sol.qr]))
-        assert pivots[:, std.layout.uh0:aug.layout.uh0].min() <= 1e-14
-        assert pivots[:, :std.layout.uh0].min() >= 0.5
+        assert pivots[:, std.uh0:aug.uh0].min() <= 1e-14
+        assert pivots[:, :std.uh0].min() >= 0.5
         _assert_solves_full_system(sol)
         ee = error_function(mesh, prob, sol)
         assert abs(sol.energy - ee.total) <= 1e-8 * ee.total
         batch = sol.qr[-1]
         c = batch.inv[len(batch.inv) // 2]
         R = batch.R.copy()
-        R[c, std.layout.uh0, std.layout.uh0] = 0.0
+        R[c, std.uh0, std.uh0] = 0.0
         qr = [*sol.qr[:-1], batch._replace(R=R)]
-        args = (mesh, std, sol.assembler, sol.kind, sol.loads)
-        A, b = assemble_global(*args, qr)
-        A0, b0 = assemble_global(*args, list(sol.qr))
+        A, b = assemble_global(sol.dofmap, std, qr)
+        A0, b0 = assemble_global(sol.dofmap, std, sol.qr)
         assert _bitwise_equal(A.data, A0.data) and _bitwise_equal(b, b0)
         lowest = batch.els[batch.inv == c].min()
         with pytest.raises(SolverError,
                            match=f"field columns of element {lowest} are rank deficient"):
-            assemble_global(mesh, aug, *args[2:], qr)
+            assemble_global(sol.dofmap, aug, qr)
 
 
 def test_test_space_of_other_data_raises(initial):
@@ -851,13 +868,16 @@ def test_test_space_of_other_data_raises(initial):
              "test_space needs the problem fvec"),
             (dict(p=2), r"\(1, 3, 3\); this solve asks for \(2, 4, 4\)"),
             (dict(k1=4), r"asks for \(1, 4, 3\)"),
-            (dict(k2=2), r"asks for \(1, 3, 2\)")]:
+            (dict(k2=2), r"asks for \(1, 3, 2\)"),
+            (dict(kind=TestNorm.SIMPLE),
+             "test_space has the qopt test norm; this solve asks for simple")]:
         with pytest.raises(ValueError, match=match):
             assemble_and_solve(**{**same, **change})
-    # the default test degrees spelled out, and another test norm, share it
-    other = assemble_and_solve(**{**same, "kind": TestNorm.SIMPLE, "k1": 3, "k2": 3})
-    alone = assemble_and_solve(mesh, prob, 1, TestNorm.SIMPLE, variant="augmented")
-    assert _bitwise_equal(other.local_trial(), alone.local_trial())
+    # the default test degrees spelled out share it
+    spelled = assemble_and_solve(**{**same, "k1": 3, "k2": 3})
+    alone = assemble_and_solve(mesh, prob, 1, TestNorm.QUASI_OPTIMAL, variant="augmented")
+    assert spelled.qr is sol.qr
+    assert _bitwise_equal(spelled.local_trial(), alone.local_trial())
 
 
 def test_error_function_rejects_other_problem(initial):
@@ -883,9 +903,8 @@ def test_solve_spd_memory(initial):
     for _ in range(3):
         mesh = refine_uniform(mesh)
     prob = example(1)
-    dm = build_dofmap(mesh, 2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
-    A, b = assemble_global(mesh, dm, asm, TestNorm.SIMPLE, asm.loads(prob.f, prob.fvec), [])
+    A, b = _assemble(mesh, 2, TestNorm.SIMPLE, asm, asm.loads(prob.f, prob.fvec))
     csc = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:

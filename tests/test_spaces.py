@@ -5,7 +5,7 @@ from dpglab.harness import l2_error
 from dpglab.mesh import build_initial_mesh, refine_uniform
 from dpglab.refelem import triangle_quadrature
 from dpglab.spaces import (CoefficientVector, broken_eval, build_dofmap,
-                           l2_project, rt_interpolate)
+                           l2_project, rt_interpolate, trial_layout)
 
 
 @pytest.fixture(scope="module")
@@ -20,17 +20,28 @@ def test_dofmap_counts_initial_p0(initial):
     assert dm.n_sighat == 28
     assert dm.total == 33
     assert dm.gather.shape == (16, 6)
-    assert (dm.layout.nu, dm.layout.ns, dm.layout.uh0) == (1, 1, 3)
+    lay = trial_layout(0)
+    assert (lay.nu, lay.ns, lay.uh0) == (1, 1, 3)
+    assert lay.u_cols.tolist() == [0] and (lay.sx0, lay.sy0) == (1, 2)
 
 
 def test_dofmap_counts_augmented(initial):
-    # the augmented variant has more element-local u columns and the same
-    # skeleton numbering
-    dm = build_dofmap(initial, 0, variant="augmented")
-    assert (dm.layout.nu, dm.layout.ns, dm.layout.uh0) == (3, 1, 5)  # broken P^1
-    assert dm.n_uhat == 5
-    assert dm.n_sighat == 28
-    assert np.array_equal(dm.gather, build_dofmap(initial, 0).gather)
+    # the augmented variant has more element-local u columns, placed after
+    # sigma: [u_p | sigma_x | sigma_y | u_extra | uhat | sighat].  Its sigma
+    # columns are those of the standard layout, and both number the same
+    # skeleton columns, so one DofMap serves both
+    aug = trial_layout(0, "augmented")
+    assert (aug.nu, aug.ns, aug.uh0) == (3, 1, 5)  # broken P^1
+    assert aug.u_cols.tolist() == [0, 3, 4] and (aug.sx0, aug.sy0) == (1, 2)
+    for p in range(4):
+        std, aug = trial_layout(p), trial_layout(p, "augmented")
+        ns = std.ns
+        assert (aug.pu, aug.nu, aug.ns) == (p + 1, ns + p + 2, ns)
+        assert (aug.sx0, aug.sy0) == (std.sx0, std.sy0) == (ns, 2 * ns)
+        assert aug.u_cols.tolist() == [*range(ns), *range(3 * ns, aug.uh0)]
+        assert std.u_cols.tolist() == list(range(ns))
+        assert aug.uh0 == std.uh0 + p + 2
+        assert aug.total - aug.uh0 == std.total - std.uh0
 
 
 def test_sighat_count_p1(initial):
@@ -42,7 +53,7 @@ def test_sighat_count_p1(initial):
 def test_uhat_gather_structure(initial):
     p = 1
     dm = build_dofmap(initial, p)
-    lay = dm.layout
+    lay = trial_layout(p)
     iv = initial.interior_vertex_ids()
     for t in range(initial.n_triangles):
         for loc, v in enumerate(initial.triangles[t]):
