@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
+import stat
 import sys
+import tempfile
 
 from .acceptance import AcceptanceRunner
 from .dpg_solver import SolverError
@@ -49,15 +52,50 @@ def _run_study(args) -> int:
                       p=args.degree, levels=args.levels, variant=args.variant,
                       k1=args.k1, k2=args.k2, solver_tol=args.solver_tol)
     progress = None if args.quiet else lambda m: print(m, file=sys.stderr)
-    # the output is opened before the first level, so that a path that
-    # cannot be written fails at once rather than after the whole study
-    try:
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        raise ValueError(f"cannot write the table to {args.out}: {exc.strerror}") from exc
+    out = _replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
         fh.write(emit_table(run_convergence_study(cfg, progress=progress), args.fmt))
     return 0
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A file to write the table to that replaces ``path`` only when the
+    block completes; if it raises, a file already at ``path`` keeps its
+    bytes.  The temporary file is created beside the file ``path`` names
+    (through a symlink) before the block, so that a path that cannot be
+    written fails at once rather than after the whole study, and
+    ``os.replace`` stays atomic.  It gets the mode ``open(path, "w")``
+    would leave.  A device or pipe at ``path`` (``/dev/null``,
+    ``/dev/stdout``) has no bytes to keep and is written in place."""
+    tmp = None
+    try:
+        st = os.stat(path) if os.path.exists(path) else None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            fh = open(path, "w")  # a directory raises IsADirectoryError
+        else:
+            umask = os.umask(0)  # mkstemp's mode is 0600
+            os.umask(umask)
+            mode = 0o666 & ~umask if st is None else stat.S_IMODE(st.st_mode)
+            target = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp",
+                                       prefix=f".{os.path.basename(target)}.")
+            fh = os.fdopen(fd, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write the table to {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        if tmp is not None:
+            try:
+                os.chmod(tmp, mode)
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise ValueError(f"cannot write the table to {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _run_verify(args) -> int:

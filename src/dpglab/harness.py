@@ -26,7 +26,8 @@ from .mesh import Mesh, build_initial_mesh, refine_uniform
 from .postprocess import _postprocess_exactness, postprocess_u
 from .problems import ProblemSpec, example, seam_clearance
 from .refelem import triangle_quadrature
-from .spaces import CoefficientVector, broken_eval, l2_project, trial_layout
+from .spaces import (CoefficientVector, _exact_values, _project_values, broken_eval,
+                     trial_layout)
 
 CSV_HEADER = "p,nT,err_u,rate_u,err_proj,rate_proj,err_aug,rate_aug,err_post,rate_post"
 # a quadrature node this close to a coefficient jump line counts as on it
@@ -47,9 +48,18 @@ def l2_error(mesh: Mesh, approx: CoefficientVector, exact) -> float:
     callable."""
     if approx.mesh is not mesh:
         raise ValueError("l2_error needs the mesh the field lives on")
-    rule = triangle_quadrature(2 * approx.degree + 6)
-    X = mesh.map_points(rule.points)
-    vals = np.asarray(exact(X.reshape(-1, 2))).reshape(mesh.n_triangles, -1)
+    rule = _error_rule(approx.degree)
+    return _l2_distance(mesh, rule, _exact_values(mesh, rule, exact), approx)
+
+
+def _error_rule(degree: int):
+    """The quadrature that measures the error of a degree-``degree`` field."""
+    return triangle_quadrature(2 * degree + 6)
+
+
+def _l2_distance(mesh: Mesh, rule, vals: np.ndarray, approx: CoefficientVector) -> float:
+    """L2 distance between ``approx`` and the exact values ``vals`` at
+    ``rule`` (see :func:`dpglab.spaces._exact_values`)."""
     diff = vals - broken_eval(approx, rule.points)
     err2 = np.einsum("q,eq,e->", rule.weights, diff * diff, mesh.dets)
     return float(np.sqrt(err2))
@@ -152,32 +162,52 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
             # takes its test space: its DOF map, assembler and class QR;
             # both factor the same skeleton system pattern, as both
             # eliminate their element-local fields
-            sol_aug = None
+            sol = sol_aug = post = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,
                                              variant="augmented", **solve_kw)
-                row.err_aug = l2_error(mesh, sol_aug.u, problem.u)
             if do_std:
                 sol = assemble_and_solve(mesh, problem, p, config.norm,
                                          variant="standard", test_space=sol_aug,
                                          **solve_kw)
-                row.err_u = l2_error(mesh, sol.u, problem.u)
-                proj = l2_project(mesh, p, problem.u)
-                row.err_proj = float(np.linalg.norm(proj.data - sol.u.data))
-                row.err_best = l2_error(mesh, proj, problem.u)
                 post = postprocess_u(mesh, problem, sol)
-                row.err_post = l2_error(mesh, post, problem.u)
                 if config.track_energy:
                     row.energy = sol.energy
+            # after both factorizations, so none of its arrays is allocated
+            # between them
+            _measure_errors(row, mesh, p, problem.u, sol_aug, sol, post)
         except Exception as exc:
             raise type(exc)(f"level {level} (#T={mesh.n_triangles}): {exc}") from exc
         table.rows.append(row)
         # the next level is refined with no solution or field of this one
         # alive, and factored with nothing of this one, its mesh included
-        sol = sol_aug = proj = post = None
+        sol = sol_aug = post = None
         if level < config.levels:
             mesh = refine_uniform(mesh)
     return table
+
+
+def _measure_errors(row: ErrorRow, mesh: Mesh, p: int, u, sol_aug, sol, post) -> None:
+    """Fill the L2 errors of ``row`` from the solves of one level (``sol_aug``
+    or ``sol`` is None when its variant was not solved), evaluating ``u``
+    once per error rule: that of degree p serves ``err_u``, ``err_best`` and
+    the projection behind ``err_proj``, that of degree p+1 ``err_aug`` and
+    ``err_post``.  Each error equals :func:`l2_error` (and the projection
+    :func:`dpglab.spaces.l2_project`) bit for bit."""
+    if sol is not None:
+        rule = _error_rule(p)
+        vals = _exact_values(mesh, rule, u)
+        proj = _project_values(mesh, p, rule, vals)
+        row.err_u = _l2_distance(mesh, rule, vals, sol.u)
+        row.err_proj = float(np.linalg.norm(proj.data - sol.u.data))
+        row.err_best = _l2_distance(mesh, rule, vals, proj)
+        vals = proj = None  # freed before the next rule's values
+    rule = _error_rule(p + 1)
+    vals = _exact_values(mesh, rule, u)
+    if sol_aug is not None:
+        row.err_aug = _l2_distance(mesh, rule, vals, sol_aug.u)
+    if sol is not None:
+        row.err_post = _l2_distance(mesh, rule, vals, post)
 
 
 def check_problem_alignment(problem: ProblemSpec, mesh: Mesh, p: int,

@@ -63,7 +63,11 @@ class Mesh:
         nt = self.n_triangles
         locv = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(nt * 3, 2)
         pairs = np.sort(locv, axis=1)
-        self.edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # edge ids in (lo, hi) lexicographic order: the key lo * nv + hi
+        # sorts as the pair does, since hi < nv
+        nv = self.n_vertices
+        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv))
         self.tri_edges = inverse.reshape(nt, 3).astype(np.int64)
         # local edge direction vs. the global lo->hi parameterization
         self.tri_edge_flip = locv[:, 0].reshape(nt, 3) > locv[:, 1].reshape(nt, 3)
@@ -80,7 +84,9 @@ class Mesh:
         edge_tris = np.full((ne, 2), -1, dtype=np.int64)
         e_flat = self.tri_edges.ravel()
         t_flat = np.repeat(np.arange(nt), 3)
-        order = np.lexsort((t_flat, e_flat))
+        # t_flat ascends, so a stable sort by edge orders each edge's
+        # triangles by index
+        order = np.argsort(e_flat, kind="stable")
         es, ts = e_flat[order], t_flat[order]
         first = np.ones(len(es), dtype=bool)
         first[1:] = es[1:] != es[:-1]

@@ -61,7 +61,8 @@ def derive_data(u: Field, grad_u: Field, laplace_u: Field, coeffs: Coefficients,
     Requires the identity diffusion matrix and constant convection (checked
     at probe points): then sigma = fvec - grad u + beta u and
     div sigma = div fvec - laplace u + beta . grad u, which only needs the
-    Laplacian, not the full Hessian.
+    Laplacian, not the full Hessian.  With beta = 0 neither div sigma nor f
+    evaluates grad u.
     """
     rng = np.random.default_rng(1234)
     probes = rng.random((32, 2))
@@ -80,8 +81,12 @@ def derive_data(u: Field, grad_u: Field, laplace_u: Field, coeffs: Coefficients,
             s = s + np.asarray(fvec(x))
         return s
 
+    convective = bool(beta.any())
+
     def div_sigma(x):
-        d = -np.asarray(laplace_u(x)) + np.asarray(grad_u(x)) @ beta
+        d = -np.asarray(laplace_u(x))
+        if convective:  # beta . grad u is exactly 0 for beta = 0
+            d = d + np.asarray(grad_u(x)) @ beta
         if div_fvec is not None:
             d = d + np.asarray(div_fvec(x))
         return d

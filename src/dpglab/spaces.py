@@ -182,20 +182,25 @@ def l2_project(mesh: Mesh, p: int, f, exactness: int | None = None):
     tuple of CoefficientVectors, one per component.
     """
     rule = triangle_quadrature(2 * p + 6 if exactness is None else exactness)
+    return _project_values(mesh, p, rule, _exact_values(mesh, rule, f))
+
+
+def _exact_values(mesh: Mesh, rule, f) -> np.ndarray:
+    """Values of ``f`` at the mapped points of ``rule`` in every element:
+    (nt, nq) for a scalar field, (nt, nq, 2) for a vector field."""
+    vals = np.asarray(f(mesh.map_points(rule.points).reshape(-1, 2)))
+    return vals.reshape(mesh.n_triangles, len(rule.weights), *vals.shape[1:])
+
+
+def _project_values(mesh: Mesh, p: int, rule, vals: np.ndarray):
+    """The L2 projection onto broken P^p of the values ``vals`` of
+    :func:`_exact_values` at ``rule``; one CoefficientVector per component
+    of a vector field."""
+    if vals.ndim == 3:
+        return tuple(_project_values(mesh, p, rule, vals[:, :, c]) for c in range(2))
     psi = scalar_values(p, rule.points)
-    X = mesh.map_points(rule.points)
-    vals = np.asarray(f(X.reshape(-1, 2)))
-    sdet = np.sqrt(mesh.dets)
-    if vals.ndim == 1:
-        fv = vals.reshape(mesh.n_triangles, -1)
-        coef = sdet[:, None] * np.einsum("q,eq,qi->ei", rule.weights, fv, psi)
-        return CoefficientVector(coef.ravel(), mesh, p)
-    fv = vals.reshape(mesh.n_triangles, -1, 2)
-    out = []
-    for c in range(2):
-        coef = sdet[:, None] * np.einsum("q,eq,qi->ei", rule.weights, fv[:, :, c], psi)
-        out.append(CoefficientVector(coef.ravel(), mesh, p))
-    return tuple(out)
+    coef = np.sqrt(mesh.dets)[:, None] * np.einsum("q,eq,qi->ei", rule.weights, vals, psi)
+    return CoefficientVector(coef.ravel(), mesh, p)
 
 
 @dataclass(frozen=True)

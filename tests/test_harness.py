@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import os
+import stat
+import threading
 import weakref
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from dpglab import dpg_solver, harness, postprocess
 from dpglab.cli import main
-from dpglab.dpg_solver import assemble_and_solve
+from dpglab.dpg_solver import SolverError, assemble_and_solve
 from dpglab.forms import ElementAssembler, TestNorm
 from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
                             check_problem_alignment, emit_table, l2_error,
@@ -317,12 +320,15 @@ def test_study_level_builds_one_test_space(monkeypatch):
 def _study_trace(cfg, monkeypatch):
     """Run ``cfg`` and return its table, the variant of the solve and the
     DOF count of every factorization per level, the skeleton DOF count of
-    every level, and for every factorization whether any Solution, field or
-    mesh of an earlier level was still alive."""
+    every level, for every factorization whether any Solution, field or
+    mesh of an earlier level was still alive, and the number of fields the
+    error pass measured per level."""
     levels, ndofs, totals, stale, variant = [], {}, {}, [], []
     alive = {}  # level -> weakrefs of its Solutions, fields and meshes
+    measured = {}
     factor, solve = dpg_solver._factor, harness.assemble_and_solve
-    project, post, error = harness.l2_project, harness.postprocess_u, harness.l2_error
+    project, post = harness._project_values, harness.postprocess_u
+    distance = harness._l2_distance
 
     def keep(obj):
         alive.setdefault(levels[-1], []).append(weakref.ref(obj))
@@ -340,18 +346,20 @@ def _study_trace(cfg, monkeypatch):
         totals[levels[-1]] = build_dofmap(mesh, p).total
         return keep(solve(mesh, problem, p, *args, **kwargs))
 
-    def recording_error(mesh, approx, exact):
+    def recording_distance(mesh, rule, vals, approx):
+        # every field the error pass reads goes through here
         keep(approx)
-        return error(mesh, approx, exact)
+        measured[levels[-1]] = measured.get(levels[-1], 0) + 1
+        return distance(mesh, rule, vals, approx)
 
     monkeypatch.setattr(dpg_solver, "_factor", recording_factor)
     monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
-    monkeypatch.setattr(harness, "l2_project", lambda *a: keep(project(*a)))
+    monkeypatch.setattr(harness, "_project_values", lambda *a: keep(project(*a)))
     monkeypatch.setattr(harness, "postprocess_u", lambda *a: keep(post(*a)))
-    monkeypatch.setattr(harness, "l2_error", recording_error)
+    monkeypatch.setattr(harness, "_l2_distance", recording_distance)
     table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
     monkeypatch.undo()
-    return table, ndofs, totals, stale
+    return table, ndofs, totals, stale, measured
 
 
 @pytest.mark.parametrize("ex, norm, p", [(1, TestNorm.QUASI_OPTIMAL, 0),
@@ -364,22 +372,75 @@ def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch)
     # would leave its heap pages resident under the next factor.  The rows
     # are bitwise those of separate standard and augmented studies
     kw = dict(example=ex, norm=norm, p=p, levels=3)
-    both, ndofs, totals, stale = _study_trace(
+    both, ndofs, totals, stale, measured = _study_trace(
         StudyConfig(variant="both", track_energy=True, **kw), monkeypatch)
     assert list(ndofs) == [1, 2, 3]
     assert ndofs == {level: [("augmented", n), ("standard", n)]
                      for level, n in totals.items()}
     assert stale == [[]] * 6
-    std, std_ndofs, _, std_stale = _study_trace(
+    # u_h, P^p u, u_h^+ and the postprocessed field
+    assert measured == {1: 4, 2: 4, 3: 4}
+    std, std_ndofs, _, std_stale, std_measured = _study_trace(
         StudyConfig(variant="standard", track_energy=True, **kw), monkeypatch)
-    aug, aug_ndofs, _, aug_stale = _study_trace(
+    aug, aug_ndofs, _, aug_stale, aug_measured = _study_trace(
         StudyConfig(variant="augmented", **kw), monkeypatch)
+    assert std_measured == {1: 3, 2: 3, 3: 3}
+    assert aug_measured == {1: 1, 2: 1, 3: 1}
     assert std_ndofs == {level: [n[1]] for level, n in ndofs.items()}
     assert aug_ndofs == {level: [n[0]] for level, n in ndofs.items()}
     assert std_stale == aug_stale == [[]] * 3
     for row, s, a in zip(both.rows, std.rows, aug.rows):
         assert row == dataclasses.replace(s, err_aug=a.err_aug)
         assert None not in (row.err_u, row.err_aug, row.energy)
+
+
+@pytest.mark.parametrize("variant, passes", [("both", 2), ("standard", 2), ("augmented", 1)])
+def test_error_pass_evaluates_u_once_per_rule(variant, passes, monkeypatch):
+    # a level evaluates the exact u once per error rule (degree p for err_u,
+    # err_best and err_proj's projection; degree p+1 for err_aug and
+    # err_post), and every error is bitwise that of l2_error and l2_project.
+    # f keeps the closure over the original u, so the loads are not counted
+    problem = example(1)
+    calls, levels, solves, posts = [], [], {}, {}
+
+    def counting_u(x):
+        calls.append(levels[-1])
+        return problem.u(x)
+
+    def recording_solve(mesh, *args, **kwargs):
+        sol = solve(mesh, *args, **kwargs)
+        solves[levels[-1], kwargs["variant"]] = sol
+        return sol
+
+    def recording_post(*args):
+        posts[levels[-1]] = postprocess(*args)
+        return posts[levels[-1]]
+
+    solve, postprocess = harness.assemble_and_solve, harness.postprocess_u
+    monkeypatch.setattr(harness, "example",
+                        lambda ident: dataclasses.replace(problem, u=counting_u))
+    monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
+    monkeypatch.setattr(harness, "postprocess_u", recording_post)
+    p = 1
+    table = run_convergence_study(
+        StudyConfig(example=1, norm=TestNorm.QUASI_OPTIMAL, p=p, levels=3, variant=variant),
+        progress=lambda _: levels.append(len(levels) + 1))
+    monkeypatch.undo()
+    assert calls == [level for level in (1, 2, 3) for _ in range(passes)]
+    for level, row in enumerate(table.rows, start=1):
+        want = ErrorRow(level=level, n_triangles=row.n_triangles)
+        if variant != "standard":
+            sol_aug = solves[level, "augmented"]
+            want.err_aug = l2_error(sol_aug.mesh, sol_aug.u, problem.u)
+        if variant != "augmented":
+            sol = solves[level, "standard"]
+            mesh = sol.mesh
+            proj = l2_project(mesh, p, problem.u)
+            want.err_u = l2_error(mesh, sol.u, problem.u)
+            want.err_proj = float(np.linalg.norm(proj.data - sol.u.data))
+            want.err_best = l2_error(mesh, proj, problem.u)
+            want.err_post = l2_error(mesh, posts[level], problem.u)
+        assert row == want
 
 
 def test_cli_study_stdout(capsys):
@@ -440,6 +501,68 @@ def test_cli_study_to_missing_directory(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"dpg-lab: error: cannot write the table to {out}: ")
     assert not out.parent.exists()
+    # as does a directory
+    code = main(["study", "--example", "1", "--norm", "qopt", "--p", "0",
+                 "--levels", "2", "--quiet", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"dpg-lab: error: cannot write the table to {tmp_path}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failed_study_keeps_previous_table(tmp_path, monkeypatch, capsys):
+    # the table replaces the output only once it is written whole: a study
+    # that raises leaves the previous file's bytes and no temporary file
+    from dpglab import cli
+
+    def failing_study(*args, **kwargs):
+        raise SolverError("factorization failed")
+
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"previous table\n")
+    monkeypatch.setattr(cli, "run_convergence_study", failing_study)
+    code = main(["study", "--example", "1", "--norm", "qopt", "--p", "0",
+                 "--levels", "2", "--quiet", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "dpg-lab: error: factorization failed\n"
+    assert out.read_bytes() == b"previous table\n"
+    assert sorted(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+    # a study that completes replaces it, with the mode open(path, "w")
+    # leaves: the old file's, or the umask's for a new one; a symlink is
+    # followed, not replaced
+    out.chmod(0o640)
+    fresh, link = tmp_path / "fresh.csv", tmp_path / "link.csv"
+    link.symlink_to(out)
+    for path in (link, fresh):
+        assert main(["study", "--example", "1", "--norm", "simple", "--p", "0",
+                     "--levels", "2", "--quiet", "--out", str(path)]) == 0
+    assert link.is_symlink()
+    assert out.read_text().startswith(CSV_HEADER)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert sorted(tmp_path.iterdir()) == [fresh, link, out]
+
+
+def test_cli_study_to_pipe(tmp_path):
+    # a pipe at the path (as /dev/stdout can be) is written in place
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    code = main(["study", "--example", "1", "--norm", "simple", "--p", "0",
+                 "--levels", "2", "--quiet", "--out", str(fifo)])
+    if reader.is_alive():  # the pipe was never opened: release the reader
+        open(fifo, "wb").close()
+    reader.join()
+    assert code == 0
+    assert got[0].decode().startswith(CSV_HEADER)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_cli_rejects_bad_levels(capsys):

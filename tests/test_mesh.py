@@ -147,3 +147,53 @@ def test_element_geometry(initial):
 def test_inverse_transpose(initial):
     ident = np.einsum("eij,ekj->eik", initial.jacobians, initial.inv_ts)
     assert np.allclose(ident, np.eye(2)[None], atol=1e-13)
+
+
+def _reference_skeleton(mesh):
+    """The skeleton arrays of ``mesh`` numbered by a row-wise unique of the
+    sorted vertex pairs and a lexsort: the numbering the skeleton DOFs, and
+    with them SuperLU's ordering, are pinned to."""
+    nt = mesh.n_triangles
+    locv = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(nt * 3, 2)
+    edges, inverse = np.unique(np.sort(locv, axis=1), axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(nt, 3).astype(np.int64)
+    e_flat, t_flat = tri_edges.ravel(), np.repeat(np.arange(nt), 3)
+    order = np.lexsort((t_flat, e_flat))
+    es, ts = e_flat[order], t_flat[order]
+    first = np.ones(len(es), dtype=bool)
+    first[1:] = es[1:] != es[:-1]
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_tris[es[first], 0] = ts[first]
+    edge_tris[es[~first], 1] = ts[~first]
+    sign = np.where(edge_tris[tri_edges, 0] == np.arange(nt)[:, None], 1, -1)
+    edge_normals = np.zeros((len(edges), 2))
+    own = sign.ravel() == 1
+    edge_normals[e_flat[own]] = mesh.tri_edge_normals.reshape(-1, 2)[own]
+    boundary_edge = np.bincount(e_flat, minlength=len(edges)) == 1
+    boundary_vertex = np.zeros(mesh.n_vertices, dtype=bool)
+    boundary_vertex[edges[boundary_edge].ravel()] = True
+    return dict(
+        edges=edges, tri_edges=tri_edges, edge_tris=edge_tris,
+        tri_edge_signs=sign.astype(np.int8),
+        tri_edge_flip=locv[:, 0].reshape(nt, 3) > locv[:, 1].reshape(nt, 3),
+        edge_normals=edge_normals, boundary_edge=boundary_edge,
+        boundary_vertex=boundary_vertex,
+        edge_lengths=np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]],
+                                    axis=1))
+
+
+def test_skeleton_arrays_are_pinned(initial):
+    # the edge ids are the skeleton DOF numbering the factorization's
+    # ordering reads, so every skeleton array stays bit for bit that of the
+    # reference numbering, with edges in (lo, hi) lexicographic order
+    mesh = initial
+    for level in range(7):
+        for name, want in _reference_skeleton(mesh).items():
+            got = getattr(mesh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, (level, name)
+            assert got.tobytes() == want.tobytes(), (level, name)
+        lo, hi = mesh.edges.T
+        assert np.all(lo < hi)
+        assert np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])))
+        if level < 6:
+            mesh = refine_uniform(mesh)

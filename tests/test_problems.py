@@ -109,6 +109,35 @@ def test_derive_data_plain_diffusion():
     assert np.abs(f(x) - 2 * np.pi ** 2 * u(x)).max() < 1e-12
 
 
+@pytest.mark.parametrize("prob, convective", [(example(1), False), (example(2), True),
+                                               (zero_data_problem(), True)])
+def test_derive_data_leaves_out_zero_convection(prob, convective):
+    # with beta = 0 neither div sigma nor f evaluates grad u, and both equal
+    # the general expression -laplace u + beta . grad u bit for bit, also
+    # where grad u has negative components
+    calls = []
+
+    def counting_grad(x):
+        calls.append(len(x))
+        return prob.grad_u(x)
+
+    sigma, div_sigma, f = derive_data(prob.u, counting_grad, prob.laplace_u, prob.coeffs,
+                                      prob.fvec)
+    x = _random_points(64, seed=6)
+    beta = prob.coeffs.advection(x)[0]
+    assert np.any(beta != 0) == convective
+    want_div = -prob.laplace_u(x) + prob.grad_u(x) @ beta
+    want_f = want_div + prob.coeffs.reaction(x) * prob.u(x)
+    got_div, got_f = div_sigma(x), f(x)
+    assert (len(calls) > 0) == convective
+    assert got_div.tobytes() == want_div.tobytes()
+    assert got_f.tobytes() == want_f.tobytes()
+    assert got_div.tobytes() == prob.div_sigma(x).tobytes()
+    assert got_f.tobytes() == prob.f(x).tobytes()
+    grad = prob.grad_u(x)
+    assert not grad.any() or np.any(grad < 0, axis=0).all()
+
+
 def test_derive_data_validates_assumptions():
     def u(x):
         return np.zeros(len(x))
