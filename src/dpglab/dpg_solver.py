@@ -57,26 +57,49 @@ indices, 16 bytes per element.  At ex1/qopt p0 level 6 (k = ncols = 11,
 173 blocks) R takes 0.17 MB and rho and tau 1.6 MB; at ex1/simple p2
 level 5 (k = ncols = 40, 149 blocks) 1.9 and 1.3 MB.  With one class per
 element R takes the most: 15.9 MB at p0 level 6 and 52.4 MB at p2 level 5.
+An augmented :class:`Solution` also keeps the SuperLU factor of its
+skeleton system, about 12 bytes per entry of L + U: 1.49 M entries, 17.9
+MB, at ex1/qopt p0 level 6 and 3.20 M, 38.4 MB, at ex1/simple p2 level 5.
 
-The skeleton system is solved one way only: a SuperLU factorization of the
-assembled matrix in symmetric mode (minimum-degree ordering of A + A^t,
-diagonal pivots), and iterative refinement until the normwise backward
-error of the assembled matrix is below the solver tolerance;
-``Solution.residual`` is that backward error.  A solve that fails to factor
-or to certify raises :class:`SolverError`; there is no fallback.
+The skeleton system is solved one way only (:func:`_solve_spd`): from the
+first iterate x_0 = F^{-1} b, with F a SuperLU factor in symmetric mode
+(minimum-degree ordering of A + A^t, diagonal pivots), conjugate gradients
+preconditioned by F (Saad, Iterative Methods for Sparse Linear Systems,
+2nd ed., ch. 9) run until the normwise backward error of the assembled
+matrix is at most 1e-16 (``_PCG_TARGET``, or the solver tolerance if that
+is lower), or fails to decrease over a step once it is within the
+tolerance (a rounding floor), or 50 steps (``_PCG_STEPS``) have run.  The
+backward error of the best iterate is then certified against the solver
+tolerance; ``Solution.residual`` is that backward error.  F is the factor
+of A itself unless the solve is handed one.  With A's own factor, x_0 is
+the direct solve; it meets the target in every solve of the acceptance
+matrix, and such a solve takes no step and returns x_0.  A solve that
+fails to factor or to certify raises :class:`SolverError`; there is no
+fallback.
+The target lies five orders of magnitude below the default tolerance
+1e-12, which keeps its meaning: a stop at 1e-12 moves the printed digits
+of the finest ex1/qopt p0 errors.
 
 The class QR depends on the mesh, the data, the degrees and the test
 norm, not on the trial variant.  A solve evaluates the loads F in batches,
 uses them in its QR sweep and drops them; its :class:`Solution` keeps the
 DOF map, the assembler and the class QR.  A solve on the same mesh, data,
 degrees and test norm can take that solution as its test space
-(``assemble_and_solve(..., test_space=solution)``): it shares all three,
-evaluates no F, B, G or QR at all, only its own rows of R, and gets bitwise
-the result of a standalone solve.  A test space of another test norm raises
-ValueError.  A study level solves the augmented system first and gives it
-to the standard solve as its test space
-(:func:`dpglab.harness.run_convergence_study`), and reads the energy error
-from the standard solve's estimator.
+(``assemble_and_solve(..., test_space=solution)``): it shares all three
+and evaluates no F, B, G or QR at all, only its own rows of R.  A test
+space of another test norm raises ValueError.  A study level solves the
+augmented system first and gives it to the standard solve as its test
+space (:func:`dpglab.harness.run_convergence_study`), and reads the energy
+error from the standard solve's estimator.  The augmented test space also
+hands over its factor: the standard rows are the augmented ones plus the
+p+2 u_extra rows Z_c = R_c[nf_std:nf_aug, skel], so A_std = A_aug +
+sum_T Z_T^t Z_T on the same pattern, every eigenvalue of A_aug^{-1} A_std
+is at least 1, and the standard solve takes 1-8 steps on the studies of
+the acceptance matrix instead of a factorization.  Its x is that of a
+standalone solve to rounding (within 1e-9 of max|x|), not bit for bit; a
+standard test space hands over no factor, so the augmented solve on it is
+the standalone one bit for bit.  The study drops the factor after the
+standard solve.
 
 :func:`error_function` is the independent check of that estimator: it
 evaluates F again and condenses again with the assembler of the solve,
@@ -116,6 +139,12 @@ _INDEX_BOUND = 2**31
 # from the heap, which does not shrink, and ex1/simple p2 level 5 peaks at
 # 259 instead of 213 MiB RSS
 _LOOKUPS = 1 << 18
+# the preconditioned CG loop of _solve_spd stops at this backward error (or
+# at the solver tolerance, if that is lower), five orders of magnitude below
+# the default tolerance: a stop at 1e-12 moves the printed digits of the
+# finest ex1/qopt p0 errors.  It runs at most _PCG_STEPS steps
+_PCG_TARGET = 1e-16
+_PCG_STEPS = 50
 
 
 class SolverError(RuntimeError):
@@ -154,6 +183,9 @@ class Solution:
     residual: float = 0.0
     qr: list = field(default_factory=list, repr=False)  # _ClassQR per batch
     estimator: np.ndarray | None = field(default=None, repr=False)  # (nt,) |z_T|
+    # the SuperLU factor of an augmented solve, which preconditions the
+    # standard solve that takes this solution as its test space
+    _lu: object = field(default=None, repr=False)
 
     @property
     def u(self) -> CoefficientVector:
@@ -435,15 +467,21 @@ def _factor(A):
                           f"condensed system failed: {exc}") from exc
 
 
-def _solve_spd(A, b, tol: float):
+def _solve_spd(A, b, tol: float, lu=None):
     """Solve the condensed SPD system to normwise backward error <= tol.
 
-    One factorization of the assembled matrix (see :func:`_factor`), then
-    at most three steps of iterative refinement; A is only read.  The
-    answer is returned only with its certificate: if the system has a
-    non-finite entry, the factorization fails, or the backward error still
-    exceeds ``tol`` (or is NaN) after the last step, :class:`SolverError`
-    is raised.
+    ``lu`` is a factor whose solve approximates A^{-1}: the SuperLU factor
+    of A or of a matrix A' <= A of the same pattern (see the module doc).
+    Only without one is A factored (:func:`_factor`); A is only read.  From
+    x_0 = lu.solve(b), conjugate gradients preconditioned by ``lu`` run
+    until the backward error is at most min(tol, ``_PCG_TARGET``), fails to
+    decrease over a step once it is at most ``tol``, turns NaN, or
+    ``_PCG_STEPS`` steps have run; the iterate of the least backward error
+    is kept.  A first iterate that meets the target takes no step.
+    Returns ``(x, backward error, lu)``.  The answer is returned only with
+    its certificate: if the system has a non-finite entry, the
+    factorization fails, or the backward error exceeds ``tol`` (or is NaN)
+    when the loop stops, :class:`SolverError` is raised.
 
     The backward error |b - Ax| / (|A| |x| + |b|) is the certifiable notion
     of a relative residual here: the plain quotient |b - Ax| / |b| bottoms
@@ -462,24 +500,44 @@ def _solve_spd(A, b, tol: float):
                   np.abs(A.data[lo:lo + _NNZ_SLICE]))
     anorm = rowsums.max()
 
-    def backward_error(x):
+    def backward_error(x, r):
         denom = anorm * np.linalg.norm(x) + bnorm
-        return float(np.linalg.norm(b - A @ x) / denom) if denom != 0 else 0.0
+        return float(np.linalg.norm(r) / denom) if denom != 0 else 0.0
 
-    lu = _factor(A)
+    if lu is None:
+        lu = _factor(A)
     x = lu.solve(b)
-    res = backward_error(x)
+    r = b - A @ x
+    res = backward_error(x, r)
+    target = min(tol, _PCG_TARGET)
     steps = 0
-    # "not <=" so that a NaN backward error is never certified
-    while not res <= tol and steps < 3:  # iterative refinement
-        x = x + lu.solve(b - A @ x)
-        res = backward_error(x)
-        steps += 1
+    # x and res are the best iterate so far; "not <=" so that a NaN
+    # backward error never certifies
+    if not res <= target:
+        xk, rk = x, r
+        z = lu.solve(rk)
+        d, rz = z, rk @ z
+        while steps < _PCG_STEPS:
+            Ad = A @ d
+            alpha = rz / (d @ Ad)
+            xk = xk + alpha * d
+            rk = b - A @ xk
+            resk = backward_error(xk, rk)
+            steps += 1
+            if resk < res:
+                x, res = xk, resk
+                if res <= target:
+                    break
+            elif np.isnan(resk) or res <= tol:
+                break  # NaN, or the rounding floor of a certified iterate
+            z = lu.solve(rk)
+            rz, rz_prev = rk @ z, rz
+            d = z + (rz / rz_prev) * d
     if not res <= tol:
         raise SolverError(f"global solve not certified: backward error {res:.3e} "
-                          f"> tolerance {tol:.3e} after {steps} refinement steps "
+                          f"> tolerance {tol:.3e} after {steps} PCG steps "
                           f"({A.shape[0]} DOFs)")
-    return x, res
+    return x, res, lu
 
 
 def _check_solver_tol(tol: float) -> None:
@@ -519,8 +577,11 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     ``test_space`` is a solve on the same mesh with the same coefficients,
     load, trial degree, test degrees and test norm, of either variant; this
     solve then shares its DOF map, assembler and class QR instead of
-    computing them again, with bitwise the results of a standalone solve.
-    A study's standard solve takes the test space of its augmented solve.
+    computing them again.  An augmented test space also hands over the
+    factor of its system, which preconditions this solve in place of a
+    factorization of its own (see the module doc); its results are then
+    those of a standalone solve to rounding.  A study's standard solve
+    takes the test space of its augmented solve.
     Other data raise ValueError, as do a ``solver_tol`` that is not finite
     and positive and test degrees too low for the variant
     (:func:`dpglab.forms._check_test_degrees`).
@@ -549,11 +610,11 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     else:
         dofmap, qr = test_space.dofmap, test_space.qr
     A, b = assemble_global(dofmap, layout, qr)
-    x, res = _solve_spd(A, b, solver_tol)
+    x, res, lu = _solve_spd(A, b, solver_tol, None if test_space is None else test_space._lu)
     fields, estimator = _recover(dofmap, layout, x, qr)
     return Solution(mesh=mesh, problem=problem, dofmap=dofmap, layout=layout, p=p,
                     kind=kind, assembler=asm, x=x, fields=fields, residual=res,
-                    qr=qr, estimator=estimator)
+                    qr=qr, estimator=estimator, _lu=lu if variant == "augmented" else None)
 
 
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:

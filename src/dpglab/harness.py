@@ -159,9 +159,9 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
         row = ErrorRow(level=level, n_triangles=mesh.n_triangles)
         try:
             # the augmented system is solved first, and the standard solve
-            # takes its test space: its DOF map, assembler and class QR;
-            # both factor the same skeleton system pattern, as both
-            # eliminate their element-local fields
+            # takes its test space: its DOF map, assembler and class QR, and
+            # the factor of the augmented system, which has the same skeleton
+            # pattern, as its preconditioner.  A level factors once
             sol = sol_aug = post = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,
@@ -170,11 +170,14 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
                 sol = assemble_and_solve(mesh, problem, p, config.norm,
                                          variant="standard", test_space=sol_aug,
                                          **solve_kw)
+            if sol_aug is not None:
+                sol_aug._lu = None  # freed before the postprocessing and the errors
+            if do_std:
                 post = postprocess_u(mesh, problem, sol)
                 if config.track_energy:
                     row.energy = sol.energy
-            # after both factorizations, so none of its arrays is allocated
-            # between them
+            # after both solves, so none of its arrays is allocated between
+            # them
             _measure_errors(row, mesh, p, problem.u, sol_aug, sol, post)
         except Exception as exc:
             raise type(exc)(f"level {level} (#T={mesh.n_triangles}): {exc}") from exc

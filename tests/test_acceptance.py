@@ -7,6 +7,7 @@ the same matrix backs ``dpg-lab verify``.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_criterion_6_property_suite(runner):
 
 def test_criterion_7_energy_error_rates(runner):
     _finish(runner.criterion_7())
+
+
+# the report lines of criteria 1-4 and 7 as printed when each level
+# factored both of its systems; criteria 5 and 6 print numbers at rounding
+# level and are left out
+REPORT = Path(__file__).with_name("acceptance_report.txt")
+
+
+def test_printed_rates_and_errors_match_the_recorded_report(runner):
+    # the final rates and finest errors at 3-4 digits, from the studies the
+    # criteria above ran: a stopping rule of the standard solve too loose
+    # for the printed digits shows first at the finest levels (ex1/qopt p0
+    # level 7 err_proj rate 2.000 -> 2.070 with a stop at 1e-12)
+    got = "".join(getattr(runner, f"criterion_{i}")().report() + "\n"
+                  for i in (1, 2, 3, 4, 7))
+    assert got == REPORT.read_text()
 
 
 def test_gram_spd_check_rejects_nan_coefficients(monkeypatch):

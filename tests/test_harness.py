@@ -13,7 +13,7 @@ from dpglab.cli import main
 from dpglab.dpg_solver import SolverError, assemble_and_solve
 from dpglab.forms import ElementAssembler, TestNorm
 from dpglab.harness import (CSV_HEADER, ErrorRow, ErrorTable, StudyConfig,
-                            check_problem_alignment, emit_table, l2_error,
+                            check_problem_alignment, emit_table, fmt_err, l2_error,
                             rate, run_convergence_study)
 from dpglab.mesh import Mesh, build_initial_mesh, refine_uniform
 from dpglab.postprocess import postprocess_u
@@ -317,15 +317,27 @@ def test_study_level_builds_one_test_space(monkeypatch):
     assert all(r <= cfg.solver_tol for rs in residuals.values() for r in rs)
 
 
+class _Factor:
+    """A stand-in for a SuperLU factor that can be weakly referenced."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
 def _study_trace(cfg, monkeypatch):
     """Run ``cfg`` and return its table, the variant of the solve and the
     DOF count of every factorization per level, the skeleton DOF count of
-    every level, for every factorization whether any Solution, field or
-    mesh of an earlier level was still alive, and the number of fields the
-    error pass measured per level."""
+    every level, for every factorization whether any Solution, field, factor
+    or mesh of an earlier level was still alive, and the number of fields
+    the error pass measured per level.  No factor may be alive when the
+    postprocessing or the error pass runs."""
     levels, ndofs, totals, stale, variant = [], {}, {}, [], []
-    alive = {}  # level -> weakrefs of its Solutions, fields and meshes
-    measured = {}
+    alive = {}  # level -> weakrefs of its Solutions, fields, factors and meshes
+    factors = []  # weakrefs of every factor
+    measured, factor_alive = {}, {}
     factor, solve = dpg_solver._factor, harness.assemble_and_solve
     project, post = harness._project_values, harness.postprocess_u
     distance = harness._l2_distance
@@ -334,11 +346,17 @@ def _study_trace(cfg, monkeypatch):
         alive.setdefault(levels[-1], []).append(weakref.ref(obj))
         return obj
 
+    def note_factors():
+        factor_alive[levels[-1]] = (factor_alive.get(levels[-1], False)
+                                    or any(r() is not None for r in factors))
+
     def recording_factor(A):
         ndofs.setdefault(levels[-1], []).append((variant[-1], A.shape[0]))
         stale.append([level for level, refs in alive.items()
                       if level < levels[-1] and any(r() is not None for r in refs)])
-        return factor(A)
+        lu = keep(_Factor(factor(A)))
+        factors.append(weakref.ref(lu))
+        return lu
 
     def recording_solve(mesh, problem, p, *args, **kwargs):
         keep(mesh)
@@ -346,8 +364,13 @@ def _study_trace(cfg, monkeypatch):
         totals[levels[-1]] = build_dofmap(mesh, p).total
         return keep(solve(mesh, problem, p, *args, **kwargs))
 
+    def recording_post(*args):
+        note_factors()
+        return keep(post(*args))
+
     def recording_distance(mesh, rule, vals, approx):
         # every field the error pass reads goes through here
+        note_factors()
         keep(approx)
         measured[levels[-1]] = measured.get(levels[-1], 0) + 1
         return distance(mesh, rule, vals, approx)
@@ -355,29 +378,32 @@ def _study_trace(cfg, monkeypatch):
     monkeypatch.setattr(dpg_solver, "_factor", recording_factor)
     monkeypatch.setattr(harness, "assemble_and_solve", recording_solve)
     monkeypatch.setattr(harness, "_project_values", lambda *a: keep(project(*a)))
-    monkeypatch.setattr(harness, "postprocess_u", lambda *a: keep(post(*a)))
+    monkeypatch.setattr(harness, "postprocess_u", recording_post)
     monkeypatch.setattr(harness, "_l2_distance", recording_distance)
     table = run_convergence_study(cfg, progress=lambda _: levels.append(len(levels) + 1))
     monkeypatch.undo()
+    assert factor_alive == dict.fromkeys(measured, False)
     return table, ndofs, totals, stale, measured
 
 
 @pytest.mark.parametrize("ex, norm, p", [(1, TestNorm.QUASI_OPTIMAL, 0),
                                          (2, TestNorm.SIMPLE, 1)])
 def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch):
-    # a level with both variants factors the augmented system first, both
-    # systems have the skeleton DOFs (both variants eliminate their
-    # element-local fields per class), and no Solution, field or mesh of a
-    # level is alive when the next level factors: anything a level kept
-    # would leave its heap pages resident under the next factor.  The rows
-    # are bitwise those of separate standard and augmented studies
+    # a level with both variants factors the augmented system only, and the
+    # standard solve is preconditioned by that factor; both systems have the
+    # skeleton DOFs (both variants eliminate their element-local fields per
+    # class).  No factor is alive when the postprocessing or the error pass
+    # runs, and no Solution, field, factor or mesh of a level is alive when
+    # the next level factors: anything a level kept would leave its heap
+    # pages resident under the next factor.  The printed rows and energies
+    # are those of separate standard and augmented studies, and err_aug is
+    # theirs bit for bit
     kw = dict(example=ex, norm=norm, p=p, levels=3)
     both, ndofs, totals, stale, measured = _study_trace(
         StudyConfig(variant="both", track_energy=True, **kw), monkeypatch)
     assert list(ndofs) == [1, 2, 3]
-    assert ndofs == {level: [("augmented", n), ("standard", n)]
-                     for level, n in totals.items()}
-    assert stale == [[]] * 6
+    assert ndofs == {level: [("augmented", n)] for level, n in totals.items()}
+    assert stale == [[]] * 3
     # u_h, P^p u, u_h^+ and the postprocessed field
     assert measured == {1: 4, 2: 4, 3: 4}
     std, std_ndofs, _, std_stale, std_measured = _study_trace(
@@ -386,12 +412,16 @@ def test_study_factors_augmented_first_one_level_alive(ex, norm, p, monkeypatch)
         StudyConfig(variant="augmented", **kw), monkeypatch)
     assert std_measured == {1: 3, 2: 3, 3: 3}
     assert aug_measured == {1: 1, 2: 1, 3: 1}
-    assert std_ndofs == {level: [n[1]] for level, n in ndofs.items()}
-    assert aug_ndofs == {level: [n[0]] for level, n in ndofs.items()}
+    assert std_ndofs == {level: [("standard", n)] for level, n in totals.items()}
+    assert aug_ndofs == ndofs
     assert std_stale == aug_stale == [[]] * 3
-    for row, s, a in zip(both.rows, std.rows, aug.rows):
-        assert row == dataclasses.replace(s, err_aug=a.err_aug)
-        assert None not in (row.err_u, row.err_aug, row.energy)
+    assert [row.err_aug for row in both.rows] == [row.err_aug for row in aug.rows]
+    separate = ErrorTable(p=p, rows=[dataclasses.replace(s, err_aug=a.err_aug)
+                                     for s, a in zip(std.rows, aug.rows)])
+    assert emit_table(both) == emit_table(separate)
+    assert ([fmt_err(row.energy) for row in both.rows]
+            == [fmt_err(row.energy) for row in std.rows])
+    assert all(None not in (row.err_u, row.err_aug, row.energy) for row in both.rows)
 
 
 @pytest.mark.parametrize("variant, passes", [("both", 2), ("standard", 2), ("augmented", 1)])

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,8 +19,9 @@ from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condense
                                _variant_rows, assemble_and_solve, assemble_global,
                                error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
-from dpglab.harness import l2_error
+from dpglab.harness import StudyConfig, fmt_err, l2_error, run_convergence_study
 from dpglab.mesh import build_initial_mesh, refine_uniform
+from dpglab.postprocess import postprocess_u
 from dpglab.problems import example, zero_data_problem
 from dpglab.spaces import build_dofmap, l2_project, trial_layout
 
@@ -237,10 +239,11 @@ def test_best_approximation_sandwich(initial):
 
 
 def test_uncertified_solve_raises_with_backward_error(initial):
-    # no backward error reaches 1e-300: all three refinement steps run, then
-    # raise
+    # no backward error reaches 1e-300: the PCG loop runs from the first
+    # iterate to its step cap, then raises
     with pytest.raises(SolverError, match=r"backward error .* > tolerance "
-                       r"1\.000e-300 after 3 refinement steps"):
+                       rf"1\.000e-300 after {dpg_solver._PCG_STEPS} PCG steps "
+                       r"\(33 DOFs\)"):
         assemble_and_solve(initial, example(1), p=0, solver_tol=1e-300)
 
 
@@ -299,7 +302,7 @@ def test_solve_spd_certifies_badly_scaled_matrix():
     # not stop the solve from certifying, and the error is small in the
     # scaled norm
     A, r, b = _badly_scaled_tridiagonal()
-    x, res = _solve_spd(A, b, 1e-12)
+    x, res, _ = _solve_spd(A, b, 1e-12)
     assert res <= 1e-12
     ref = spla.spsolve(A, b)
     assert np.linalg.norm(r @ (x - ref)) <= 1e-10 * np.linalg.norm(r @ ref)
@@ -337,7 +340,7 @@ def test_solve_spd_restores_assembled_matrix(initial, monkeypatch):
     A, b = _system(refine_uniform(initial), 2, TestNorm.SIMPLE)
     assert A.has_canonical_format
     before = _csc_arrays(A)
-    _, res = _solve_spd(A, b, 1e-12)
+    res = _solve_spd(A, b, 1e-12)[1]
     assert res <= 1e-12
     assert all(map(_bitwise_equal, _csc_arrays(A), before))
 
@@ -352,7 +355,7 @@ def test_wide_range_matrix_solves_unchanged(monkeypatch, nnz_slice):
     A = sp.csc_matrix(dense)
     before = _csc_arrays(A)
     b = np.ones(3)
-    x, res = _solve_spd(A, b, 1e-12)
+    x, res, _ = _solve_spd(A, b, 1e-12)
     assert res <= 1e-12
     assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14, atol=0.0)
     assert all(map(_bitwise_equal, _csc_arrays(A), before))
@@ -572,7 +575,7 @@ def test_error_function_uses_the_solve_quadrature(initial):
     dm, lay = build_dofmap(mesh, 1), trial_layout(1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
     qr = _qr_sweep(asm, kind, _loads(asm, prob.f, prob.fvec))
-    x, res = _solve_spd(*assemble_global(dm, lay, qr), 1e-12)
+    x, res, _ = _solve_spd(*assemble_global(dm, lay, qr), 1e-12)
     fields, estimator = _recover(dm, lay, x, qr)
     sol = Solution(mesh=mesh, problem=prob, dofmap=dm, layout=lay, p=1, kind=kind,
                    assembler=asm, x=x, fields=fields, residual=res, qr=qr,
@@ -750,46 +753,60 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
 @pytest.mark.parametrize("ex", [1, 2])
 def test_shared_test_space_equals_standalone_solve(initial, ex, kind, p):
     # a solve on the DOF map, classes and class QR of a solve of the other
-    # variant is the standalone solve, bit for bit, in both directions: the
-    # study takes the standard solve's test space from the augmented one
+    # variant is the standalone solve.  A standard solve hands over no
+    # factor, so the augmented solve on its test space is the standalone
+    # one bit for bit.  The standard solve on the augmented test space is
+    # preconditioned by the augmented factor and factors nothing: its x is
+    # the standalone x to 1e-9 of max|x|, its printed err_u and err_post
+    # are the standalone ones, and its backward error meets the PCG target
     mesh = refine_uniform(initial)
     prob = example(ex)
     alone = {variant: assemble_and_solve(mesh, prob, p, kind, variant=variant)
              for variant in ("standard", "augmented")}
+    assert alone["standard"]._lu is None and alone["augmented"]._lu is not None
     for variant, other in (("augmented", "standard"), ("standard", "augmented")):
         space = alone[other]
         shared = assemble_and_solve(mesh, prob, p, kind, variant=variant,
                                     test_space=space)
         assert shared.assembler is space.assembler
         assert shared.dofmap is space.dofmap and shared.qr is space.qr
-        assert _bitwise_equal(shared.x, alone[variant].x)
-        assert _bitwise_equal(shared.fields, alone[variant].fields)
-        assert shared.residual == alone[variant].residual
+        want = alone[variant]
+        if variant == "augmented":
+            assert _bitwise_equal(shared.x, want.x)
+            assert _bitwise_equal(shared.fields, want.fields)
+            assert shared.residual == want.residual
+            continue
+        assert np.abs(shared.x - want.x).max() <= 1e-9 * np.abs(want.x).max()
+        assert shared.residual <= dpg_solver._PCG_TARGET
+        for field_of in (lambda sol: sol.u, lambda sol: postprocess_u(mesh, prob, sol)):
+            assert (fmt_err(l2_error(mesh, field_of(shared), prob.u))
+                    == fmt_err(l2_error(mesh, field_of(want), prob.u)))
 
 
 @pytest.mark.parametrize("p", range(4))
 @pytest.mark.parametrize("kind", list(TestNorm))
 @pytest.mark.parametrize("ex", [1, 2])
 def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, kind, p):
-    # both variants factor the same skeleton pattern: their field
+    # both variants assemble the same skeleton pattern: their field
     # coefficients are eliminated per class and recovered per element, and
     # the full trial vector solves the full system of all trial DOFs,
     # assembled densely, to its backward error and to its dense solve; the
     # error function's orthogonality covers the field rows as well
     mesh = refine_uniform(initial)
     prob = example(ex)
-    factored = []
-    factor = dpg_solver._factor
+    assembled = []
+    assemble = dpg_solver.assemble_global
 
-    def recording_factor(A):
-        factored.append(A)
-        return factor(A)
+    def recording_assemble(*args):
+        A, b = assemble(*args)
+        assembled.append(A)
+        return A, b
 
-    monkeypatch.setattr(dpg_solver, "_factor", recording_factor)
+    monkeypatch.setattr(dpg_solver, "assemble_global", recording_assemble)
     sol = assemble_and_solve(mesh, prob, p, kind, variant="augmented")
     std = assemble_and_solve(mesh, prob, p, kind, test_space=sol)
     monkeypatch.undo()
-    aug, stdA = factored
+    aug, stdA = assembled
     assert aug.shape == stdA.shape == (std.dofmap.total,) * 2
     assert _bitwise_equal(aug.indptr, stdA.indptr)
     assert _bitwise_equal(aug.indices, stdA.indices)
@@ -797,6 +814,99 @@ def test_augmented_elimination_solves_the_full_system(initial, monkeypatch, ex, 
         _assert_solves_full_system(solution)
         ee = error_function(mesh, prob, solution)
         assert np.abs(ee.orth_residual).max() <= 1e-9 * ee.rhs_norm
+
+
+class _CountingFactor:
+    """A factor that counts its solves and can spoil the result of one."""
+
+    def __init__(self, lu, nan_at=None):
+        self.lu, self.solves, self.nan_at = lu, 0, nan_at
+
+    def solve(self, b):
+        self.solves += 1
+        x = self.lu.solve(b)
+        if self.solves == self.nan_at:
+            x[len(x) // 2] = np.nan
+        return x
+
+
+@pytest.mark.parametrize("kind", list(TestNorm))
+@pytest.mark.parametrize("ex", [1, 2])
+def test_own_factor_solve_takes_no_step(initial, ex, kind):
+    # with the factor of its own system, the first iterate lu.solve(b)
+    # meets the PCG target: the solve takes no step and returns that
+    # iterate bit for bit, whichever variant
+    mesh = refine_uniform(initial)
+    prob = example(ex)
+    asm = ElementAssembler(mesh, prob.coeffs, 1)
+    for variant in ("standard", "augmented"):
+        A, b = _assemble(mesh, 1, kind, asm, asm.loads(prob.f, prob.fvec), variant)
+        lu = _CountingFactor(_factor(A))
+        x, res, used = _solve_spd(A, b, 1e-12, lu)
+        assert used is lu and lu.solves == 1
+        assert _bitwise_equal(x, lu.lu.solve(b))
+        assert res <= dpg_solver._PCG_TARGET
+
+
+def _perturbed_preconditioner(initial, amplitude):
+    """The ex2/simple p1 level 2 standard system and the factor of the SPD
+    matrix A + amplitude diag(|sin i| a_ii) of the same pattern, a
+    preconditioner that gets poorer as the amplitude grows."""
+    mesh = refine_uniform(initial)
+    prob = example(2)
+    asm = ElementAssembler(mesh, prob.coeffs, 1)
+    A, b = _assemble(mesh, 1, TestNorm.SIMPLE, asm, asm.loads(prob.f, prob.fvec))
+    P = A.copy()
+    P.setdiag(A.diagonal() * (1 + amplitude * np.abs(np.sin(np.arange(A.shape[0])))))
+    return A, b, _factor(P)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1.0])
+def test_poor_preconditioner_certifies_or_raises(initial, amplitude):
+    # a poor preconditioner either reaches the target in the steps it
+    # needs (18 at 1e-3, where P^{-1} A has its spectrum in [0.43, 1]) or
+    # raises with its step count and backward error (at 1.0 the spectrum
+    # reaches down to 7.6e-4, and the step cap ends the loop); it never
+    # returns an uncertified answer
+    A, b, lu = _perturbed_preconditioner(initial, amplitude)
+    counting = _CountingFactor(lu)
+    try:
+        x, res, _ = _solve_spd(A, b, 1e-12, counting)
+    except SolverError as exc:
+        assert re.search(r"backward error \S+ > tolerance 1\.000e-12 after "
+                         r"[1-9]\d* PCG steps", str(exc))
+    else:
+        assert counting.solves > 1
+        assert res <= dpg_solver._PCG_TARGET
+        assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("nan_at", [1, 2, 3])
+def test_nan_preconditioned_residual_never_certifies(initial, nan_at):
+    # a NaN from the preconditioner, in the first iterate or in a
+    # preconditioned residual, ends the loop; the answer is then the best
+    # finite iterate with its certificate or SolverError, never NaN.  With
+    # this preconditioner no iterate of the first two steps certifies, so
+    # here every case raises
+    A, b, lu = _perturbed_preconditioner(initial, 1e-3)
+    counting = _CountingFactor(lu, nan_at=nan_at)
+    with pytest.raises(SolverError, match=f"not certified: backward error .* after "
+                       f"{max(nan_at - 1, 1)} PCG steps"):
+        _solve_spd(A, b, 1e-12, counting)
+    assert counting.solves == max(nan_at, 2)
+
+
+def test_no_solve_calls_scipy_cg(monkeypatch):
+    # the standard solve of a level runs the preconditioned CG loop of
+    # dpg_solver, not scipy.sparse.linalg.cg
+    def no_cg(*args, **kwargs):
+        raise AssertionError("scipy.sparse.linalg.cg was called")
+
+    monkeypatch.setattr(spla, "cg", no_cg)
+    cfg = StudyConfig(example=2, norm=TestNorm.SIMPLE, p=1, levels=3, variant="both",
+                      track_energy=True)
+    table = run_convergence_study(cfg)
+    assert all(None not in (row.err_u, row.err_aug, row.energy) for row in table.rows)
 
 
 @pytest.mark.parametrize("kind", list(TestNorm))
@@ -908,7 +1018,7 @@ def test_solve_spd_memory(initial):
     csc = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
-        _, res = _solve_spd(A, b, 1e-12)
+        res = _solve_spd(A, b, 1e-12)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -926,7 +1036,7 @@ def test_solve_spd_leaves_non_canonical_input_alone():
     assert not A.has_sorted_indices
     indices, data = A.indices.copy(), A.data.copy()
     b = np.array([1.0, 2.0, 3.0])
-    x, res = _solve_spd(A, b, 1e-12)
+    x, res, _ = _solve_spd(A, b, 1e-12)
     assert res <= 1e-12
     assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14)
     assert _bitwise_equal(A.indices, indices) and _bitwise_equal(A.data, data)
