@@ -81,10 +81,12 @@ The target lies five orders of magnitude below the default tolerance
 of the finest ex1/qopt p0 errors.
 
 The class QR depends on the mesh, the data, the degrees and the test
-norm, not on the trial variant.  A solve evaluates the loads F in batches,
-uses them in its QR sweep and drops them; its :class:`Solution` keeps the
-DOF map, the assembler and the class QR.  A solve on the same mesh, data,
-degrees and test norm can take that solution as its test space
+norm, not on the trial variant.  A solve makes one class-ordered sweep
+(:func:`_class_qr`): each batch evaluates its own B, G and loads F, is
+whitened and factored, and keeps only its R, rho and tau, so no load and
+no skeleton gather of the whole mesh is formed.  Its :class:`Solution`
+keeps the DOF map, the assembler and the class QR.  A solve on the same
+mesh, data, degrees and test norm can take that solution as its test space
 (``assemble_and_solve(..., test_space=solution)``): it shares all three
 and evaluates no F, B, G or QR at all, only its own rows of R.  A test
 space of another test norm raises ValueError.  A study level solves the
@@ -98,17 +100,17 @@ is at least 1, and the standard solve takes 1-8 steps on the studies of
 the acceptance matrix instead of a factorization.  Its x is that of a
 standalone solve to rounding (within 1e-9 of max|x|), not bit for bit; a
 standard test space hands over no factor, so the augmented solve on it is
-the standalone one bit for bit.  The study drops the factor after the
-standard solve.
+the standalone one bit for bit.  The study drops the augmented solution,
+and with it the factor, after the standard solve.
 
 :func:`error_function` is the independent check of that estimator: it
-evaluates F again and condenses again with the assembler of the solve,
-against the solve's own trial layout, and forms z_T = y_T - Y_c u_T from
-the solve's trial vector, so it sees the same test space, quadrature and
-load.  Its element norms are |z_T|, and B_T^t eps_T = Y_c^t z_T, with
-eps_T = G_T^{-1} (F_T - B_T u_T), reproduces the algebraic residual of
-every trial DOF (Galerkin orthogonality): summed over elements in the
-skeleton rows, element by element in the field rows.
+sweeps again, in the same class-ordered batches, with the assembler of the
+solve, against the solve's own trial layout, and forms z_T = y_T - Y_c u_T
+from each batch's gather of the solve's trial vector, so it sees the same
+test space, quadrature and load.  Its element norms are |z_T|, and
+B_T^t eps_T = Y_c^t z_T, with eps_T = G_T^{-1} (F_T - B_T u_T), reproduces
+the algebraic residual of every trial DOF (Galerkin orthogonality): summed
+over elements in the skeleton rows, element by element in the field rows.
 """
 
 from __future__ import annotations
@@ -207,7 +209,8 @@ class Solution:
 
     def local_trial(self) -> np.ndarray:
         """(nt, n_local) element trial vectors; boundary traces are zero."""
-        return np.concatenate([self.fields, self.dofmap.local_vector(self.x)], axis=1)
+        return np.concatenate([self.fields, np.append(self.x, 0.0)[self.dofmap.gather]],
+                              axis=1)
 
 
 @dataclass
@@ -306,28 +309,26 @@ def _variant_rows(qr: _ClassQR, nf: int, nk: int):
     return np.ascontiguousarray(qr.R[:, nf:, -nk:]), qr.rho[:, nf:]
 
 
-def _loads(asm: ElementAssembler, f, fvec) -> np.ndarray:
-    """The loads F of every element, (nt, n_test), filled batch by batch so
-    that the point values of f, fvec and C stay batch-sized."""
-    nt = asm.mesh.n_triangles
-    F = np.empty((nt, asm.n_test))
-    for lo in range(0, nt, _CHUNK):
-        F[lo:lo + _CHUNK] = asm.loads(f, fvec, np.arange(lo, min(lo + _CHUNK, nt)))
-    return F
-
-
 def _condensed(asm: ElementAssembler, layout: TrialLayout, kind: TestNorm,
-               F: np.ndarray):
+               problem: ProblemSpec):
     """Condense all elements in batches taken in class order (stable), so
     that each batch holds few classes; yields ``(els, Y, y, inv)`` with the
-    results of :func:`_condense_batch` for the elements ``els``.  B is
-    assembled against the trial ``layout``; ``F`` holds the loads of every
-    element."""
+    results of :func:`_condense_batch` for the elements ``els``.  Each
+    batch evaluates its own B, against the trial ``layout``, its Gram
+    matrices and the loads of ``problem``."""
     order = np.argsort(asm.classes, kind="stable")
     for lo in range(0, len(order), _CHUNK):
         els = order[lo:lo + _CHUNK]
         yield els, *_condense_batch(asm.b_matrices(els, layout), asm.gram(kind, els),
-                                    F[els], els, asm.classes[els])
+                                    asm.loads(problem.f, problem.fvec, els), els,
+                                    asm.classes[els])
+
+
+def _class_qr(asm: ElementAssembler, kind: TestNorm, problem: ProblemSpec) -> list:
+    """The class QR of a solve: the :class:`_ClassQR` of every batch of
+    :func:`_condensed`, with B against the augmented layout."""
+    return [_eliminate(Y, y, inv, els) for els, Y, y, inv in
+            _condensed(asm, trial_layout(asm.p, "augmented"), kind, problem)]
 
 
 def _csc_pattern(dofmap: DofMap):
@@ -408,16 +409,18 @@ def _recover(dofmap: DofMap, layout: TrialLayout, x: np.ndarray, qr: list):
 
     With r_T = rho_T - R_c[:, skel] x_s, the fields are the local
     least-squares solution x_f = R_ff^{-1} r_T[:nf], one triangular inverse
-    per class, and |z_T|^2 = |r_T[nf:]|^2 + tau_T^2.
+    per class, and |z_T|^2 = |r_T[nf:]|^2 + tau_T^2.  Each batch gathers
+    its own skeleton values x_s from ``x``.
     """
-    nf, nk = layout.uh0, dofmap.gather.shape[1]
-    x_s = dofmap.local_vector(x)
-    fields = np.empty((len(x_s), nf))
-    norms2 = np.empty(len(x_s))
+    nf = layout.uh0
+    nt, nk = dofmap.gather.shape
+    xz = np.append(x, 0.0)  # the boundary slot
+    fields = np.empty((nt, nf))
+    norms2 = np.empty(nt)
     for els, inv, R, rho, tau in qr:
         # contiguous before the gather, which then copies whole blocks
         R_s = np.ascontiguousarray(R[:, :, -nk:])
-        r = rho - (R_s[inv] @ x_s[els][:, :, None])[:, :, 0]
+        r = rho - (R_s[inv] @ xz[dofmap.gather[els]][:, :, None])[:, :, 0]
         # numpy has no batched triangular solve (see _condense_batch)
         fields[els] = (np.linalg.inv(R[:, :nf, :nf])[inv] @ r[:, :nf, None])[:, :, 0]
         norms2[els] = np.einsum("ei,ei->e", r[:, nf:], r[:, nf:]) + tau * tau
@@ -602,11 +605,7 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
     if test_space is None:
         dofmap = build_dofmap(mesh, p)
         asm = ElementAssembler(mesh, problem.coeffs, p, k1, k2)
-        # the sweep drops F and its last batch's B and G before
-        # assemble_global builds the position table of the pattern
-        qr = [_eliminate(Y, y, inv, els) for els, Y, y, inv in
-              _condensed(asm, trial_layout(p, "augmented"), kind,
-                         _loads(asm, problem.f, problem.fvec))]
+        qr = _class_qr(asm, kind, problem)
     else:
         dofmap, qr = test_space.dofmap, test_space.qr
     A, b = assemble_global(dofmap, layout, qr)
@@ -620,9 +619,11 @@ def assemble_and_solve(mesh: Mesh, problem, p: int,
 def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     """Test norms of the Riesz representative of the residual, per element.
 
-    Evaluates the loads F of ``problem`` again and condenses with the
-    assembler of ``solution`` against its trial layout, so the test space,
-    the quadrature, the coefficients and the load are those of the solve.
+    Condenses again with the assembler of ``solution`` against its trial
+    layout, in the class-ordered batches of :func:`_condensed`, each with
+    its own loads of ``problem`` and its own gather of the solution's
+    fields and skeleton values; so the test space, the quadrature, the
+    coefficients and the load are those of the solve.
     It does not reuse the solve's class QR, so its element norms check
     ``Solution.estimator`` and its Galerkin orthogonality residual checks
     the skeleton solve and the field recovery alike.
@@ -635,15 +636,15 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     _check_data(solution, mesh, problem, "error_function")
     dofmap, asm = solution.dofmap, solution.assembler
     nf = solution.layout.uh0
-    u_loc_all = solution.local_trial()
+    xz = np.append(solution.x, 0.0)  # the boundary slot
     norms2 = np.empty(mesh.n_triangles)
     # skeleton rows, summed as in assemble_global (boundary entries into the
     # last slot), and the field rows of every element
     orth_s, rhs_s = np.zeros((2, dofmap.total + 1))
     orth_f, rhs_f = np.empty((2, mesh.n_triangles, nf))
-    for els, Y, y, inv in _condensed(asm, solution.layout, solution.kind,
-                                     _loads(asm, problem.f, problem.fvec)):
-        z = y - (Y[inv] @ u_loc_all[els][:, :, None])[:, :, 0]  # L^{-1} (F - B u)
+    for els, Y, y, inv in _condensed(asm, solution.layout, solution.kind, problem):
+        u_loc = np.concatenate([solution.fields[els], xz[dofmap.gather[els]]], axis=1)
+        z = y - (Y[inv] @ u_loc[:, :, None])[:, :, 0]  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
         Yt = np.swapaxes(Y, 1, 2)[inv]
         Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]

@@ -398,6 +398,10 @@ class ElementAssembler:
 
     # -- F -----------------------------------------------------------------
     def loads(self, f, fvec, elements=None) -> np.ndarray:
+        """Loads F(v) = (f, v) + (fvec, C tau) of the ``elements`` (all when
+        None): one row per element of ``elements``, in its order, with the
+        test rows in [v | tau_x | tau_y] order.  A None ``f`` or ``fvec``
+        contributes nothing.  Evaluated per element, not per class."""
         els = self._all(elements)
         det, _, X = self._geom(els)
         sdet = np.sqrt(det)

@@ -162,41 +162,41 @@ def run_convergence_study(config: StudyConfig, progress=None) -> ErrorTable:
             # takes its test space: its DOF map, assembler and class QR, and
             # the factor of the augmented system, which has the same skeleton
             # pattern, as its preconditioner.  A level factors once
-            sol = sol_aug = post = None
+            sol = sol_aug = u_aug = post = None
             if do_aug:
                 sol_aug = assemble_and_solve(mesh, problem, p, config.norm,
                                              variant="augmented", **solve_kw)
+                u_aug = sol_aug.u
             if do_std:
                 sol = assemble_and_solve(mesh, problem, p, config.norm,
                                          variant="standard", test_space=sol_aug,
                                          **solve_kw)
-            if sol_aug is not None:
-                sol_aug._lu = None  # freed before the postprocessing and the errors
+            sol_aug = None  # its factor is freed before the postprocessing and the errors
             if do_std:
                 post = postprocess_u(mesh, problem, sol)
                 if config.track_energy:
                     row.energy = sol.energy
             # after both solves, so none of its arrays is allocated between
             # them
-            _measure_errors(row, mesh, p, problem.u, sol_aug, sol, post)
+            _measure_errors(row, mesh, p, problem.u, u_aug, sol, post)
         except Exception as exc:
             raise type(exc)(f"level {level} (#T={mesh.n_triangles}): {exc}") from exc
         table.rows.append(row)
         # the next level is refined with no solution or field of this one
         # alive, and factored with nothing of this one, its mesh included
-        sol = sol_aug = post = None
+        sol = u_aug = post = None
         if level < config.levels:
             mesh = refine_uniform(mesh)
     return table
 
 
-def _measure_errors(row: ErrorRow, mesh: Mesh, p: int, u, sol_aug, sol, post) -> None:
-    """Fill the L2 errors of ``row`` from the solves of one level (``sol_aug``
-    or ``sol`` is None when its variant was not solved), evaluating ``u``
-    once per error rule: that of degree p serves ``err_u``, ``err_best`` and
-    the projection behind ``err_proj``, that of degree p+1 ``err_aug`` and
-    ``err_post``.  Each error equals :func:`l2_error` (and the projection
-    :func:`dpglab.spaces.l2_project`) bit for bit."""
+def _measure_errors(row: ErrorRow, mesh: Mesh, p: int, u, u_aug, sol, post) -> None:
+    """Fill the L2 errors of ``row`` from the augmented solve's u ``u_aug``
+    and the standard solve ``sol`` of one level (None when not solved),
+    evaluating ``u`` once per error rule: that of degree p serves ``err_u``,
+    ``err_best`` and the projection behind ``err_proj``, that of degree p+1
+    ``err_aug`` and ``err_post``.  Each error equals :func:`l2_error` (and
+    the projection :func:`dpglab.spaces.l2_project`) bit for bit."""
     if sol is not None:
         rule = _error_rule(p)
         vals = _exact_values(mesh, rule, u)
@@ -207,8 +207,8 @@ def _measure_errors(row: ErrorRow, mesh: Mesh, p: int, u, sol_aug, sol, post) ->
         vals = proj = None  # freed before the next rule's values
     rule = _error_rule(p + 1)
     vals = _exact_values(mesh, rule, u)
-    if sol_aug is not None:
-        row.err_aug = _l2_distance(mesh, rule, vals, sol_aug.u)
+    if u_aug is not None:
+        row.err_aug = _l2_distance(mesh, rule, vals, u_aug)
     if sol is not None:
         row.err_post = _l2_distance(mesh, rule, vals, post)
 

@@ -23,8 +23,8 @@ Only ``uhat`` and ``sighat`` are numbered globally (:class:`DofMap`); u
 and sigma are element-local.  Boundary ``uhat`` DOFs do not exist
 (homogeneous Dirichlet data); gather entries for them are -1, which index
 the one slot past the end of a global vector extended by one entry: the
-solver scatters into such a vector and drops that slot, and
-:meth:`DofMap.local_vector` gathers from one whose last entry is zero.
+solver scatters into such a vector and drops that slot, and gathers from
+one whose last entry is zero.
 
 :func:`rt_interpolate` keeps one coefficient row per element in the
 Piola-mapped spanning set of RT^p (:func:`dpglab.refelem.rt_span`); one
@@ -163,11 +163,6 @@ class DofMap:
                 self.n_uhat + mesh.tri_edges[:, j:j + 1] * (p + 1) + np.arange(p + 1)
         gather.setflags(write=False)
         self.gather = gather
-
-    def local_vector(self, x: np.ndarray) -> np.ndarray:
-        """Gather a global vector to (nt, n_skeleton_local); absent
-        boundary-uhat DOFs (gather -1) read the zero appended to ``x``."""
-        return np.append(x, 0.0)[self.gather]
 
 
 def build_dofmap(mesh: Mesh, p: int) -> DofMap:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -14,8 +15,8 @@ import scipy.sparse.linalg as spla
 
 import dpglab
 from dpglab import dpg_solver
-from dpglab.dpg_solver import (Solution, SolverError, _condense_batch, _condensed,
-                               _eliminate, _factor, _loads, _recover, _solve_spd,
+from dpglab.dpg_solver import (Solution, SolverError, _class_qr, _condense_batch,
+                               _condensed, _eliminate, _factor, _recover, _solve_spd,
                                _variant_rows, assemble_and_solve, assemble_global,
                                error_function)
 from dpglab.forms import Coefficients, ElementAssembler, TestNorm
@@ -31,18 +32,11 @@ def initial():
     return build_initial_mesh()
 
 
-def _qr_sweep(asm, kind, F):
-    """The class QR of a solve's sweep: the :class:`_ClassQR` of every batch
-    of B against the augmented layout, as assembled."""
-    return [_eliminate(Y, y, inv, els) for els, Y, y, inv in
-            _condensed(asm, trial_layout(asm.p, "augmented"), kind, F)]
-
-
-def _assemble(mesh, p, kind, asm, F, variant="standard"):
+def _assemble(mesh, p, kind, asm, prob, variant="standard"):
     """The skeleton system of ``variant`` on ``mesh`` from the class QR of
-    the assembler ``asm`` and the loads ``F``."""
+    the assembler ``asm`` and the loads of the problem ``prob``."""
     return assemble_global(build_dofmap(mesh, p), trial_layout(p, variant),
-                           _qr_sweep(asm, kind, F))
+                           _class_qr(asm, kind, prob))
 
 
 def _condense_one(B, G, F):
@@ -147,7 +141,7 @@ def test_zero_data_gives_zero_solution(initial, kind):
 def test_global_matrix_symmetric_positive_definite(initial):
     prob = example(1)
     asm = ElementAssembler(initial, prob.coeffs, 0)
-    A, b = _assemble(initial, 0, TestNorm.QUASI_OPTIMAL, asm, asm.loads(prob.f, prob.fvec))
+    A, b = _assemble(initial, 0, TestNorm.QUASI_OPTIMAL, asm, prob)
     dense = A.toarray()
     assert np.array_equal(dense, dense.T)
     np.linalg.cholesky(dense)  # raises if not SPD
@@ -311,7 +305,7 @@ def test_solve_spd_certifies_badly_scaled_matrix():
 def _system(mesh, p, kind, ex=1):
     prob = example(ex)
     asm = ElementAssembler(mesh, prob.coeffs, p)
-    return _assemble(mesh, p, kind, asm, asm.loads(prob.f, prob.fvec))
+    return _assemble(mesh, p, kind, asm, prob)
 
 
 def test_factor_fill_stays_small(initial):
@@ -458,7 +452,6 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
     mesh = refine_uniform(refine_uniform(initial))  # 256 elements, one chunk
     prob = example(1)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
-    F = asm.loads(prob.f, prob.fvec)
     default = dpg_solver._CHUNK
     for variant in ("standard", "augmented"):
         runs = []
@@ -466,7 +459,7 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
             monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
             sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL,
                                      variant=variant)
-            A, b = _assemble(mesh, 1, TestNorm.QUASI_OPTIMAL, asm, F, variant)
+            A, b = _assemble(mesh, 1, TestNorm.QUASI_OPTIMAL, asm, prob, variant)
             runs.append((A, b, error_function(mesh, prob, sol).element_norms,
                          sol.local_trial()))
         (A1, b1, e1, x1), (A7, b7, e7, x7) = runs
@@ -474,6 +467,47 @@ def test_chunk_boundaries_do_not_change_results(initial, monkeypatch):
         assert np.abs(b7 - b1).max() <= 1e-14 * np.abs(b1).max()
         assert np.abs(e7 - e1).max() <= 1e-14 * e1.max()
         assert np.abs(x7 - x1).max() <= 1e-12 * np.abs(x1).max()
+
+
+@pytest.mark.parametrize("chunk", [512, 7])
+def test_sweep_evaluates_loads_with_each_batch(initial, monkeypatch, chunk):
+    # a solve and an error function each make one class-ordered sweep, in
+    # which every batch evaluates its B, G and loads in turn, for the same
+    # elements in the same order; no call takes more than _CHUNK elements,
+    # and every element's loads are evaluated once per sweep.  Example 1 on
+    # level 3 shares classes, so the class order is not the element order
+    mesh = refine_uniform(refine_uniform(initial))
+    nt = mesh.n_triangles
+    prob = example(1)
+    calls = []
+
+    def recording(name):
+        method = getattr(ElementAssembler, name)
+        signature = inspect.signature(method)
+
+        def recorded(self, *args, **kwargs):
+            els = signature.bind(self, *args, **kwargs).arguments.get("elements")
+            calls.append((name, np.arange(nt) if els is None else np.array(els)))
+            return method(self, *args, **kwargs)
+        return recorded
+
+    names = ("b_matrices", "gram", "loads")
+    for name in names:
+        monkeypatch.setattr(ElementAssembler, name, recording(name))
+    monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
+    sol = assemble_and_solve(mesh, prob, p=1, kind=TestNorm.QUASI_OPTIMAL)
+    solve_calls, calls[:] = calls[:], []
+    error_function(mesh, prob, sol)
+    assert not np.array_equal(np.argsort(sol.assembler.classes, kind="stable"),
+                              np.arange(nt))
+    n_batches = -(-nt // chunk)
+    for sweep in (solve_calls, calls):
+        assert [name for name, _ in sweep] == list(names) * n_batches
+        batches = [[els for name, els in sweep if name == n] for n in names]
+        for b_els, g_els, f_els in zip(*batches):
+            assert np.array_equal(f_els, b_els) and np.array_equal(f_els, g_els)
+            assert len(f_els) <= chunk
+        assert (np.bincount(np.concatenate(batches[2]), minlength=nt) == 1).all()
 
 
 @pytest.mark.parametrize("chunk", [512, 7])
@@ -491,11 +525,12 @@ def test_error_names_lowest_failing_element(initial, monkeypatch, chunk):
                           reaction=base.reaction)
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     assert np.flatnonzero(centroids[:, 0] > 0.5)[0] == 16
+    zero_loads = dataclasses.replace(example(1), f=lambda x: np.zeros(len(x)), fvec=None)
     monkeypatch.setattr(dpg_solver, "_CHUNK", chunk)
     for kind in (TestNorm.STANDARD, TestNorm.QUASI_OPTIMAL):
         asm = ElementAssembler(mesh, coeffs, 0)
         with pytest.raises(SolverError, match="Gram matrix of element 16 is not SPD"):
-            _assemble(mesh, 0, kind, asm, asm.loads(lambda x: np.zeros(len(x)), None))
+            _assemble(mesh, 0, kind, asm, zero_loads)
 
 
 def _full_system(sol):
@@ -506,7 +541,7 @@ def _full_system(sol):
     asm, dm = sol.assembler, sol.dofmap
     nt, nf = sol.fields.shape
     B = asm.b_matrices(np.arange(nt), sol.layout)
-    F = _loads(asm, sol.problem.f, sol.problem.fvec)
+    F = asm.loads(sol.problem.f, sol.problem.fvec)
     BF = np.concatenate([B, F[:, :, None]], axis=2)
     SR = np.swapaxes(B, 1, 2) @ np.linalg.solve(asm.gram(sol.kind), BF)
     dofs = np.concatenate([np.arange(nt * nf).reshape(nt, nf),
@@ -574,7 +609,7 @@ def test_error_function_uses_the_solve_quadrature(initial):
     kind = TestNorm.QUASI_OPTIMAL
     dm, lay = build_dofmap(mesh, 1), trial_layout(1)
     asm = ElementAssembler(mesh, prob.coeffs, 1, volume_exactness=6)
-    qr = _qr_sweep(asm, kind, _loads(asm, prob.f, prob.fvec))
+    qr = _class_qr(asm, kind, prob)
     x, res, _ = _solve_spd(*assemble_global(dm, lay, qr), 1e-12)
     fields, estimator = _recover(dm, lay, x, qr)
     sol = Solution(mesh=mesh, problem=prob, dofmap=dm, layout=lay, p=1, kind=kind,
@@ -634,14 +669,14 @@ def _add_at_reference(dofmap, layout, qr, ref):
 
 
 def test_assembly_memory_and_bitwise_triplets(initial):
-    # ex1/simple p2 on level 5: the traced peak of the QR sweep and the
-    # assembly, with the class QR kept, stays below 54 MiB (28.0 MiB
-    # measured, of which 11.7 MiB are the returned CSC matrix; the position
-    # table is built after the QR sweep, so it and one batch's B and Gram
-    # matrices are never alive together; int64 triplets of the 1.33 M
-    # element entries would add 30 MiB).  indptr, indices and the rhs equal
-    # the COO reference of the triplets bit for bit; SciPy sums the
-    # duplicates of the COO matrix in its own order, so the values equal
+    # ex1/simple p2 on level 5: the traced peak of the QR sweep, its loads
+    # included, and the assembly, with the class QR kept, stays below 54 MiB
+    # (28.0 MiB measured, of which 11.7 MiB are the returned CSC matrix; the
+    # position table is built after the QR sweep, so it and one batch's B,
+    # Gram matrices and loads are never alive together; int64 triplets of
+    # the 1.33 M element entries would add 30 MiB).  indptr, indices and the
+    # rhs equal the COO reference of the triplets bit for bit; SciPy sums
+    # the duplicates of the COO matrix in its own order, so the values equal
     # np.add.at of the same batches into that pattern
     mesh = initial
     for _ in range(4):
@@ -649,10 +684,9 @@ def test_assembly_memory_and_bitwise_triplets(initial):
     prob = example(1)
     dm, lay = build_dofmap(mesh, 2), trial_layout(2)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
-    F = asm.loads(prob.f, prob.fvec)
     tracemalloc.start()
     try:
-        qr = _qr_sweep(asm, TestNorm.SIMPLE, F)
+        qr = _class_qr(asm, TestNorm.SIMPLE, prob)
         A, b = assemble_global(dm, lay, qr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -683,8 +717,7 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
     for _ in range(3):
         dm = build_dofmap(mesh, p)
         asm = ElementAssembler(mesh, prob.coeffs, p)
-        F = asm.loads(prob.f, prob.fvec)
-        qr = _qr_sweep(asm, kind, F)
+        qr = _class_qr(asm, kind, prob)
         A, b = assemble_global(dm, lay, qr)
         A_ref, b_ref = _reference_scatter(dm, lay, qr)
         assert A.has_canonical_format
@@ -696,7 +729,7 @@ def test_csc_pattern_is_the_coo_pattern(initial, monkeypatch, ex, p, variant):
         with monkeypatch.context() as m:
             m.setattr(dpg_solver, "_CHUNK", 7)
             m.setattr(dpg_solver, "_LOOKUPS", 80)
-            A7, b7 = assemble_global(dm, lay, _qr_sweep(asm, kind, F))
+            A7, b7 = assemble_global(dm, lay, _class_qr(asm, kind, prob))
         assert all(map(_bitwise_equal, _csc_arrays(A7), _csc_arrays(A)))
         assert _bitwise_equal(b7, b)
         mesh = refine_uniform(mesh)
@@ -708,7 +741,7 @@ def test_index_bound_covers_dofs_and_nonzeros(initial, monkeypatch):
     prob = example(1)
     dm, lay = build_dofmap(initial, 0), trial_layout(0)
     asm = ElementAssembler(initial, prob.coeffs, 0)
-    qr = _qr_sweep(asm, TestNorm.QUASI_OPTIMAL, asm.loads(prob.f, prob.fvec))
+    qr = _class_qr(asm, TestNorm.QUASI_OPTIMAL, prob)
     A, _ = assemble_global(dm, lay, qr)
     assert (A.shape[0], A.nnz) == (33, 233)
     for bound, match in [(33, "33 DOFs exceed"), (233, "233 nonzeros exceed")]:
@@ -733,8 +766,7 @@ def test_error_function_scatter_bitwise(initial, monkeypatch):
     orth = np.zeros(n + sol.fields.size)
     rhs = np.zeros_like(orth)
     u_loc = sol.local_trial()
-    for els, Y, y, inv in _condensed(sol.assembler, sol.layout, sol.kind,
-                                     _loads(sol.assembler, prob.f, prob.fvec)):
+    for els, Y, y, inv in _condensed(sol.assembler, sol.layout, sol.kind, prob):
         z = y - (Y[inv] @ u_loc[els][:, :, None])[:, :, 0]
         Yt = np.swapaxes(Y, 1, 2)[inv]
         Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
@@ -840,7 +872,7 @@ def test_own_factor_solve_takes_no_step(initial, ex, kind):
     prob = example(ex)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
     for variant in ("standard", "augmented"):
-        A, b = _assemble(mesh, 1, kind, asm, asm.loads(prob.f, prob.fvec), variant)
+        A, b = _assemble(mesh, 1, kind, asm, prob, variant)
         lu = _CountingFactor(_factor(A))
         x, res, used = _solve_spd(A, b, 1e-12, lu)
         assert used is lu and lu.solves == 1
@@ -855,7 +887,7 @@ def _perturbed_preconditioner(initial, amplitude):
     mesh = refine_uniform(initial)
     prob = example(2)
     asm = ElementAssembler(mesh, prob.coeffs, 1)
-    A, b = _assemble(mesh, 1, TestNorm.SIMPLE, asm, asm.loads(prob.f, prob.fvec))
+    A, b = _assemble(mesh, 1, TestNorm.SIMPLE, asm, prob)
     P = A.copy()
     P.setdiag(A.diagonal() * (1 + amplitude * np.abs(np.sin(np.arange(A.shape[0])))))
     return A, b, _factor(P)
@@ -1014,7 +1046,7 @@ def test_solve_spd_memory(initial):
         mesh = refine_uniform(mesh)
     prob = example(1)
     asm = ElementAssembler(mesh, prob.coeffs, 2)
-    A, b = _assemble(mesh, 2, TestNorm.SIMPLE, asm, asm.loads(prob.f, prob.fvec))
+    A, b = _assemble(mesh, 2, TestNorm.SIMPLE, asm, prob)
     csc = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
