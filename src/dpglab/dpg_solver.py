@@ -12,7 +12,14 @@ elements class by class: it factors each class's G_c = L_c L_c^t by Cholesky
 whitened class block Y_c = W_c B_c, and whitens the loads per element,
 y_T = W_c F_T.  Then S_T = Y_c^t Y_c and r_T = Y_c^t y_T, and the solve
 minimizes sum_T |y_T - Y_c x_T|^2.  Batches are taken in class order, so a
-batch holds few classes.
+batch holds few classes and the elements of a class are one run in it.
+Every product of a class matrix with per-element vectors (W_c F_T here,
+Q_c^t y_T, M_c^t g_T, R_c x_T and Y_c^t z_T below) is one broadcast matmul
+of the class's matrix with its run (:func:`_per_class`), and no class
+matrix is copied per element; only the scatter of S_c into the global
+matrix copies it per element, for the fast path of ``np.add.at``.  Each
+element's product is the BLAS call of a per-element copy on the same data,
+so the results are those of the copies bit for bit.
 
 Only the skeleton couples elements: u and sigma live in broken spaces, so
 their columns of each class block are element-local and are eliminated
@@ -67,8 +74,8 @@ first iterate x_0 = F^{-1} b, with F a SuperLU factor in symmetric mode
 preconditioned by F (Saad, Iterative Methods for Sparse Linear Systems,
 2nd ed., ch. 9) run until the normwise backward error of the assembled
 matrix is at most 1e-16 (``_PCG_TARGET``, or the solver tolerance if that
-is lower), or fails to decrease over a step once it is within the
-tolerance (a rounding floor), or 50 steps (``_PCG_STEPS``) have run.  The
+is lower), or 5 steps in a row (``_PCG_STALL``) find no iterate of lower
+backward error (a rounding floor, certified or not).  The
 backward error of the best iterate is then certified against the solver
 tolerance; ``Solution.residual`` is that backward error.  F is the factor
 of A itself unless the solve is handed one.  With A's own factor, x_0 is
@@ -144,9 +151,12 @@ _LOOKUPS = 1 << 18
 # the preconditioned CG loop of _solve_spd stops at this backward error (or
 # at the solver tolerance, if that is lower), five orders of magnitude below
 # the default tolerance: a stop at 1e-12 moves the printed digits of the
-# finest ex1/qopt p0 errors.  It runs at most _PCG_STEPS steps
+# finest ex1/qopt p0 errors.  It also stops after _PCG_STALL steps in a row
+# that find no iterate of lower backward error, certified or not: CG's
+# residual is not monotone, and a loop that has stalled above the tolerance
+# raises after a few solves with the factor instead of dozens
 _PCG_TARGET = 1e-16
-_PCG_STEPS = 50
+_PCG_STALL = 5
 
 
 class SolverError(RuntimeError):
@@ -244,6 +254,25 @@ def _class_failure(els, inv, bad, what: str) -> SolverError:
     return SolverError(what.format(t=t) + "; check coefficients and quadrature")
 
 
+def _per_class(mats, inv, v):
+    """``(mats[inv] @ v[..., None])[..., 0]`` without the per-element copy
+    ``mats[inv]``.  Batches are taken in class order, so the elements of a
+    class are one run of equal entries of ``inv``: each run of two or more
+    takes one broadcast matmul with its class's matrix, and the single
+    elements one batched call together.  Each element's product is the same
+    BLAS call on the same data as in the gather formula, bit for bit."""
+    cut = np.flatnonzero(inv[1:] != inv[:-1]) + 1
+    lo, hi = np.concatenate(([0], cut)), np.concatenate((cut, [len(inv)]))
+    v, out = v[:, :, None], np.empty((len(inv), mats.shape[1], 1))
+    runs = hi - lo > 1
+    for a, b, c in zip(lo[runs].tolist(), hi[runs].tolist(), inv[lo[runs]].tolist()):
+        np.matmul(mats[c], v[a:b], out=out[a:b])
+    one = lo[hi - lo == 1]
+    if len(one):
+        out[one] = mats[inv[one]] @ v[one]
+    return out[:, :, 0]
+
+
 def _condense_batch(B, G, F, els, classes):
     """Whitened class blocks Y_c = L_c^{-1} B_c and loads y_T = L_c^{-1} F_T.
 
@@ -268,7 +297,7 @@ def _condense_batch(B, G, F, els, classes):
     # numpy has no batched triangular solve; scipy's solve_triangular loops
     # over the batch in Python, so W = L^{-1} comes from an LU solve
     W = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
-    return W @ B[first], (W[inv] @ F[:, :, None])[:, :, 0], inv
+    return W @ B[first], _per_class(W, inv, F), inv
 
 
 def _eliminate(Y, y, inv, els) -> _ClassQR:
@@ -283,9 +312,8 @@ def _eliminate(Y, y, inv, els) -> _ClassQR:
     solves must have full rank.
     """
     Q, R = np.linalg.qr(Y)
-    Qe = Q[inv]
-    rho = (y[:, None, :] @ Qe)[:, 0]
-    tau = np.linalg.norm(y - (Qe @ rho[:, :, None])[:, :, 0], axis=1)
+    rho = _per_class(np.swapaxes(Q, 1, 2), inv, y)
+    tau = np.linalg.norm(y - _per_class(Q, inv, rho), axis=1)
     return _ClassQR(els, inv, R, rho, tau)
 
 
@@ -394,10 +422,13 @@ def assemble_global(dofmap: DofMap, layout: TrialLayout, qr: list):
     for batch in qr:
         M, g = _variant_rows(batch, nf, nk)
         Mt = np.swapaxes(M, 1, 2)
-        S = (Mt @ M)[batch.inv]  # exactly symmetric: numpy evaluates M^t M by syrk
+        # exactly symmetric: numpy evaluates M^t M by syrk.  The per-element
+        # copy S[inv] stays: np.add.at takes its fast path only for values
+        # of the index's shape, and a class block broadcast over its run of
+        # elements made the scatter 2-4 times slower
+        S = (Mt @ M)[batch.inv]
         np.add.at(data, positions[batch.els].ravel(), S.ravel())
-        np.add.at(b, dofmap.gather[batch.els].ravel(),
-                  (Mt[batch.inv] @ g[:, :, None]).ravel())
+        np.add.at(b, dofmap.gather[batch.els].ravel(), _per_class(Mt, batch.inv, g).ravel())
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(n, n)), b[:-1]
 
 
@@ -418,11 +449,9 @@ def _recover(dofmap: DofMap, layout: TrialLayout, x: np.ndarray, qr: list):
     fields = np.empty((nt, nf))
     norms2 = np.empty(nt)
     for els, inv, R, rho, tau in qr:
-        # contiguous before the gather, which then copies whole blocks
-        R_s = np.ascontiguousarray(R[:, :, -nk:])
-        r = rho - (R_s[inv] @ xz[dofmap.gather[els]][:, :, None])[:, :, 0]
+        r = rho - _per_class(R[:, :, -nk:], inv, xz[dofmap.gather[els]])
         # numpy has no batched triangular solve (see _condense_batch)
-        fields[els] = (np.linalg.inv(R[:, :nf, :nf])[inv] @ r[:, :nf, None])[:, :, 0]
+        fields[els] = _per_class(np.linalg.inv(R[:, :nf, :nf]), inv, r[:, :nf])
         norms2[els] = np.einsum("ei,ei->e", r[:, nf:], r[:, nf:]) + tau * tau
     return fields, np.sqrt(norms2)
 
@@ -477,10 +506,12 @@ def _solve_spd(A, b, tol: float, lu=None):
     of A or of a matrix A' <= A of the same pattern (see the module doc).
     Only without one is A factored (:func:`_factor`); A is only read.  From
     x_0 = lu.solve(b), conjugate gradients preconditioned by ``lu`` run
-    until the backward error is at most min(tol, ``_PCG_TARGET``), fails to
-    decrease over a step once it is at most ``tol``, turns NaN, or
-    ``_PCG_STEPS`` steps have run; the iterate of the least backward error
-    is kept.  A first iterate that meets the target takes no step.
+    until the backward error is at most min(tol, ``_PCG_TARGET``), turns
+    NaN, or ``_PCG_STALL`` steps in a row find no iterate of lower backward
+    error than the best so far, which is kept.  Each step that does not
+    stall lowers the best backward error, so the loop ends at the rounding
+    floor at the latest.  A first iterate that meets the target takes no
+    step.
     Returns ``(x, backward error, lu)``.  The answer is returned only with
     its certificate: if the system has a non-finite entry, the
     factorization fails, or the backward error exceeds ``tol`` (or is NaN)
@@ -520,7 +551,8 @@ def _solve_spd(A, b, tol: float, lu=None):
         xk, rk = x, r
         z = lu.solve(rk)
         d, rz = z, rk @ z
-        while steps < _PCG_STEPS:
+        stalled = 0  # steps since the last new best iterate
+        while stalled < _PCG_STALL:
             Ad = A @ d
             alpha = rz / (d @ Ad)
             xk = xk + alpha * d
@@ -528,11 +560,13 @@ def _solve_spd(A, b, tol: float, lu=None):
             resk = backward_error(xk, rk)
             steps += 1
             if resk < res:
-                x, res = xk, resk
+                x, res, stalled = xk, resk, 0
                 if res <= target:
                     break
-            elif np.isnan(resk) or res <= tol:
-                break  # NaN, or the rounding floor of a certified iterate
+            elif np.isnan(resk):
+                break
+            else:
+                stalled += 1
             z = lu.solve(rk)
             rz, rz_prev = rk @ z, rz
             d = z + (rz / rz_prev) * d
@@ -644,10 +678,10 @@ def error_function(mesh: Mesh, problem, solution: Solution) -> EnergyError:
     orth_f, rhs_f = np.empty((2, mesh.n_triangles, nf))
     for els, Y, y, inv in _condensed(asm, solution.layout, solution.kind, problem):
         u_loc = np.concatenate([solution.fields[els], xz[dofmap.gather[els]]], axis=1)
-        z = y - (Y[inv] @ u_loc[:, :, None])[:, :, 0]  # L^{-1} (F - B u)
+        z = y - _per_class(Y, inv, u_loc)  # L^{-1} (F - B u)
         norms2[els] = np.einsum("ei,ei->e", z, z)
-        Yt = np.swapaxes(Y, 1, 2)[inv]
-        Ytz, Yty = (Yt @ z[:, :, None])[:, :, 0], (Yt @ y[:, :, None])[:, :, 0]
+        Yt = np.swapaxes(Y, 1, 2)
+        Ytz, Yty = _per_class(Yt, inv, z), _per_class(Yt, inv, y)
         orth_f[els], rhs_f[els] = Ytz[:, :nf], Yty[:, :nf]
         g = dofmap.gather[els].ravel()
         np.add.at(orth_s, g, Ytz[:, nf:].ravel())

@@ -58,7 +58,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("folder", ["src/dpglab", "tests"])
+@pytest.mark.parametrize("folder", ["src/dpglab", "tests", "tools"])
 def test_no_unused_import_and_no_long_line(folder):
     # the hygiene a linter would check; no lint tool is a dependency
     problems = []
